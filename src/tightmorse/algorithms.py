@@ -14,6 +14,7 @@ from .complex_core import (
     Face,
     SimplicialComplex,
     deletion,
+    free_faces,
     from_faces,
     link,
     restrict,
@@ -38,6 +39,7 @@ from .morse import (
     Pair,
     lift_matching_over_cone,
     morse_vector,
+    random_pick,
     validate,
 )
 
@@ -54,24 +56,6 @@ class CollapseSequence:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def _collapse_greedily(
-    tracker: FaceSetCollapser,
-    forbidden: frozenset[Face] = frozenset(),
-) -> list[Pair]:
-    """Deterministic greedy collapse: highest-dimensional free face first,
-    lexicographic tiebreak; never touches forbidden faces."""
-    steps: list[Pair] = []
-    while True:
-        candidates = [
-            (s, t) for s, t in tracker.free_pairs() if s not in forbidden
-        ]
-        if not candidates:
-            return steps
-        s, t = min(candidates, key=lambda p: (-len(p[0]), p))
-        tracker.remove_pair(s, t)
-        steps.append((s, t))
 
 
 # -- planar complexes --------------------------------------------------------
@@ -92,16 +76,11 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
         raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
 
     tracker = FaceSetCollapser(d)
-    pairs: list[Pair] = []
-    while any(len(f) == 3 for f in tracker.faces):
-        free_edges = [(s, t) for s, t in tracker.free_pairs() if len(s) == 2]
-        if not free_edges:
-            raise StuckNoFreeEdgeError(
-                f"{sum(len(f) == 3 for f in tracker.faces)} triangles left with no free edge"
-            )
-        s, t = free_edges[0]
-        tracker.remove_pair(s, t)
-        pairs.append((s, t))
+    # a free edge lies in a triangle, so this stops once no triangle has one
+    pairs = tracker.collapse(lambda free: next((f for f in free if len(f) == 2), None))
+    triangles = sum(len(f) == 3 for f in tracker.faces)
+    if triangles:
+        raise StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
 
     # spanning forest on what is left (a graph)
     vertices = sorted(f[0] for f in tracker.faces if len(f) == 1)
@@ -233,8 +212,11 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
         )
     forbidden = frozenset(d.faces())
     tracker = FaceSetCollapser(c)
-    steps = _collapse_greedily(tracker, forbidden)
-    if tracker.faces != set(d.faces()):
+    # highest-dimensional free face outside d, the first (smallest) on ties
+    steps = tracker.collapse(
+        lambda free: max((f for f in free if f not in forbidden), key=len, default=None)
+    )
+    if tracker.faces != forbidden:
         raise StuckBeforeTargetError(from_faces(sorted(tracker.faces)))
     return CollapseSequence(c, tuple(steps), d)
 
@@ -441,10 +423,6 @@ class CollapsibleResult:
     reason: Optional[str] = None
 
 
-def _single_vertex_target(c: SimplicialComplex, face_set: set[Face]) -> SimplicialComplex:
-    return from_faces(sorted(face_set))
-
-
 def collapsible(
     c: SimplicialComplex,
     strategy: str = "greedy",
@@ -472,19 +450,10 @@ def collapsible(
 
     if strategy == "greedy":
         for attempt in range(restarts):
-            rng = random.Random(seed * 1_000_003 + attempt)
             tracker = FaceSetCollapser(c)
-            steps: list[Pair] = []
-            while True:
-                free = tracker.free_pairs()
-                if not free:
-                    break
-                s, t = free[rng.randrange(len(free))]
-                tracker.remove_pair(s, t)
-                steps.append((s, t))
+            steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
             if len(tracker.faces) == 1:
-                target = _single_vertex_target(c, tracker.faces)
-                return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))
+                return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(tracker.faces)))
         return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
 
     if strategy != "backtracking":
@@ -497,12 +466,11 @@ def collapsible(
         if len(faces) == 1:
             return []
         tracker.tick()
-        cur = from_faces(sorted(faces))
+        cur = from_faces(faces)
         key, _ = canonical_form(cur)
         if key in dead:
             return None
-        free = _free_pairs_of(faces)
-        for s, t in free:
+        for s, t in free_faces(cur):
             rest = search(faces - {s, t})
             if rest is not None:
                 return [(s, t)] + rest
@@ -518,24 +486,4 @@ def collapsible(
     remaining = set(c.faces())
     for s, t in steps:
         remaining -= {s, t}
-    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), _single_vertex_target(c, remaining)))
-
-
-def _free_pairs_of(faces: frozenset[Face]) -> list[Pair]:
-    """Free pairs of a raw face set (small inputs only)."""
-    from .complex_core import subfaces
-
-    counts: dict[Face, int] = {f: 0 for f in faces}
-    last: dict[Face, Face] = {}
-    for f in faces:
-        for sub in subfaces(f):
-            if sub in counts:
-                counts[sub] += 1
-                last[sub] = f
-    out = []
-    for f, n in counts.items():
-        if n == 1:
-            t = last[f]
-            if len(t) == len(f) + 1:
-                out.append((f, t))
-    return sorted(out)
+    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(remaining)))

@@ -303,13 +303,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.perf_counter()
     handlers = {
-        "betti": (_cmd_betti, [lambda a: a.file]),
-        "morse": (_cmd_morse, []),
-        "tight": (_cmd_tight, []),
-        "check": (_cmd_check, []),
-        "build": (_cmd_build, []),
+        "betti": _cmd_betti,
+        "morse": _cmd_morse,
+        "tight": _cmd_tight,
+        "check": _cmd_check,
+        "build": _cmd_build,
     }
-    handler, _ = handlers[args.command]
+    handler = handlers[args.command]
     inputs = []
     for attr in ("file", "geom_file", "complex_file", "matching_file", "file1", "file2", "path"):
         value = getattr(args, attr, None)

@@ -321,15 +321,6 @@ def barycentric_subdivision(
 
 # -- free faces and boundaries --------------------------------------------
 
-def proper_coface_counts(c: SimplicialComplex) -> dict[Face, int]:
-    """Number of proper cofaces (all dimensions) of every face."""
-    counts: dict[Face, int] = {f: 0 for f in c.faces()}
-    for face in c.faces():
-        for sub in subfaces(face):
-            counts[sub] += 1
-    return counts
-
-
 def free_faces(c: SimplicialComplex) -> list[tuple[Face, Face]]:
     """All (free face, unique proper coface) pairs.
 

@@ -226,15 +226,6 @@ class SampledTightnessReport:
         return self.passed / self.samples if self.samples else 1.0
 
 
-def _thread_count() -> int:
-    import os
-
-    try:
-        return max(1, int(os.environ.get("TIGHTMORSE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def check_tightness_sampled(
     g: GeometricRealization, samples: int, seed: int = 0
 ) -> SampledTightnessReport:
@@ -252,23 +243,13 @@ def check_tightness_sampled(
         norm = sum(x * x for x in vec) ** 0.5 or 1.0
         directions.append(tuple(x / norm for x in vec))
 
-    def run(item):
-        idx, vec = item
+    failures = []
+    for idx, vec in enumerate(directions):
         direction = perturb_direction(g, vec, seed=seed + idx)
-        return idx, direction, is_pi_tight(g, direction)
-
-    workers = _thread_count()
-    items = list(enumerate(directions))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(item) for item in items]
-
-    failures = tuple((idx, d, rep) for idx, d, rep in results if not rep.tight)
-    return SampledTightnessReport(samples, samples - len(failures), failures)
+        rep = is_pi_tight(g, direction)
+        if not rep.tight:
+            failures.append((idx, direction, rep))
+    return SampledTightnessReport(samples, samples - len(failures), tuple(failures))
 
 
 # -- the Betti recursion at the top vertex ----------------------------------

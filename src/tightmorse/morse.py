@@ -10,8 +10,9 @@ the canonical representation throughout the package.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .complex_core import Face, SimplicialComplex, canonical_face, cone
 from .errors import (
@@ -182,6 +183,10 @@ class FaceSetCollapser:
 
     Tracks immediate cofaces so freeness tests stay local: a face is free
     iff it has exactly one immediate coface and that coface is a facet.
+    ``_free`` holds exactly the free faces, sorted in lexicographic face
+    order; every removal restores that by bisection.  ``collapse(pick)``
+    passes this list to the policy ``pick``, which must return one of its
+    faces (or None to stop) and must not modify it.
     """
 
     def __init__(self, c: SimplicialComplex):
@@ -191,7 +196,7 @@ class FaceSetCollapser:
             if len(f) > 1:
                 for k in range(len(f)):
                     self.icof[f[:k] + f[k + 1:]].add(f)
-        self._free: set[Face] = {f for f in self.faces if self._is_free(f)}
+        self._free: list[Face] = sorted(f for f in self.faces if self._is_free(f))
 
     def _is_free(self, f: Face) -> bool:
         if f not in self.faces:
@@ -207,23 +212,38 @@ class FaceSetCollapser:
         return t
 
     def free_pairs(self) -> list[tuple[Face, Face]]:
-        return sorted((f, self.unique_coface(f)) for f in self._free)
+        return [(f, self.unique_coface(f)) for f in self._free]
 
     def facets_of_max_dim(self) -> list[Face]:
         top = max(len(f) for f in self.faces)
         return sorted(f for f in self.faces if len(f) == top)
 
+    def collapse(self, pick: Callable[[list[Face]], Face | None]) -> list[Pair]:
+        """Remove pick's free face and its coface until pick returns None;
+        returns the removed pairs in order."""
+        steps: list[Pair] = []
+        while (s := pick(self._free)) is not None:
+            t = self.unique_coface(s)
+            self.remove_pair(s, t)
+            steps.append((s, t))
+        return steps
+
+    def _set_free(self, f: Face, free: bool) -> None:
+        i = bisect_left(self._free, f)
+        listed = i < len(self._free) and self._free[i] == f
+        if free and not listed:
+            self._free.insert(i, f)
+        elif listed and not free:
+            del self._free[i]
+
     def _recheck(self, dirty: Iterable[Face]) -> None:
         for f in dirty:
-            if self._is_free(f):
-                self._free.add(f)
-            else:
-                self._free.discard(f)
+            self._set_free(f, self._is_free(f))
 
     def _detach(self, f: Face) -> set[Face]:
         """Remove f; returns faces whose freeness may have changed."""
         self.faces.discard(f)
-        self._free.discard(f)
+        self._set_free(f, False)
         dirty: set[Face] = set()
         if len(f) > 1:
             for k in range(len(f)):
@@ -293,6 +313,11 @@ def lift_matching_over_cone(v: int, link_complex: SimplicialComplex, m_link: Mor
     return MorseMatching(star_complex, frozenset(pairs))
 
 
+def random_pick(rng: random.Random) -> Callable[[list[Face]], Face | None]:
+    """Collapse policy: a uniformly random free face, None when none is left."""
+    return lambda free: free[rng.randrange(len(free))] if free else None
+
+
 def random_discrete_morse(c: SimplicialComplex, seed: int = 0) -> MorseMatching:
     """Random free-face collapse; removes a random top face when stuck.
 
@@ -300,17 +325,14 @@ def random_discrete_morse(c: SimplicialComplex, seed: int = 0) -> MorseMatching:
     top faces removed while stuck (the last vertex included).
     """
     rng = random.Random(seed)
+    pick = random_pick(rng)
     tracker = FaceSetCollapser(c)
     pairs: list[Pair] = []
     while tracker.faces:
-        free = tracker.free_pairs()
-        if free:
-            s, t = free[rng.randrange(len(free))]
-            tracker.remove_pair(s, t)
-            pairs.append((s, t))
-        else:
-            tops = tracker.facets_of_max_dim()
-            tracker.remove_facet(tops[rng.randrange(len(tops))])
+        # a collapse never removes the last face, so a facet is left here
+        pairs += tracker.collapse(pick)
+        tops = tracker.facets_of_max_dim()
+        tracker.remove_facet(tops[rng.randrange(len(tops))])
     return MorseMatching(c, frozenset(pairs))
 
 

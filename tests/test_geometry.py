@@ -213,11 +213,3 @@ def test_verify_embedding_rejects_degenerate_face():
     with pytest.raises(InvalidEmbeddingError):
         verify_embedding(GeometricRealization(c, coords, 2))
 
-
-def test_thread_env_parallel_sampling(monkeypatch):
-    monkeypatch.setenv("TIGHTMORSE_THREADS", "4")
-    rep = check_tightness_sampled(delta3_realization(), 12, seed=3)
-    assert rep.fraction == 1.0
-    monkeypatch.setenv("TIGHTMORSE_THREADS", "1")
-    rep2 = check_tightness_sampled(delta3_realization(), 12, seed=3)
-    assert rep.passed == rep2.passed
