@@ -5,8 +5,9 @@ coordinates supplied as integers or fractions keep the whole computation
 exact.  The halfspace restriction is modeled combinatorially by the full
 induced subcomplex on the vertices beyond the threshold, which is a
 deformation retract of the geometric restriction for linear embeddings in
-general position.  Consequently every check below is a finite sequence of
-mod-2 rank computations.
+general position.  Consequently the upper sets of one sweep form a
+filtration of the complex, and tightness along a direction is decided by
+one mod-2 persistence reduction of it (``homology_z2.persistence_pairs``).
 
 Two injectivity conventions appear:
 
@@ -33,12 +34,7 @@ from .errors import (
     NotTightError,
     ThresholdHitsVertexError,
 )
-from .homology_z2 import (
-    Gf2Space,
-    betti,
-    boundary_chain_masks,
-    cycle_masks_in,
-)
+from .homology_z2 import betti, persistence_pairs
 
 Number = int | float | Fraction
 Vector = tuple[Number, ...]
@@ -155,36 +151,49 @@ class TightnessReport:
 
 
 def _injectivity_scan(g: GeometricRealization, order: SweepOrder) -> TightnessReport:
-    """Check every upper set of the given sweep order against the complex."""
+    """Check every upper set of the given sweep order against the complex.
+
+    A face enters the upper sets at its lowest sweep position, so the upper
+    sets A_j (positions >= j) form one filtration, reduced once.  A bar of
+    dimension i born at b and dying at d (None: never) is a class of
+    H_i(A_j) for d < j <= b, and it maps to zero in H_i(C) unless it never
+    dies; a threshold fails iff a finite bar of positive length is alive.
+    """
     c = g.complex
-    dim = c.dimension
     n = len(order.vertices)
-    failures: list[TightnessFailure] = []
-    checks = 0
+    position = {v: k for k, v in enumerate(order.vertices)}
+    keyed = sorted((-min(position[v] for v in f), len(f), f) for f in c.faces())
+    faces = [f for _, _, f in keyed]
+    born = [-key for key, _, _ in keyed]
 
-    # ambient boundary spaces, one per dimension, eliminated once and cloned
-    x_faces = {i: c.faces(i) for i in range(dim + 1)}
-    base_spaces = {i: Gf2Space(boundary_chain_masks(c, i + 1)) for i in range(dim + 1)}
+    # per threshold and dimension: classes of H_i(A_j), and those surviving in C
+    alive = [[0] * (c.dimension + 1) for _ in range(n)]
+    kept = [[0] * (c.dimension + 1) for _ in range(n)]
+    for k, destroyer in persistence_pairs(faces):
+        i = len(faces[k]) - 1
+        first = 1 if destroyer is None else born[destroyer] + 1
+        for j in range(first, born[k] + 1):
+            alive[j][i] += 1
+            if destroyer is None:
+                kept[j][i] += 1
 
-    for j in range(1, n):
-        upper_vertices = order.vertices[j:]
-        a = restrict(c, upper_vertices)
-        threshold = (order.heights[j - 1] + order.heights[j]) / 2
-        for i in range(dim + 1):
-            if i > a.dimension:
-                continue
-            cycles = cycle_masks_in(a, x_faces[i], i)
-            beta_a = len(cycles) - Gf2Space(boundary_chain_masks(a, i + 1)).rank
-            checks += 1
-            if beta_a == 0:
-                continue
-            space = base_spaces[i].clone()
-            base_rank = space.rank
-            for z in cycles:
-                space.add(z)
-            image_rank = space.rank - base_rank
-            if image_rank != beta_a:
-                failures.append(TightnessFailure(float(threshold), i, beta_a, image_rank))
+    # one check per threshold j and dimension of the upper set A_j
+    top = [0] * n  # highest dimension of a face born at each position
+    for b, f in zip(born, faces):
+        top[b] = max(top[b], len(f) - 1)
+    checks = reach = 0
+    for j in range(n - 1, 0, -1):
+        reach = max(reach, top[j])
+        checks += reach + 1
+
+    failures = [
+        TightnessFailure(
+            float((order.heights[j - 1] + order.heights[j]) / 2), i, alive[j][i], kept[j][i]
+        )
+        for j in range(1, n)
+        for i in range(c.dimension + 1)
+        if alive[j][i] != kept[j][i]
+    ]
     return TightnessReport(not failures, order.direction, checks, tuple(failures))
 
 

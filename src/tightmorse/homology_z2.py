@@ -1,19 +1,23 @@
-"""Exact mod-2 homology: bit-packed boundary matrices, Betti numbers,
-and injectivity of inclusion-induced maps.
+"""Exact mod-2 homology: bit-packed boundary matrices, Betti numbers, and
+persistence pairs, which decide injectivity of inclusion-induced maps.
 
 Rows of a matrix are Python integers used as bit vectors (bit j = column j),
 so elimination is a loop of XORs on arbitrary-precision ints.  Face-to-index
-maps are lexicographic, making every matrix reproducible bit for bit.
+maps are lexicographic, making every matrix reproducible bit for bit.  The
+persistence reduction packs columns the same way (bit k = k-th face of the
+filtration), and one reduction answers every inclusion of a filtration at
+once: H_i(A) -> H_i(X) is injective iff no i-class born in A dies in X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .complex_core import Face, SimplicialComplex
 from .errors import DimensionOutOfRangeError, EmptyComplexError, NotASubcomplexError
 
-# -- GF(2) kernels ---------------------------------------------------------
+# -- GF(2) elimination -----------------------------------------------------
 
 def gf2_rank(rows: list[int]) -> int:
     """Rank of the span of the given bit-vectors."""
@@ -29,76 +33,6 @@ def gf2_rank(rows: list[int]) -> int:
                 break
             row ^= piv
     return rank
-
-
-class Gf2Space:
-    """Incrementally built row space with rank queries."""
-
-    def __init__(self, rows: list[int] | None = None):
-        self.pivots: dict[int, int] = {}
-        for row in rows or ():
-            self.add(row)
-
-    def add(self, row: int) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        while row:
-            lead = row.bit_length() - 1
-            piv = self.pivots.get(lead)
-            if piv is None:
-                self.pivots[lead] = row
-                return True
-            row ^= piv
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def clone(self) -> "Gf2Space":
-        copy = Gf2Space()
-        copy.pivots = dict(self.pivots)
-        return copy
-
-    def contains(self, row: int) -> bool:
-        while row:
-            piv = self.pivots.get(row.bit_length() - 1)
-            if piv is None:
-                return False
-            row ^= piv
-        return True
-
-
-def gf2_kernel_basis(rows: list[int], ncols: int) -> list[int]:
-    """Basis of the kernel {x : Mx = 0}, vectors as bit masks over columns."""
-    reduced: list[tuple[int, int]] = []  # (pivot column, row)
-    taken: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in taken:
-                row ^= taken[lead]
-            else:
-                taken[lead] = row
-                reduced.append((lead, row))
-                break
-    # back-substitute to reduced echelon form
-    reduced.sort(reverse=True)
-    for i, (lead, row) in enumerate(reduced):
-        for j in range(i):
-            lead_j, row_j = reduced[j]
-            if (row_j >> lead) & 1:
-                reduced[j] = (lead_j, row_j ^ row)
-    pivot_cols = {lead for lead, _ in reduced}
-    basis = []
-    for col in range(ncols):
-        if col in pivot_cols:
-            continue
-        vec = 1 << col
-        for lead, row in reduced:
-            if (row >> col) & 1:
-                vec |= 1 << lead
-        basis.append(vec)
-    return basis
 
 
 # -- boundary matrices -----------------------------------------------------
@@ -144,20 +78,6 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> BitMatrix:
             sub = face[:k] + face[k + 1:]
             rows[index[sub]] |= 1 << j
     return BitMatrix(len(low), len(high), tuple(rows))
-
-
-def boundary_chain_masks(c: SimplicialComplex, i: int) -> list[int]:
-    """Boundaries of all i-faces as bit masks over the (i-1)-faces of c."""
-    if i < 1 or i > c.dimension:
-        return []
-    low_index = {f: r for r, f in enumerate(c.faces(i - 1))}
-    masks = []
-    for face in c.faces(i):
-        m = 0
-        for k in range(len(face)):
-            m |= 1 << low_index[face[:k] + face[k + 1:]]
-        masks.append(m)
-    return masks
 
 
 # -- Betti numbers ---------------------------------------------------------
@@ -213,53 +133,56 @@ def is_subcomplex(a: SimplicialComplex, x: SimplicialComplex) -> bool:
     return all(a.face_set(d) <= x.face_set(d) for d in range(a.dimension + 1))
 
 
-def cycle_masks_in(a: SimplicialComplex, x_faces: tuple[Face, ...], i: int) -> list[int]:
-    """Basis of the i-cycles of a, written over the i-face basis of x."""
-    a_faces = a.faces(i)
-    if not a_faces:
-        return []
-    if i == 0:
-        local = [1 << j for j in range(len(a_faces))]
-    else:
-        rows = boundary_matrix(a, i).rows if i <= a.dimension else ()
-        local = gf2_kernel_basis(list(rows), len(a_faces))
-    x_index = {f: j for j, f in enumerate(x_faces)}
-    out = []
-    for vec in local:
-        m = 0
-        for j, face in enumerate(a_faces):
-            if (vec >> j) & 1:
-                m |= 1 << x_index[face]
-        out.append(m)
-    return out
+# -- persistence -----------------------------------------------------------
+
+def persistence_pairs(faces: Sequence[Face]) -> list[tuple[int, int | None]]:
+    """Persistence pairs of a filtration, as indices into ``faces``.
+
+    ``faces`` lists the faces of a complex, each after its proper faces.
+    The boundary matrix in that order is reduced column by column: a column
+    is added to by earlier reduced columns until its lowest one (the largest
+    row index) is claimed by no earlier column.  A face whose column reduces
+    to zero creates a class; the face whose column ends with its lowest one
+    on the creator destroys that class.  Returns (creator, destroyer) in
+    creator order, with None for a class that is never destroyed.
+    """
+    index = {f: k for k, f in enumerate(faces)}
+    reduced: dict[int, int] = {}  # lowest one -> reduced column
+    destroyer: dict[int, int] = {}
+    creators = []
+    for k, face in enumerate(faces):
+        column = 0
+        if len(face) > 1:
+            for t in range(len(face)):
+                column |= 1 << index[face[:t] + face[t + 1:]]
+        while column:
+            low = column.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = column
+                destroyer[low] = k
+                break
+            column ^= other
+        else:
+            creators.append(k)
+    return [(k, destroyer.get(k)) for k in creators]
 
 
 def inclusion_induced_injective(a: SimplicialComplex, x: SimplicialComplex, i: int) -> bool:
     """Is H_i(a) -> H_i(x) injective over Z2?
 
-    Rank of the induced map is dim(Z_i(a) + B_i(x)) - dim B_i(x); the map is
-    injective iff this equals the i-th Betti number of a.  An empty a is
-    accepted (trivially injective).
+    Filters the (i+1)-skeleton of x with the faces of a first: the map is
+    injective iff no i-dimensional class created inside a is destroyed by a
+    face outside it.  An empty a is accepted (trivially injective).
     """
     if not is_subcomplex(a, x):
         raise NotASubcomplexError("first argument is not a subcomplex of the second")
-    if a.is_empty or i > a.dimension:
+    if i > a.dimension:
         return True
-    beta_a = _betti_single(a, i)
-    if beta_a == 0:
-        return True
-    x_faces = x.faces(i)
-    boundary_space = Gf2Space(boundary_chain_masks(x, i + 1))
-    rank_b = boundary_space.rank
-    for z in cycle_masks_in(a, x_faces, i):
-        boundary_space.add(z)
-    image_rank = boundary_space.rank - rank_b
-    return image_rank == beta_a
-
-
-def _betti_single(c: SimplicialComplex, i: int) -> int:
-    if i < 0 or i > c.dimension:
-        return 0
-    r_i = boundary_matrix(c, i).rank() if i >= 1 else 0
-    r_up = boundary_matrix(c, i + 1).rank() if i + 1 <= c.dimension else 0
-    return len(c.face_set(i)) - r_i - r_up
+    inner = [f for d in range(i + 2) for f in a.faces(d)]
+    faces = inner + [f for d in range(i + 2) for f in x.faces(d) if f not in a.face_set(d)]
+    return all(
+        destroyer is None or destroyer < len(inner)
+        for k, destroyer in persistence_pairs(faces)
+        if k < len(inner) and len(faces[k]) == i + 1
+    )

@@ -1,14 +1,18 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tightmorse import from_facets
+import tightmorse
+from tightmorse import __version__, from_facets
 from tightmorse.cli import main
 from tightmorse.geometry import GeometricRealization
-from tightmorse.constructions import checkerboard, convex_fixture, straight_path
+from tightmorse.constructions import checkerboard, convex_fixture, furch_ball, straight_path
 from tightmorse.errors import FormatError
 from tightmorse.formats import (
     dump_facets,
@@ -133,6 +137,47 @@ def test_cli_tight_check_direction(tmp_path, capsys):
     assert code == 0 and rep["tight"] is True and rep["failures"] == []
 
 
+def v_path_geom():
+    c = from_facets([(1, 2), (2, 3)])
+    return GeometricRealization(c, {1: (0, 2), 2: (1, 0), 3: (2, Fraction(17, 8))}, 2)
+
+
+def drilled_geom():
+    return furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization
+
+
+# (threshold, dim, betti_sub, image_rank) of each failure
+V_PATH_FAILURES = [(1.0, 0, 2, 1)]
+DRILLED_FAILURES = [
+    (t, 1, 1, 0)
+    for t in (307.5, 308.5, 316.0, 323.5, 324.5, 325.5, 333.0, 340.5, 341.5, 342.5,
+              460.5, 578.5, 579.5, 580.5, 588.0, 595.5)
+]
+
+
+@pytest.mark.parametrize(
+    "make, direction, checks, failures",
+    [(v_path_geom, "0,1", 2, V_PATH_FAILURES), (drilled_geom, "1,17,289", 161, DRILLED_FAILURES)],
+    ids=["v_path", "drilled3x3x2"],
+)
+def test_cli_tight_check_failures(tmp_path, capsys, make, direction, checks, failures):
+    geom = tmp_path / "in.geom"
+    geom.write_text(dump_geom(make()))
+    code, rep = run_cli(["tight", "check", str(geom), "--pi", direction], capsys)
+    assert code == 0
+    assert rep == {
+        "command": "tight",
+        "version": __version__,
+        "seed": 0,
+        "inputs": {str(geom): hashlib.sha256(geom.read_bytes()).hexdigest()[:12]},
+        "tight": False,
+        "checks": checks,
+        "failures": [
+            {"threshold": t, "dim": i, "betti_sub": b, "image_rank": r} for t, i, b, r in failures
+        ],
+    }
+
+
 def test_cli_tight_check_sampled(tmp_path, capsys):
     geom = tmp_path / "s.geom"
     geom.write_text(dump_geom(convex_fixture("octahedron_boundary")))
@@ -246,9 +291,13 @@ def test_cli_text_format(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # pytest's pythonpath setting reaches only this process: hand the child
+    # the directory the package under test was imported from
+    src = str(Path(tightmorse.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tightmorse.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "build" in proc.stdout

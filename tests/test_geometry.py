@@ -7,6 +7,7 @@ from tightmorse.constructions import (
     checkerboard,
     convex_fixture,
     dunce_hat,
+    grid_ball,
     stacked_ball,
     suspension_realization,
 )
@@ -213,3 +214,23 @@ def test_verify_embedding_rejects_degenerate_face():
     with pytest.raises(InvalidEmbeddingError):
         verify_embedding(GeometricRealization(c, coords, 2))
 
+
+def triangle_and_collinear_edge():
+    c = from_facets([(0, 1, 2), (1, 3)])
+    coords = {0: (0, 0, 0), 1: (1, 0, 0), 2: (1, 0, 1), 3: (2, 0, 0)}
+    return GeometricRealization(c, coords, 3)
+
+
+@pytest.mark.xfail(
+    reason="_max_outside_mass tries only bases of size min(m, nvars), so a "
+           "rank-deficient contact system (coplanar points) misses its "
+           "feasible point and the shared face looks missed",
+    raises=InvalidEmbeddingError,
+    strict=True,
+)
+@pytest.mark.parametrize(
+    "make", [triangle_and_collinear_edge, lambda: grid_ball(2, 1, 1)],
+    ids=["triangle+edge", "grid(2,1,1)"],
+)
+def test_verify_embedding_accepts_coplanar_contacts(make):
+    verify_embedding(make())

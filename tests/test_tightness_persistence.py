@@ -1,0 +1,97 @@
+"""The persistence reduction against the per-threshold oracle.
+
+``tightness_oracle`` rebuilds every upper set and computes a kernel basis for
+each, as the library did before it reduced the upper-star filtration once;
+tightness reports must be equal field by field, and inclusion checks must
+give the same answer in every dimension.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import tightness_oracle as oracle
+from tightmorse import from_facets, inclusion_induced_injective
+from tightmorse.complex_core import from_faces, restrict
+from tightmorse.constructions import furch_ball, grid_ball, straight_path
+from tightmorse.geometry import GeometricRealization, is_pi_tight, is_prefix_tight
+from tightmorse.homology_z2 import persistence_pairs
+
+
+def assert_same_as_oracle(g, direction):
+    assert is_pi_tight(g, direction) == oracle.is_pi_tight(g, direction)
+    assert is_prefix_tight(g, direction) == oracle.is_prefix_tight(g, direction)
+
+
+facet_lists = st.lists(
+    st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True), min_size=1, max_size=8
+)
+
+
+@st.composite
+def realizations(draw):
+    """A complex on at most 9 vertices of dimension at most 3, with distinct
+    integer points in [0, 16]^k (k = 2 or 3) and a direction (±1, ±17, ±289)
+    cut to k coordinates, which separates all heights."""
+    c = from_facets(draw(facet_lists))
+    k = draw(st.sampled_from([2, 3]))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 16)] * k), min_size=9, max_size=9, unique=True))
+    signs = draw(st.tuples(*[st.sampled_from([1, -1])] * k))
+    direction = tuple(s * 17**e for e, s in enumerate(signs))
+    return GeometricRealization(c, {v: points[v] for v in c.vertices}, k), direction
+
+
+@settings(max_examples=200, deadline=None)
+@given(realizations())
+def test_tightness_matches_oracle(case):
+    assert_same_as_oracle(*case)
+
+
+def drilled(*dims):
+    return furch_ball(*dims, straight_path(*dims)).realization
+
+
+# straight-drilled balls fail the upper check along one sign of the last
+# coordinate and the prefix check along the other
+@pytest.mark.parametrize("dims", [(3, 3, 2), (4, 4, 3)], ids=["drilled3x3x2", "drilled4x4x3"])
+@pytest.mark.parametrize("direction", [(1, 17, 289), (1, 17, -289)])
+def test_drilled_balls_match_oracle(dims, direction):
+    g = drilled(*dims)
+    assert not is_pi_tight(g, (1, 17, 289)).tight
+    assert_same_as_oracle(g, direction)
+
+
+def test_grid_cube_matches_oracle():
+    g = grid_ball(3, 3, 3)
+    assert is_pi_tight(g, (1, 17, 289)).tight
+    assert_same_as_oracle(g, (1, 17, 289))
+
+
+def test_single_vertex_matches_oracle():
+    g = GeometricRealization(from_facets([(4,)]), {4: (1, 2, 3)}, 3)
+    assert is_pi_tight(g, (1, 17, 289)).checks == 0
+    assert_same_as_oracle(g, (1, 17, 289))
+
+
+def test_persistence_pairs_of_triangle():
+    faces = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    # one component survives; the edge (2, 3) closes a cycle the triangle fills
+    assert persistence_pairs(faces) == [(0, None), (1, 3), (2, 4), (5, 6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    facet_lists, st.sets(st.integers(0, 40)), st.sampled_from(["induced", "closure", "punctured"])
+)
+def test_inclusion_matches_oracle(facets, keep, mode):
+    """a is the subcomplex of x induced on some vertices, the closure of some
+    of its faces, or x without some of its facets."""
+    x = from_facets(facets)
+    if mode == "induced":
+        a = restrict(x, keep)
+    elif mode == "closure":
+        a = from_faces([f for k, f in enumerate(x.faces()) if k in keep])
+    else:
+        dropped = {f for k, f in enumerate(x.facets) if k in keep}
+        a = from_faces([f for f in x.faces() if f not in dropped])
+    for i in range(-1, x.dimension + 2):
+        assert inclusion_induced_injective(a, x, i) == oracle.inclusion_induced_injective(a, x, i)
