@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     tc.add_argument("--samples", type=int)
     tc.add_argument("--seed", type=int, default=0)
     tc.add_argument("--verify-embedding", action="store_true",
-                    help="exact pairwise face-intersection check first (slow)")
+                    help="exact facet-pair intersection check first")
 
     pc = sub.add_parser("check", help="collapsibility and non-evasiveness")
     csub = pc.add_subparsers(dest="check_command", required=True)

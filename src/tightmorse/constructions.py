@@ -329,8 +329,12 @@ def _frac_point(*xs) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in xs)
 
 
-def _support(points: dict[int, tuple[Fraction, ...]], tri: Face):
-    """Outward-oriented plane (normal, offset) of a triangle, via centroid."""
+def _centroid(points: dict[int, tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    return tuple(sum(axis) / len(points) for axis in zip(*points.values()))
+
+
+def _support(points: dict[int, tuple[Fraction, ...]], tri: Face, centroid: tuple[Fraction, ...]):
+    """Plane (normal, offset) of a triangle, oriented away from the centroid."""
     a, b, c = (points[v] for v in tri)
     u = tuple(q - p for p, q in zip(a, b))
     w = tuple(q - p for p, q in zip(a, c))
@@ -340,11 +344,6 @@ def _support(points: dict[int, tuple[Fraction, ...]], tri: Face):
         u[0] * w[1] - u[1] * w[0],
     )
     offset = sum(ni * ai for ni, ai in zip(n, a))
-    total = [Fraction(0)] * 3
-    for p in points.values():
-        for i in range(3):
-            total[i] += p[i]
-    centroid = tuple(t / len(points) for t in total)
     inner = sum(ni * ci for ni, ci in zip(n, centroid))
     if inner > offset:
         n = tuple(-x for x in n)
@@ -357,8 +356,9 @@ def verify_convex_position(g: GeometricRealization) -> bool:
     c = g.complex
     surface = c if c.dimension == 2 else boundary_complex(c)
     points = {v: _frac_point(*g.coords[v]) for v in c.vertices}
+    centroid = _centroid(points)
     for tri in surface.face_set(2):
-        n, offset = _support(points, tri)
+        n, offset = _support(points, tri, centroid)
         for v, p in points.items():
             if v in tri:
                 continue
@@ -401,7 +401,9 @@ def stacked_ball(k: int, seed: int | None = None) -> GeometricRealization:
         rim = boundary_complex(c)
         triangles = sorted(rim.face_set(2))
         tri = triangles[rng.randrange(len(triangles))] if rng else triangles[0]
-        n, offset = _support(coords, tri)
+        centroid = _centroid(coords)
+        planes = {other: _support(coords, other, centroid) for other in rim.face_set(2)}
+        n, offset = planes[tri]
         bary = tuple(
             sum(coords[v][i] for v in tri) / 3 for i in range(3)
         )
@@ -410,15 +412,11 @@ def stacked_ball(k: int, seed: int | None = None) -> GeometricRealization:
         w = max(c.vertices) + 1
         for _ in range(64):
             cand = tuple(b + eps * ni / norm2 for b, ni in zip(bary, n))
-            ok = True
-            for other in rim.face_set(2):
-                if other == tri:
-                    continue
-                n2, off2 = _support(coords, other)
-                if sum(ni * ci for ni, ci in zip(n2, cand)) >= off2:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                sum(ni * ci for ni, ci in zip(n2, cand)) < off2
+                for other, (n2, off2) in planes.items()
+                if other != tri
+            ):
                 break
             eps /= 2
         else:

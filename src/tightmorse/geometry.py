@@ -8,6 +8,8 @@ deformation retract of the geometric restriction for linear embeddings in
 general position.  Consequently the upper sets of one sweep form a
 filtration of the complex, and tightness along a direction is decided by
 one mod-2 persistence reduction of it (``homology_z2.persistence_pairs``).
+Whether the coordinates are such an embedding is checked only on request,
+by ``verify_embedding``, exactly on rationals.
 
 Two injectivity conventions appear:
 
@@ -21,7 +23,6 @@ Two injectivity conventions appear:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,6 +355,87 @@ def _affinely_independent(points: Sequence[tuple[Fraction, ...]]) -> bool:
     return rank == len(points) - 1
 
 
+def _box(points: Sequence[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Exact axis-aligned bounding box, one (min, max) pair per coordinate."""
+    return tuple((min(axis), max(axis)) for axis in zip(*points))
+
+
+def _boxes_meet(a, b) -> bool:
+    return all(lo_a <= hi_b and lo_b <= hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b))
+
+
+def _pivot(tableau: list[list[Fraction]], basis: list[int], r: int, j: int) -> None:
+    """Make column j basic in row r; the cost row is the last row."""
+    row = tableau[r]
+    p = row[j]
+    row[:] = [x / p for x in row]
+    for other in tableau:
+        f = other[j]
+        if f and other is not row:
+            other[:] = [a - f * b if b else a for a, b in zip(other, row)]
+    basis[r] = j
+
+
+def _climb(tableau: list[list[Fraction]], basis: list[int], columns: int) -> None:
+    """Pivot until no column below ``columns`` has a positive reduced cost.
+
+    Bland's rule picks the smallest improving column and, among the rows
+    with the least ratio, the one whose basic variable is smallest, so
+    degenerate pivots cannot cycle.  The feasible sets solved here are
+    bounded, so some row always limits the entering column.
+    """
+    *rows, cost = tableau
+    while True:
+        j = next((j for j in range(columns) if cost[j] > 0), None)
+        if j is None:
+            return
+        r = min(
+            (r for r, row in enumerate(rows) if row[j] > 0),
+            key=lambda r: (rows[r][-1] / rows[r][j], basis[r]),
+        )
+        _pivot(tableau, basis, r, j)
+
+
+def _simplex_max(
+    rows: list[list[Fraction]], rhs: list[Fraction], objective: list[Fraction]
+) -> Fraction | None:
+    """Maximum of objective . x over the bounded set {x >= 0 : rows . x = rhs}.
+
+    Two-phase dense tableau simplex over exact fractions; rhs must be
+    nonnegative.  Phase 1 starts from one artificial variable per row and
+    drives their sum to zero, which also handles rank-deficient rows: an
+    artificial that stays basic at zero after phase 1 sits in a row that is
+    zero on every structural column, and no later pivot changes that row.
+    Returns None when the set is empty.
+    """
+    m, n = len(rows), len(objective)
+    zero, one = Fraction(0), Fraction(1)
+    tableau = [
+        list(row) + [one if i == r else zero for i in range(m)] + [b]
+        for r, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    # phase 1 maximizes minus the sum of the artificials
+    cost = [sum(column) for column in zip(*tableau)]
+    tableau.append(cost[:n] + [zero] * m + cost[-1:])
+    basis = list(range(n, n + m))
+    _climb(tableau, basis, n + m)
+    if tableau[-1][-1] != 0:
+        return None
+    for r in range(m):
+        if basis[r] >= n:
+            j = next((j for j in range(n) if tableau[r][j]), None)
+            if j is not None:
+                _pivot(tableau, basis, r, j)
+    # phase 2: reduced costs of the objective; artificials never enter again
+    weights = list(objective) + [zero] * (m + 1)
+    tableau[-1] = [
+        weights[j] - sum(weights[basis[r]] * tableau[r][j] for r in range(m))
+        for j in range(n + m + 1)
+    ]
+    _climb(tableau, basis, n)
+    return -tableau[-1][-1]
+
+
 def _max_outside_mass(
     pa: list[tuple[Fraction, ...]],
     pb: list[tuple[Fraction, ...]],
@@ -361,108 +443,58 @@ def _max_outside_mass(
 ) -> Fraction | None:
     """Max total barycentric mass of conv(pa) ∩ conv(pb) outside the shared face.
 
-    Solved exactly by enumerating basic feasible solutions of the contact
-    polytope {A·l = B·m, sum l = sum m = 1, l, m >= 0}.  Returns None when
-    the hulls do not intersect.
+    The contact polytope {A·l = B·m, sum l = sum m = 1, l, m >= 0} holds the
+    common points of the two hulls, and the objective is the weight l puts
+    on the vertices of pa outside the shared face.  Returns None when the
+    hulls do not intersect.
     """
     k = len(pa[0])
     s, t = len(pa), len(pb)
-    nvars = s + t
+    zero, one = Fraction(0), Fraction(1)
     # equality rows: coordinates, then the two affine constraints
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in range(k):
-        rows.append([pa[i][c] for i in range(s)] + [-pb[j][c] for j in range(t)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * s + [Fraction(0)] * t)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * s + [Fraction(1)] * t)
-    rhs.append(Fraction(1))
-
-    objective = [Fraction(1) if (i < s and i not in shared_in_a) else Fraction(0) for i in range(nvars)]
-
-    best: Fraction | None = None
-    m = len(rows)
-    for basis in itertools.combinations(range(nvars), min(m, nvars)):
-        sol = _solve_square_subsystem(rows, rhs, basis)
-        if sol is None:
-            continue
-        full = [Fraction(0)] * nvars
-        ok = True
-        for var, val in zip(basis, sol):
-            if val < 0:
-                ok = False
-                break
-            full[var] = val
-        if not ok:
-            continue
-        # verify all equalities (the subsystem may be rank deficient)
-        for row, b in zip(rows, rhs):
-            if sum(rv * fv for rv, fv in zip(row, full)) != b:
-                ok = False
-                break
-        if not ok:
-            continue
-        value = sum(o * fv for o, fv in zip(objective, full))
-        if best is None or value > best:
-            best = value
-    return best
-
-
-def _solve_square_subsystem(rows, rhs, basis):
-    m = len(rows)
-    a = [[rows[r][v] for v in basis] + [rhs[r]] for r in range(m)]
-    n = len(basis)
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                factor = Fraction(a[r][col], a[row][col])
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = Fraction(a[r][n], a[r][col])
-    return sol
+    rows = [[pa[i][c] for i in range(s)] + [-pb[j][c] for j in range(t)] for c in range(k)]
+    rows.append([one] * s + [zero] * t)
+    rows.append([zero] * s + [one] * t)
+    rhs = [zero] * k + [one, one]
+    objective = [zero if (i >= s or i in shared_in_a) else one for i in range(s + t)]
+    return _simplex_max(rows, rhs, objective)
 
 
 def verify_embedding(g: GeometricRealization) -> None:
     """Exact check that the coordinates give a linear embedding.
 
-    Every face must be affinely independent and every pair of faces must
-    intersect exactly in their shared subface.  O(f^2) small exact linear
-    programs; intended as an opt-in diagnostic, not a standing invariant.
+    Only the facets (maximal faces) are examined, which suffices:
+
+    * every face lies in a facet, and a subset of an affinely independent
+      set is affinely independent;
+    * let faces s' of facet s and t' of facet t be given, where
+      conv s ∩ conv t = conv(s ∩ t).  Then conv s' ∩ conv t' lies in
+      conv(s' ∩ t) and in conv(t' ∩ s), since barycentric coordinates in
+      an affinely independent s or t are unique.  Both hulls lie in the
+      simplex conv(s ∩ t), so their intersection is conv(s' ∩ t').
+
+    Each facet must be affinely independent.  A pair of facets is skipped
+    when their exact axis-aligned bounding boxes are disjoint (facets with
+    a common vertex never are).  Otherwise one two-phase exact simplex
+    solve (``_simplex_max``, Bland's rule, artificial variables for
+    rank-deficient contact systems) finds the largest barycentric mass a
+    common point puts outside the shared face, and the pair is rejected if
+    it is positive.  A shared vertex is always a common point, so the
+    shared face itself is never missed.  Intended as an opt-in diagnostic,
+    not a standing invariant.
     """
     coords = _exact_coords(g)
-    c = g.complex
-    for face in c.faces():
-        if not _affinely_independent([coords[v] for v in face]):
-            raise InvalidEmbeddingError(f"face {face} is affinely dependent")
-    faces = list(c.faces())
-    for a_idx in range(len(faces)):
-        for b_idx in range(a_idx + 1, len(faces)):
-            fa, fb = faces[a_idx], faces[b_idx]
-            if set(fa) <= set(fb) or set(fb) <= set(fa):
+    facets = g.complex.facets
+    points = {f: [coords[v] for v in f] for f in facets}
+    for f in facets:
+        if not _affinely_independent(points[f]):
+            raise InvalidEmbeddingError(f"facet {f} is affinely dependent")
+    boxes = {f: _box(points[f]) for f in facets}
+    for a, fa in enumerate(facets):
+        for fb in facets[a + 1:]:
+            if not _boxes_meet(boxes[fa], boxes[fb]):
                 continue
-            shared = set(fa) & set(fb)
-            pa = [coords[v] for v in fa]
-            pb = [coords[v] for v in fb]
-            shared_in_a = [i for i, v in enumerate(fa) if v in shared]
-            worst = _max_outside_mass(pa, pb, shared_in_a)
-            if worst is None:
-                if shared:
-                    raise InvalidEmbeddingError(f"faces {fa} and {fb} miss their shared face")
-                continue
-            if worst > 0:
-                raise InvalidEmbeddingError(f"faces {fa} and {fb} overlap outside their shared face")
+            shared = [i for i, v in enumerate(fa) if v in fb]
+            worst = _max_outside_mass(points[fa], points[fb], shared)
+            if worst is not None and worst > 0:
+                raise InvalidEmbeddingError(f"facets {fa} and {fb} overlap outside their shared face")

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,23 @@ def test_stacked_seeds_vary():
     b = stacked_ball(5, seed=1)
     assert a.complex.f_vector == b.complex.f_vector
     assert a.complex != b.complex
+
+
+def test_stacked_ball_golden():
+    # recorded before the support planes were computed once per stacking step
+    g = stacked_ball(8, seed=3)
+    coords = {
+        0: ("0", "0", "0"), 1: ("1", "0", "0"), 2: ("0", "1", "0"), 3: ("0", "0", "1"),
+        4: ("1/3", "-1/2", "1/3"), 5: ("1/2", "1/2", "1/2"), 6: ("-1/8", "1/3", "1/3"),
+        7: ("3/4", "3/4", "1/6"), 8: ("1/6", "33/64", "33/64"), 9: ("33/64", "1/6", "33/64"),
+        10: ("-217/1752", "4/9", "211/2628"), 11: ("1/3", "1/3", "-1/16"),
+    }
+    assert {v: tuple(map(Fraction, p)) for v, p in coords.items()} == g.coords
+    assert sorted(g.complex.facets) == [
+        (0, 1, 2, 3), (0, 1, 2, 11), (0, 1, 3, 4), (0, 2, 3, 6), (0, 2, 6, 10),
+        (1, 2, 3, 5), (1, 2, 5, 7), (1, 3, 5, 9), (2, 3, 5, 8),
+    ]
+    assert verify_convex_position(g)
 
 
 def test_unknown_fixture():

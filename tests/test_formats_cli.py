@@ -12,7 +12,7 @@ import tightmorse
 from tightmorse import __version__, from_facets
 from tightmorse.cli import main
 from tightmorse.geometry import GeometricRealization
-from tightmorse.constructions import checkerboard, convex_fixture, furch_ball, straight_path
+from tightmorse.constructions import checkerboard, convex_fixture, furch_ball, grid_ball, straight_path
 from tightmorse.errors import FormatError
 from tightmorse.formats import (
     dump_facets,
@@ -272,6 +272,17 @@ def test_cli_tight_verify_embedding_flag(tmp_path, capsys):
         ["tight", "check", str(bad), "--pi", "1,2", "--verify-embedding"], capsys
     )
     assert code == 1 and "InvalidEmbeddingError" in rep["error"]
+
+
+def test_cli_verify_embedding_accepts_grid_ball(tmp_path, capsys):
+    # a valid embedding with coplanar contacts: the flag changes nothing
+    geom = tmp_path / "grid2x1x1.geom"
+    geom.write_text(dump_geom(grid_ball(2, 1, 1)))
+    args = ["tight", "check", str(geom), "--pi", "1,17,289"]
+    assert main(args + ["--verify-embedding"]) == 0
+    checked = capsys.readouterr().out
+    assert main(args) == 0
+    assert checked == capsys.readouterr().out
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -1,6 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import embedding_oracle
 
 from tightmorse import betti, from_facets
 from tightmorse.constructions import (
@@ -221,16 +225,63 @@ def triangle_and_collinear_edge():
     return GeometricRealization(c, coords, 3)
 
 
-@pytest.mark.xfail(
-    reason="_max_outside_mass tries only bases of size min(m, nvars), so a "
-           "rank-deficient contact system (coplanar points) misses its "
-           "feasible point and the shared face looks missed",
-    raises=InvalidEmbeddingError,
-    strict=True,
-)
+def moved_through_neighbour(g):
+    """g with one vertex reflected through the centroid of an interior triangle
+    of a tetrahedron around it: the tetrahedron flips onto the other side of
+    that triangle and overlaps the tetrahedron there."""
+    tets = g.complex.facets
+    for tet in tets:
+        for v in tet:
+            tri = tuple(u for u in tet if u != v)
+            if any(other != tet and set(tri) <= set(other) for other in tets):
+                centroid = [sum(Fraction(g.coords[u][i]) for u in tri) / 3 for i in range(3)]
+                coords = dict(g.coords)
+                coords[v] = tuple(2 * c - x for c, x in zip(centroid, g.coords[v]))
+                return GeometricRealization(g.complex, coords, 3)
+    raise AssertionError("no interior triangle")
+
+
+GRID_DIMS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1)]
+
+
+# valid embeddings whose faces meet in coplanar points, so that the contact
+# systems of some pairs are rank-deficient
 @pytest.mark.parametrize(
-    "make", [triangle_and_collinear_edge, lambda: grid_ball(2, 1, 1)],
-    ids=["triangle+edge", "grid(2,1,1)"],
+    "make",
+    [triangle_and_collinear_edge] + [partial(grid_ball, *dims) for dims in GRID_DIMS],
+    ids=["triangle+edge"] + ["grid(%d,%d,%d)" % dims for dims in GRID_DIMS],
 )
 def test_verify_embedding_accepts_coplanar_contacts(make):
     verify_embedding(make())
+
+
+@pytest.mark.parametrize("dims", GRID_DIMS, ids=lambda d: "grid(%d,%d,%d)" % d)
+def test_verify_embedding_rejects_vertex_moved_through_neighbour(dims):
+    with pytest.raises(InvalidEmbeddingError):
+        verify_embedding(moved_through_neighbour(grid_ball(*dims)))
+
+
+@st.composite
+def small_realizations(draw):
+    """A complex on at most 7 vertices of dimension at most 3 (at most k in
+    R^k), with integer points, coincident ones too, in a box of side 2-4 in
+    R^2 or R^3."""
+    k = draw(st.sampled_from([2, 3]))
+    c = from_facets(draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=k + 1, unique=True), min_size=2, max_size=6
+    )))
+    side = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, side)] * k)
+    return GeometricRealization(c, {v: draw(point) for v in c.vertices}, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_realizations())
+def test_verify_embedding_matches_oracle(g):
+    """The library accepts exactly what the all-faces, all-bases oracle accepts."""
+    try:
+        verify_embedding(g)
+        accepted = True
+    except InvalidEmbeddingError:
+        accepted = False
+    assert accepted == embedding_oracle.embeds(g)
