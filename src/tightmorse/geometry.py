@@ -355,15 +355,6 @@ def _affinely_independent(points: Sequence[tuple[Fraction, ...]]) -> bool:
     return rank == len(points) - 1
 
 
-def _box(points: Sequence[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Exact axis-aligned bounding box, one (min, max) pair per coordinate."""
-    return tuple((min(axis), max(axis)) for axis in zip(*points))
-
-
-def _boxes_meet(a, b) -> bool:
-    return all(lo_a <= hi_b and lo_b <= hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b))
-
-
 def _pivot(tableau: list[list[Fraction]], basis: list[int], r: int, j: int) -> None:
     """Make column j basic in row r; the cost row is the last row."""
     row = tableau[r]
@@ -473,15 +464,13 @@ def verify_embedding(g: GeometricRealization) -> None:
       an affinely independent s or t are unique.  Both hulls lie in the
       simplex conv(s ∩ t), so their intersection is conv(s' ∩ t').
 
-    Each facet must be affinely independent.  A pair of facets is skipped
-    when their exact axis-aligned bounding boxes are disjoint (facets with
-    a common vertex never are).  Otherwise one two-phase exact simplex
-    solve (``_simplex_max``, Bland's rule, artificial variables for
-    rank-deficient contact systems) finds the largest barycentric mass a
-    common point puts outside the shared face, and the pair is rejected if
-    it is positive.  A shared vertex is always a common point, so the
-    shared face itself is never missed.  Intended as an opt-in diagnostic,
-    not a standing invariant.
+    Each facet must be affinely independent.  For every pair of facets one
+    two-phase exact simplex solve (``_simplex_max``, Bland's rule,
+    artificial variables for rank-deficient contact systems) finds the
+    largest barycentric mass a common point puts outside the shared face,
+    and the pair is rejected if it is positive.  A shared vertex is always
+    a common point, so the shared face itself is never missed.  Intended as
+    an opt-in diagnostic, not a standing invariant.
     """
     coords = _exact_coords(g)
     facets = g.complex.facets
@@ -489,11 +478,8 @@ def verify_embedding(g: GeometricRealization) -> None:
     for f in facets:
         if not _affinely_independent(points[f]):
             raise InvalidEmbeddingError(f"facet {f} is affinely dependent")
-    boxes = {f: _box(points[f]) for f in facets}
     for a, fa in enumerate(facets):
         for fb in facets[a + 1:]:
-            if not _boxes_meet(boxes[fa], boxes[fb]):
-                continue
             shared = [i for i, v in enumerate(fa) if v in fb]
             worst = _max_outside_mass(points[fa], points[fb], shared)
             if worst is not None and worst > 0:
