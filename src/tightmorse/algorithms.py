@@ -304,6 +304,9 @@ def sweep_perfect_morse(
 def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int]]:
     """Relabel vertices by a degree-refined ordering; returns (facets, map).
 
+    Two refinement rounds rank the distinct (colour, neighbour colours)
+    signatures to small integers; vertices are ordered by (colour, label).
+
     The key is a sound over-approximation of isomorphism: equal keys imply
     isomorphic complexes (both equal the relabeled complex), while
     isomorphic complexes may still get different keys and simply miss the
@@ -321,11 +324,10 @@ def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int
         adjacency[a].append(b)
         adjacency[b].append(a)
     for _ in range(2):
-        color = {
-            v: (color[v], tuple(sorted(color[u] for u in adjacency[v])))
-            for v in verts
-        }
-    order = sorted(verts, key=lambda v: (repr(color[v]), v))
+        signature = {v: (color[v], tuple(sorted(color[u] for u in adjacency[v]))) for v in verts}
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+        color = {v: palette[signature[v]] for v in verts}
+    order = sorted(verts, key=lambda v: (color[v], v))
     relabel = {v: i for i, v in enumerate(order)}
     key = frozenset(tuple(sorted(relabel[u] for u in f)) for f in c.facets)
     return key, relabel
@@ -363,26 +365,33 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     """Exact recursive non-evasiveness with memoization and a node budget.
 
     Fast rejection: a non-evasive complex is collapsible hence mod-2
-    acyclic, so a nontrivial Betti vector answers "no" immediately.
+    acyclic, so a nontrivial Betti vector answers "no" immediately.  The
+    Betti vector is computed only at the root and on links: a deletion is
+    searched only after its link was certified, and an acyclic complex minus
+    a vertex with acyclic link is acyclic (Mayer–Vietoris).  Each search
+    node costs one budget tick.  The memo is keyed by ``canonical_form`` and
+    stores a certificate with its map to canonical labels; a hit relabels
+    it once onto the complex at hand.
     """
     if c.is_empty:
         return NonEvasiveResult("no", reason="empty")
-    memo: dict[frozenset[Face], object] = {}
+    memo: dict[frozenset[Face], Optional[tuple[NonEvasivenessCertificate, dict]]] = {}
     tracker = _Budget(budget)
 
-    def search(cur: SimplicialComplex) -> NonEvasivenessCertificate | None:
+    def search(cur: SimplicialComplex, acyclic: bool) -> NonEvasivenessCertificate | None:
         if cur.num_faces == 1:
             return NonEvasivenessCertificate(cur.vertices[0])
         tracker.tick()
-        if not _acyclic_betti(cur):
+        if not acyclic and not _acyclic_betti(cur):
             return None
         key, relabel = canonical_form(cur)
         if key in memo:
             hit = memo[key]
             if hit is None:
                 return None
+            cert, stored = hit
             back = {i: v for v, i in relabel.items()}
-            return hit.relabeled(back)  # type: ignore[union-attr]
+            return cert.relabeled({u: back[i] for u, i in stored.items()})
         result: NonEvasivenessCertificate | None = None
         star_size = {v: 0 for v in cur.vertices}
         for f in cur.faces():
@@ -392,21 +401,22 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
             lk = link(cur, v)
             if lk.is_empty:
                 continue
-            link_cert = search(lk)
+            link_cert = search(lk, False)
             if link_cert is None:
                 continue
-            del_cert = search(deletion(cur, v))
+            # Mayer–Vietoris on cur = del(v) ∪ st(v) with intersection lk(v): del(v) is acyclic
+            del_cert = search(deletion(cur, v), True)
             if del_cert is None:
                 continue
             result = NonEvasivenessCertificate(v, link_cert, del_cert)
             break
-        memo[key] = result.relabeled(relabel) if result else None
+        memo[key] = (result, relabel) if result else None
         return result
 
     if not _acyclic_betti(c):
         return NonEvasiveResult("no", reason="betti")
     try:
-        cert = search(c)
+        cert = search(c, True)
     except _BudgetExhausted:
         return NonEvasiveResult("budget")
     if cert is None:

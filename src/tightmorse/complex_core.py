@@ -117,10 +117,11 @@ class SimplicialComplex:
     @cached_property
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, lexicographic within descending dimension."""
+        # in a closed family a face is non-maximal iff it lies in a face one dimension up
         non_maximal: set[Face] = set()
-        for level in self._by_dim:
+        for level in self._by_dim[1:]:
             for face in level:
-                non_maximal.update(subfaces(face))
+                non_maximal.update(itertools.combinations(face, len(face) - 1))
         out = []
         for d in range(self.dimension, -1, -1):
             out.extend(f for f in self._sorted_level(d) if f not in non_maximal)

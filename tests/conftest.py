@@ -1,9 +1,20 @@
 """Shared fixtures: small complexes with known invariants."""
 
 import pytest
+from hypothesis import strategies as st
 
 from tightmorse import constructions, from_facets
-from tightmorse.complex_core import SimplicialComplex
+from tightmorse.complex_core import SimplicialComplex, cone
+
+
+# facets on vertices 0..6, optionally coned from 7: at most 8 vertices and
+# dimension 3, and the cones are acyclic, so searches and collapses run past
+# their homology prechecks
+random_complexes = st.builds(
+    lambda facets, coned: cone(from_facets(facets), 7) if coned else from_facets(facets),
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True), min_size=1, max_size=6),
+    st.booleans(),
+)
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import search_oracle as oracle
 
 from tightmorse import betti, free_faces, from_facets
 from tightmorse.algorithms import (
@@ -13,11 +16,12 @@ from tightmorse.algorithms import (
     sweep_perfect_morse,
     verify_certificate,
 )
-from tightmorse.complex_core import from_faces, link, restrict, star
+from tightmorse.complex_core import barycentric_subdivision, from_faces, link, restrict, star
 from tightmorse.constructions import (
     checkerboard,
     convex_fixture,
     dunce_hat,
+    grid_ball,
     stacked_ball,
     suspension_realization,
 )
@@ -30,7 +34,7 @@ from tightmorse.errors import (
 from tightmorse.geometry import GeometricRealization, perturb_direction
 from tightmorse.morse import from_collapse_sequence, is_perfect, morse_vector, validate
 
-from conftest import annulus_complex, fan_disc
+from conftest import annulus_complex, fan_disc, random_complexes
 
 
 def random_tree(n, seed):
@@ -238,6 +242,42 @@ def test_nonevasive_dunce_hat_exact_no():
     assert res.status == "no" and res.reason == "exhausted"
 
 
+def search_nodes(search, c):
+    """The smallest budget with which search decides c: its node count."""
+    lo, hi = 0, 1
+    while search(c, hi).status == "budget":
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if search(c, mid).status == "budget" else (lo, mid)
+    return hi
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_complexes)
+def test_nonevasive_matches_oracle(c):
+    res, ref = nonevasive(c), oracle.nonevasive(c)
+    assert (res.status, res.reason, res.certificate) == (ref.status, ref.reason, ref.certificate)
+    if res.status == "yes":
+        assert verify_certificate(c, res.certificate)
+    # one budget tick per search node, as in the oracle
+    for budget in range(1, 7):
+        assert nonevasive(c, budget).status == oracle.nonevasive(c, budget).status
+    assert search_nodes(nonevasive, c) == search_nodes(oracle.nonevasive, c)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [dunce_hat(), barycentric_subdivision(dunce_hat()), grid_ball(2, 1, 1).complex, stacked_ball(4).complex],
+    ids=["dunce_hat", "dunce_hat_sd", "grid(2,1,1)", "stacked(4)"],
+)
+def test_nonevasive_nodes_match_oracle(c):
+    # the dunce hats search many links that are not acyclic
+    res, ref = nonevasive(c), oracle.nonevasive(c)
+    assert (res.status, res.reason, res.certificate) == (ref.status, ref.reason, ref.certificate)
+    assert search_nodes(nonevasive, c) == search_nodes(oracle.nonevasive, c)
+
+
 # -- collapsibility ---------------------------------------------------------------------
 
 def test_collapsible_simplex_greedy(simplex3):
@@ -304,3 +344,18 @@ def test_collapse_sequences_replay(simplex3, annulus):
 def test_canonical_form_detects_relabelings(checkerboard):
     relabeled = from_facets([(10, 20, 30), (30, 40, 50), (10, 50, 60), (20, 40, 60)])
     assert canonical_form(checkerboard)[0] == canonical_form(relabeled)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_complexes, st.randoms(use_true_random=False))
+def test_canonical_form_contract(c, rnd):
+    key, relabel = canonical_form(c)
+    assert sorted(relabel) == list(c.vertices)
+    assert sorted(relabel.values()) == list(range(c.vertex_count))
+    assert key == frozenset(tuple(sorted(relabel[u] for u in f)) for f in c.facets)
+    # colours ignore labels and ties go by label, so an order-preserving
+    # relabelling gives the same key and the same vertex order
+    shift = dict(zip(c.vertices, sorted(rnd.sample(range(100), c.vertex_count))))
+    moved_key, moved_relabel = canonical_form(from_facets([[shift[u] for u in f] for f in c.facets]))
+    assert moved_key == key
+    assert moved_relabel == {shift[v]: i for v, i in relabel.items()}

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collapse_oracle as oracle
-from tightmorse import free_faces, from_facets
+from tightmorse import free_faces
 from tightmorse.algorithms import collapsible, planar_perfect_morse, relative_collapse
-from tightmorse.complex_core import boundary_complex, cone, from_faces
+from tightmorse.complex_core import boundary_complex, from_faces
 from tightmorse.constructions import (
     checkerboard,
     cone_sphere,
@@ -25,6 +25,8 @@ from tightmorse.constructions import (
 )
 from tightmorse.errors import TightMorseError
 from tightmorse.morse import FaceSetCollapser, random_discrete_morse
+
+from conftest import random_complexes
 
 
 def outcome(call):
@@ -56,18 +58,8 @@ def assert_same_as_oracle(c, seed, targets=()):
         )
 
 
-# facets on vertices 0..6, optionally coned from 7: at most 8 vertices and
-# dimension 3, and the cones are acyclic, so the collapses run past their
-# homology prechecks
-complexes = st.builds(
-    lambda facets, coned: cone(from_facets(facets), 7) if coned else from_facets(facets),
-    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True), min_size=1, max_size=6),
-    st.booleans(),
-)
-
-
 @settings(max_examples=80, deadline=None)
-@given(complexes, st.integers(0, 10))
+@given(random_complexes, st.integers(0, 10))
 def test_collapses_match_oracle(c, seed):
     assert_same_as_oracle(c, seed, c.vertices)
 

@@ -16,7 +16,8 @@ from tightmorse import (
     star,
     suspension,
 )
-from tightmorse.complex_core import boundary_complex, from_faces
+from tightmorse.complex_core import EMPTY_COMPLEX, boundary_complex, from_faces, subfaces
+from tightmorse.constructions import checkerboard, dunce_hat, grid_ball
 from tightmorse.errors import (
     EmptyInputError,
     LabelClashError,
@@ -24,7 +25,7 @@ from tightmorse.errors import (
     VertexNotFoundError,
 )
 
-from conftest import fan_disc
+from conftest import fan_disc, random_complexes
 
 
 def test_single_triangle_closure(triangle):
@@ -38,6 +39,27 @@ def test_checkerboard_f_vector(checkerboard):
 
 def test_facet_absorption(triangle):
     assert from_facets([(1, 2), (2, 3), (1, 2, 3)]) == triangle
+
+
+def facets_by_all_subfaces(c):
+    """Maximal faces as first defined: no face of any dimension contains them."""
+    non_maximal = {sub for f in c.faces() for sub in subfaces(f)}
+    return tuple(f for d in range(c.dimension, -1, -1) for f in c.faces(d) if f not in non_maximal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes)
+def test_facets_match_all_subfaces_definition(c):
+    assert c.facets == facets_by_all_subfaces(c)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [grid_ball(2, 2, 2).complex, dunce_hat(), checkerboard(), EMPTY_COMPLEX, from_facets([(4,)])],
+    ids=["grid(2,2,2)", "dunce_hat", "checkerboard", "empty", "point"],
+)
+def test_facets_fixed_complexes(c):
+    assert c.facets == facets_by_all_subfaces(c)
 
 
 def test_empty_input_rejected():

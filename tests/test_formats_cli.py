@@ -191,6 +191,38 @@ def test_cli_check_nonevasive_reject(tmp_path, capsys):
     assert rep["result"] == "no" and rep["reason"] == "betti"
 
 
+# (certificate_size, bytes and sha256 of the --out file), recorded before
+# the search got integer colour palettes and its lazy memo
+NONEVASIVE_GOLDEN = {
+    "grid2x2x1": (163, 6778, "e2dccc3d5fae4302f95f525f3ae36337446a95ab732e00d0fe7f907349c80cad"),
+    "drilled3x3x2": (595, 24947, "ff555bed200c3db9799db7ac7e1f7c8c9454e992a1719cd3d40b6a25fcd73fa7"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [("grid2x2x1", lambda: grid_ball(2, 2, 1)), ("drilled3x3x2", drilled_geom)],
+)
+def test_cli_check_nonevasive_certificate_golden(tmp_path, capsys, name, make):
+    geom = tmp_path / "in.geom"
+    geom.write_text(dump_geom(make()))
+    out = tmp_path / "cert.json"
+    code, rep = run_cli(["check", "nonevasive", str(geom), "--out", str(out)], capsys)
+    size, nbytes, digest = NONEVASIVE_GOLDEN[name]
+    assert code == 0
+    assert rep == {
+        "command": "check",
+        "version": __version__,
+        "seed": 0,
+        "inputs": {str(geom): hashlib.sha256(geom.read_bytes()).hexdigest()[:12]},
+        "result": "yes",
+        "certificate_size": size,
+        "out": str(out),
+    }
+    assert len(out.read_bytes()) == nbytes
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_check_collapsible_budget_exit(tmp_path, capsys):
     # a sphere passes the Betti precheck only after removing a facet, so use
     # the boundary of the 3-simplex: betti says no instantly (exit 0); for
