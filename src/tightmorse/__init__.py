@@ -34,7 +34,6 @@ from .geometry import (
     check_tightness_sampled,
     is_pi_tight,
     is_prefix_tight,
-    perturb_direction,
     sweep_order,
     upper_subcomplex,
     verify_lemma_betti_recursion,

@@ -16,6 +16,7 @@ from .complex_core import (
     deletion,
     free_faces,
     from_faces,
+    is_closed_surface,
     link,
     restrict,
 )
@@ -223,17 +224,6 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
 
 # -- the sweep construction ---------------------------------------------------
 
-def _closed_surface(c: SimplicialComplex) -> bool:
-    """Pure 2-complex in which every edge lies in exactly two triangles."""
-    if c.dimension != 2:
-        return False
-    count: dict[Face, int] = {e: 0 for e in c.face_set(1)}
-    for t in c.face_set(2):
-        for k in range(3):
-            count[t[:k] + t[k + 1:]] += 1
-    return all(n == 2 for n in count.values())
-
-
 def _perfect_on_link(lower_link: SimplicialComplex) -> MorseMatching:
     """Perfect matching on a sweep lower link.
 
@@ -245,7 +235,7 @@ def _perfect_on_link(lower_link: SimplicialComplex) -> MorseMatching:
     try:
         return planar_perfect_morse(lower_link)
     except StuckNoFreeEdgeError:
-        if not _closed_surface(lower_link):
+        if not is_closed_surface(lower_link):
             raise
         top = min(lower_link.face_set(2))
         punctured = from_faces([f for f in lower_link.faces() if f != top])
@@ -261,12 +251,12 @@ def sweep_perfect_morse(
     """Perfect discrete Morse matching from a height sweep of a tight
     realization.
 
-    Processes vertices in ascending height.  A vertex with empty lower
-    link stays critical; otherwise the lower link gets a perfect matching
-    which is lifted over the cone at the vertex.  The result is validated
-    and compared against the Betti vector; a mismatch raises
-    PerfectnessAssertionFailedError since the construction guarantees
-    perfectness on genuinely tight general-position input.
+    Processes vertices in sweep order (ascending height, ties broken as in
+    ``sweep_order``).  A vertex with empty lower link stays critical;
+    otherwise the lower link gets a perfect matching which is lifted over
+    the cone at the vertex.  The result is validated and compared against
+    the Betti vector; a mismatch raises PerfectnessAssertionFailedError
+    since the construction guarantees perfectness on genuinely tight input.
     """
     order = sweep_order(g, direction)
     if not assume_tight:

@@ -84,7 +84,6 @@ def _build_parser() -> _Parser:
     sw.add_argument("--pi", required=True)
     sw.add_argument("--assume-tight", action="store_true")
     sw.add_argument("--out", help="write the matching file here")
-    sw.add_argument("--seed", type=int, default=0)
 
     pt = sub.add_parser("tight", help="tightness checks")
     tsub = pt.add_subparsers(dest="tight_command", required=True)

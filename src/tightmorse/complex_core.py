@@ -339,6 +339,17 @@ def free_faces(c: SimplicialComplex) -> list[tuple[Face, Face]]:
     )
 
 
+def is_closed_surface(c: SimplicialComplex) -> bool:
+    """2-complex in which every edge lies in exactly two triangles."""
+    if c.dimension != 2:
+        return False
+    count = dict.fromkeys(c.face_set(1), 0)
+    for t in c.face_set(2):
+        for e in itertools.combinations(t, 2):
+            count[e] += 1
+    return all(n == 2 for n in count.values())
+
+
 def boundary_complex(c: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 faces lying in exactly one facet.
 

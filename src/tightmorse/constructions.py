@@ -21,6 +21,7 @@ from .complex_core import (
     deletion,
     from_facets,
     from_faces,
+    is_closed_surface,
     suspension,
 )
 from .errors import (
@@ -118,17 +119,8 @@ class FurchBall:
 
 
 def _is_two_sphere(surface: SimplicialComplex) -> bool:
-    """Closed connected surface with Euler characteristic 2."""
-    if surface.is_empty or surface.dimension != 2:
-        return False
-    count: dict[Face, int] = {e: 0 for e in surface.face_set(1)}
-    for t in surface.face_set(2):
-        for k in range(3):
-            count[t[:k] + t[k + 1:]] += 1
-    if any(n != 2 for n in count.values()):
-        return False
-    b = betti(surface)
-    return tuple(b) == (1, 0, 1) and surface.euler_characteristic == 2
+    """Connected closed surface with mod-2 Betti numbers (1, 0, 1)."""
+    return is_closed_surface(surface) and tuple(betti(surface)) == (1, 0, 1)
 
 
 def furch_ball(nx: int, ny: int, nz: int, path: LatticePath) -> FurchBall:

@@ -87,11 +87,15 @@ class MorseInvariantError(TightMorseError):
 # ----------------------------------------------------------------- geometry
 
 class DegenerateDirectionError(TightMorseError):
-    """Two vertices have the same height along the sweep direction."""
+    """The direction is zero (``ties`` empty) or two vertices coincide.
+
+    Height ties between distinct points are not an error: the sweep order
+    breaks them symbolically.  ``ties`` lists the coincident vertex pairs.
+    """
 
     def __init__(self, ties):
         self.ties = list(ties)
-        super().__init__(f"direction not in general position, tied vertex pairs: {self.ties}")
+        super().__init__(f"coincident vertex pairs: {self.ties}" if self.ties else "zero direction")
 
 
 class ThresholdHitsVertexError(TightMorseError):

@@ -1,15 +1,18 @@
 """Geometric realizations, sweep orders, and tightness verification.
 
-Heights along a direction are the only floating-point-sensitive quantity;
-coordinates supplied as integers or fractions keep the whole computation
-exact.  The halfspace restriction is modeled combinatorially by the full
-induced subcomplex on the vertices beyond the threshold, which is a
-deformation retract of the geometric restriction for linear embeddings in
-general position.  Consequently the upper sets of one sweep form a
-filtration of the complex, and tightness along a direction is decided by
-one mod-2 persistence reduction of it (``homology_z2.persistence_pairs``).
-Whether the coordinates are such an embedding is checked only on request,
-by ``verify_embedding``, exactly on rationals.
+Coordinates supplied as integers or fractions keep every computation
+exact; the only float produced is ``TightnessFailure.threshold``, a label
+for the failing level.  Directions need not be generic: ``sweep_order``
+breaks height ties by simulation of simplicity, so every nonzero direction
+orders distinct points strictly.  The halfspace restriction is modeled
+combinatorially by the full induced subcomplex on the vertices beyond the
+threshold, which is a deformation retract of the geometric restriction for
+linear embeddings in general position.  Consequently the upper sets of one
+sweep form a filtration of the complex, and tightness along a direction is
+decided by one mod-2 persistence reduction of it
+(``homology_z2.persistence_pairs``).  Whether the coordinates are such an
+embedding is checked only on request, by ``verify_embedding``, exactly on
+rationals.
 
 Two injectivity conventions appear:
 
@@ -69,7 +72,11 @@ class GeometricRealization:
 
 @dataclass(frozen=True)
 class SweepOrder:
-    """Vertices in strictly ascending height along a direction."""
+    """Vertices in sweep order along a direction, with their heights.
+
+    Heights ascend weakly; vertices of equal height appear in their
+    symbolic tie-break order (see ``sweep_order``).
+    """
 
     direction: Vector
     vertices: tuple[int, ...]
@@ -77,45 +84,21 @@ class SweepOrder:
 
 
 def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
-    """Sort vertices by height; rejects ties (general position required)."""
+    """Sort vertices by height, breaking ties by simulation of simplicity.
+
+    Vertices are sorted by (height, coordinate tuple, label).  This is the
+    exact vertex order along direction + ε·e_1 + ε²·e_2 + ... + ε^k·e_k for
+    every small enough ε > 0 (Edelsbrunner–Mücke 1990), and it is strict
+    for distinct points.  Raises DegenerateDirectionError for the zero
+    vector and for coincident points.
+    """
     if all(d == 0 for d in direction):
         raise DegenerateDirectionError([])
-    pairs = sorted((g.height(v, direction), v) for v in g.complex.vertices)
-    ties = [
-        (pairs[i][1], pairs[i + 1][1])
-        for i in range(len(pairs) - 1)
-        if pairs[i][0] == pairs[i + 1][0]
-    ]
-    if ties:
-        raise DegenerateDirectionError(ties)
-    return SweepOrder(tuple(direction), tuple(v for _, v in pairs), tuple(h for h, _ in pairs))
-
-
-def perturb_direction(g: GeometricRealization, direction: Vector, seed: int = 0) -> Vector:
-    """Deterministic tiny perturbation of a direction into general position.
-
-    Noise magnitude starts at 1e-9 of the height spread and doubles until
-    the sweep order is strict.
-    """
-    try:
-        sweep_order(g, direction)
-        return tuple(direction)
-    except DegenerateDirectionError:
-        pass
-    heights = [float(g.height(v, direction)) for v in g.complex.vertices]
-    spread = (max(heights) - min(heights)) if heights else 0.0
-    if spread == 0.0:
-        spread = max((abs(float(d)) for d in direction), default=1.0) or 1.0
-    rng = random.Random(seed)
-    scale = 1e-9 * spread
-    for _ in range(64):
-        candidate = tuple(float(d) + scale * rng.gauss(0.0, 1.0) for d in direction)
-        try:
-            sweep_order(g, candidate)
-            return candidate
-        except DegenerateDirectionError:
-            scale *= 2.0
-    raise DegenerateDirectionError([("perturbation failed", seed)])
+    keyed = sorted((g.height(v, direction), g.coords[v], v) for v in g.complex.vertices)
+    coincident = [(a[2], b[2]) for a, b in zip(keyed, keyed[1:]) if a[1] == b[1]]
+    if coincident:
+        raise DegenerateDirectionError(coincident)
+    return SweepOrder(tuple(direction), tuple(v for _, _, v in keyed), tuple(h for h, _, _ in keyed))
 
 
 def upper_subcomplex(g: GeometricRealization, direction: Vector, threshold: Number) -> SimplicialComplex:
@@ -134,6 +117,12 @@ def upper_subcomplex(g: GeometricRealization, direction: Vector, threshold: Numb
 
 @dataclass(frozen=True)
 class TightnessFailure:
+    """One failing level and dimension of a tightness scan.
+
+    ``threshold`` is the midpoint of the two heights the level separates;
+    it equals their common height where the sweep order broke a tie.
+    """
+
     threshold: float
     dim: int
     betti_sub: int
@@ -214,7 +203,11 @@ def is_prefix_tight(g: GeometricRealization, direction: Vector) -> TightnessRepo
 
     The prefixes (below-threshold induced subcomplexes) are exactly the
     upper sets of the negated direction; this is the hypothesis the sweep
-    construction consumes.
+    construction consumes.  The check reverses the sweep order of
+    ``direction`` instead of sorting along its negation: under height ties
+    the reversed order is the order along -(direction + ε), whose upper
+    sets are exactly the prefixes the sweep consumes, while sorting along
+    -direction would break the ties the other way round.
     """
     order = sweep_order(g, direction)
     reversed_order = SweepOrder(
@@ -239,23 +232,22 @@ class SampledTightnessReport:
 def check_tightness_sampled(
     g: GeometricRealization, samples: int, seed: int = 0
 ) -> SampledTightnessReport:
-    """Fraction of uniformly sampled directions that are pi-tight.
+    """Fraction of randomly sampled directions that are pi-tight.
 
-    Directions are drawn from the unit sphere and perturbed into general
-    position when needed; each sample is deterministic given the seed.
+    Each direction is a Gaussian vector scaled by 2**16 and rounded to
+    integers (redrawn while zero), so directions are close to uniform on the
+    sphere, every sample is decided exactly, and the seed fixes them all.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if g.ambient_dim < 1:
+        raise DegenerateDirectionError([])
     rng = random.Random(seed)
-    directions = []
-    for idx in range(samples):
-        vec = tuple(rng.gauss(0.0, 1.0) for _ in range(g.ambient_dim))
-        norm = sum(x * x for x in vec) ** 0.5 or 1.0
-        directions.append(tuple(x / norm for x in vec))
-
     failures = []
-    for idx, vec in enumerate(directions):
-        direction = perturb_direction(g, vec, seed=seed + idx)
+    for idx in range(samples):
+        direction = (0,) * g.ambient_dim
+        while not any(direction):
+            direction = tuple(round(rng.gauss(0.0, 1.0) * 2**16) for _ in range(g.ambient_dim))
         rep = is_pi_tight(g, direction)
         if not rep.tight:
             failures.append((idx, direction, rep))

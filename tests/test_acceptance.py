@@ -36,7 +36,6 @@ from tightmorse.constructions import (
 )
 from tightmorse.geometry import (
     GeometricRealization,
-    perturb_direction,
     sweep_order,
     verify_lemma_betti_recursion,
 )
@@ -50,11 +49,13 @@ def _passed(criterion: int, message: str) -> None:
 
 
 def _directions(g, count, base_seed):
+    """Exact integer directions, drawn as check_tightness_sampled draws them."""
     rng = random.Random(base_seed)
     out = []
-    for i in range(count):
-        vec = tuple(rng.gauss(0.0, 1.0) for _ in range(g.ambient_dim))
-        out.append(perturb_direction(g, vec, seed=base_seed + i))
+    while len(out) < count:
+        vec = tuple(round(rng.gauss(0.0, 1.0) * 2**16) for _ in range(g.ambient_dim))
+        if any(vec):
+            out.append(vec)
     return out
 
 

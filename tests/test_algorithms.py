@@ -31,7 +31,7 @@ from tightmorse.errors import (
     NotTightError,
     StuckNoFreeEdgeError,
 )
-from tightmorse.geometry import GeometricRealization, perturb_direction
+from tightmorse.geometry import GeometricRealization
 from tightmorse.morse import from_collapse_sequence, is_perfect, morse_vector, validate
 
 from conftest import annulus_complex, fan_disc, random_complexes
@@ -145,16 +145,15 @@ def test_relative_collapse_rejects_non_retract(annulus):
 # -- the sweep ---------------------------------------------------------------------
 
 def test_sweep_simplex_directions():
+    # (2, 2, 4) and (4, 2, 4) tie two heights, which the sweep order breaks
     g = convex_fixture("simplex3")
-    for seed in range(5):
-        d = perturb_direction(g, (1 + seed, 2, 4), seed=seed)
-        m = sweep_perfect_morse(g, d)
+    for a in range(1, 6):
+        m = sweep_perfect_morse(g, (a, 2, 4))
         assert tuple(morse_vector(m)) == (1, 0, 0, 0)
 
 
 def test_sweep_octahedron(octahedron):
-    for seed in range(5):
-        d = perturb_direction(octahedron, (1, 2, 4), seed=seed)
+    for d in ((1, 2, 4), (1, 1, 1), (0, 0, 1), (1, -1, 0), (3, 2, 1)):
         m = sweep_perfect_morse(octahedron, d)
         assert tuple(morse_vector(m)) == (1, 0, 1)
         assert is_perfect(m)
@@ -168,8 +167,7 @@ def test_sweep_single_point():
 
 def test_sweep_closed_3_manifold():
     g = convex_fixture("delta4_boundary")
-    d = perturb_direction(g, (1, 2, 4, 8), seed=0)
-    m = sweep_perfect_morse(g, d)
+    m = sweep_perfect_morse(g, (1, 2, 4, 8))
     assert tuple(morse_vector(m)) == (1, 0, 0, 1)
 
 
@@ -183,7 +181,7 @@ def test_sweep_rejects_untight_input():
 def test_sweep_per_vertex_count_recursion():
     # critical counts accumulated along the sweep match the Betti recursion
     g = stacked_ball(5)
-    d = perturb_direction(g, (2, 3, 5), seed=2)
+    d = (2, 3, 5)
     from tightmorse.geometry import sweep_order
 
     order = sweep_order(g, d)

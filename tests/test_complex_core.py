@@ -16,8 +16,14 @@ from tightmorse import (
     star,
     suspension,
 )
-from tightmorse.complex_core import EMPTY_COMPLEX, boundary_complex, from_faces, subfaces
-from tightmorse.constructions import checkerboard, dunce_hat, grid_ball
+from tightmorse.complex_core import (
+    EMPTY_COMPLEX,
+    boundary_complex,
+    from_faces,
+    is_closed_surface,
+    subfaces,
+)
+from tightmorse.constructions import _is_two_sphere, checkerboard, dunce_hat, grid_ball
 from tightmorse.errors import (
     EmptyInputError,
     LabelClashError,
@@ -149,6 +155,36 @@ def test_suspension_of_two_points():
 def test_boundary_of_cone_over_simplex(simplex3):
     coned = cone(simplex3, 7)
     assert boundary_complex(coned).f_vector == (5, 10, 10, 5)
+
+
+def torus_3x3():
+    """The 3x3 grid on the torus, each square cut along its diagonal."""
+    v = lambda i, j: 3 * (i % 3) + j % 3
+    return from_facets(
+        t
+        for i in range(3)
+        for j in range(3)
+        for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
+    )
+
+
+def test_closed_surface_and_two_sphere(boundary_delta3, boundary_delta2, checkerboard, simplex3):
+    second = from_facets([(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)])
+    pinched = from_facets(boundary_delta3.face_set(2) | second.face_set(2))
+    fin = from_facets(boundary_delta3.face_set(2) | {(1, 2, 9)})
+    assert tuple(betti(torus_3x3())) == (1, 2, 1)
+    for c, closed, sphere in [
+        (boundary_delta3, True, True),
+        (pinched, True, False),  # two spheres sharing vertex 4
+        (torus_3x3(), True, False),
+        (fin, False, False),  # edge (1, 2) lies in three triangles
+        (checkerboard, False, False),
+        (boundary_delta2, False, False),
+        (simplex3, False, False),
+        (EMPTY_COMPLEX, False, False),
+    ]:
+        assert is_closed_surface(c) is closed
+        assert _is_two_sphere(c) is sphere
 
 
 def test_join_relabels_on_clash(triangle):

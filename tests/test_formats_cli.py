@@ -137,6 +137,14 @@ def test_cli_tight_check_direction(tmp_path, capsys):
     assert code == 0 and rep["tight"] is True and rep["failures"] == []
 
 
+def test_cli_tight_check_tied_direction(tmp_path, capsys):
+    # (1,1,1) puts three vertices at height 1; the sweep order breaks the tie
+    geom = tmp_path / "simplex3.geom"
+    geom.write_text(dump_geom(convex_fixture("simplex3")))
+    code, rep = run_cli(["tight", "check", str(geom), "--pi", "1,1,1"], capsys)
+    assert code == 0 and rep["tight"] is True and rep["checks"] == 6
+
+
 def v_path_geom():
     c = from_facets([(1, 2), (2, 3)])
     return GeometricRealization(c, {1: (0, 2), 2: (1, 0), 3: (2, Fraction(17, 8))}, 2)

@@ -26,7 +26,6 @@ from tightmorse.geometry import (
     check_tightness_sampled,
     is_pi_tight,
     is_prefix_tight,
-    perturb_direction,
     sweep_order,
     upper_subcomplex,
     verify_embedding,
@@ -51,28 +50,70 @@ def test_sweep_order_simplex():
     assert order.heights == (0, 1, 2, 4)
 
 
-def test_sweep_order_rejects_symmetry_ties():
-    with pytest.raises(DegenerateDirectionError) as exc:
-        sweep_order(delta3_realization(), (1, 1, 1))
-    assert len(exc.value.ties) == 2  # e1=e2 and e2=e3
+def test_sweep_order_breaks_symmetry_ties():
+    # e1, e2, e3 all at height 1: the coordinate tuples order them
+    order = sweep_order(delta3_realization(), (1, 1, 1))
+    assert order.vertices == (0, 3, 2, 1)
+    assert order.heights == (0, 1, 1, 1)
 
 
 def test_flat_complex_fully_degenerate():
+    # all heights equal, so the order is that of the coordinate tuples
     e = checkerboard()
-    coords = {v: (v, v * v, 0) for v in e.vertices}
+    coords = {v: (-v, v * v, 0) for v in e.vertices}
     g = GeometricRealization(e, coords, 3)
+    assert sweep_order(g, (0, 0, 1)).vertices == (6, 5, 4, 3, 2, 1)
+
+
+def test_sweep_order_rejects_zero_direction():
     with pytest.raises(DegenerateDirectionError) as exc:
-        sweep_order(g, (0, 0, 1))
-    assert len(exc.value.ties) == 5  # all heights equal
+        sweep_order(delta3_realization(), (0, 0, 0))
+    assert exc.value.ties == [] and str(exc.value) == "zero direction"
+    point = GeometricRealization(from_facets([(1,)]), {1: ()}, 0)
+    with pytest.raises(DegenerateDirectionError):
+        check_tightness_sampled(point, 5)
 
 
-def test_perturb_direction_deterministic():
-    e = checkerboard()
-    g = GeometricRealization(e, {v: (v, v * v, 0) for v in e.vertices}, 3)
-    d1 = perturb_direction(g, (0, 0, 1), seed=4)
-    d2 = perturb_direction(g, (0, 0, 1), seed=4)
-    assert d1 == d2
-    sweep_order(g, d1)  # now strict
+def test_sweep_order_rejects_coincident_points():
+    c = from_facets([(1, 2), (2, 3), (3, 4)])
+    g = GeometricRealization(c, {1: (0, 0), 2: (1, 2), 3: (0, 0), 4: (1, 2)}, 2)
+    for direction in ((0, 1), (1, 0), (-3, 5)):
+        with pytest.raises(DegenerateDirectionError) as exc:
+            sweep_order(g, direction)
+        assert sorted(map(sorted, exc.value.ties)) == [[1, 3], [2, 4]]
+    with pytest.raises(DegenerateDirectionError):
+        is_pi_tight(g, (0, 1))
+
+
+@st.composite
+def tied_realizations(draw):
+    """A complex on at most 9 vertices of dimension at most 3, with distinct
+    integer points in [0, 16]^k (k = 2 or 3) and a direction in
+    {-1, 0, 1}^k other than zero, so heights tie often."""
+    c = from_facets(draw(st.lists(
+        st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True), min_size=1, max_size=8
+    )))
+    k = draw(st.sampled_from([2, 3]))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 16)] * k), min_size=9, max_size=9, unique=True))
+    direction = draw(st.tuples(*[st.integers(-1, 1)] * k).filter(any))
+    return GeometricRealization(c, {v: points[v] for v in c.vertices}, k), direction
+
+
+def scan_summary(report):
+    return report.tight, report.checks, [(f.dim, f.betti_sub, f.image_rank) for f in report.failures]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_realizations())
+def test_symbolic_ties_match_explicit_perturbation(case):
+    # with coordinates in [0, 16], eps = 1/64 already orders the heights
+    # along d + eps e1 + eps^2 e2 + eps^3 e3 lexicographically
+    g, direction = case
+    eps = Fraction(1, 64)
+    explicit = tuple(d + eps ** (i + 1) for i, d in enumerate(direction))
+    assert sweep_order(g, direction).vertices == sweep_order(g, explicit).vertices
+    assert scan_summary(is_pi_tight(g, direction)) == scan_summary(is_pi_tight(g, explicit))
+    assert scan_summary(is_prefix_tight(g, direction)) == scan_summary(is_prefix_tight(g, explicit))
 
 
 def test_upper_subcomplex_thresholds():
@@ -131,6 +172,9 @@ def test_sampled_tightness_v_path():
     rep = check_tightness_sampled(v_path(), 100, seed=0)
     assert rep.fraction < 1.0
     assert rep.failures
+    # sampled directions are exact nonzero integer vectors
+    assert all(type(x) is int for _, d, _ in rep.failures for x in d)
+    assert all(any(d) for _, d, _ in rep.failures)
 
 
 def test_sampled_tightness_single_point():
@@ -163,8 +207,7 @@ def test_betti_recursion_simplex():
 
 def test_betti_recursion_octahedron():
     g = convex_fixture("octahedron_boundary")
-    d = perturb_direction(g, (1, 2, 4), seed=0)
-    rep = verify_lemma_betti_recursion(g, d)
+    rep = verify_lemma_betti_recursion(g, (1, 2, 4))
     assert rep.ok
 
 
@@ -184,7 +227,7 @@ def test_betti_recursion_isolated_top_vertex():
 
 def test_prefixes_of_tight_fixture_stay_tight():
     g = stacked_ball(4)
-    d = perturb_direction(g, (3, 2, 1), seed=1)
+    d = (3, 2, 1)
     order = sweep_order(g, d)
     assert is_prefix_tight(g, d).tight
     for j in range(2, len(order.vertices) + 1):
