@@ -444,8 +444,7 @@ def collapsible(
     if not _acyclic_betti(c):
         return CollapsibleResult("no", reason="betti")
 
-    probe = FaceSetCollapser(c)
-    if not probe.free_pairs():
+    if not free_faces(c):
         return CollapsibleResult("no", reason="no free face")
 
     if strategy == "greedy":

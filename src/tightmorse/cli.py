@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from . import algorithms, constructions, formats, geometry, homology_z2, morse
-from .errors import PerfectnessAssertionFailedError, TightMorseError
+from .errors import FormatError, PerfectnessAssertionFailedError, TightMorseError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,6 +38,23 @@ def _digest(path: str) -> str:
 
 def _parse_vector(text: str):
     return tuple(formats.parse_number(tok) for tok in text.split(","))
+
+
+def _parse_ints(text: str, count: int) -> tuple[int, ...]:
+    values = tuple(formats.parse_int(tok) for tok in text.split(","))
+    if len(values) != count:
+        raise FormatError(f"expected {count} comma-separated integers, got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -90,7 +107,7 @@ def _build_parser() -> _Parser:
     tc = tsub.add_parser("check")
     tc.add_argument("geom_file")
     tc.add_argument("--pi")
-    tc.add_argument("--samples", type=int)
+    tc.add_argument("--samples", type=_positive_int, default=20)
     tc.add_argument("--seed", type=int, default=0)
     tc.add_argument("--verify-embedding", action="store_true",
                     help="exact facet-pair intersection check first")
@@ -202,8 +219,7 @@ def _cmd_tight(args) -> tuple[int, dict]:
                 for f in report.failures
             ],
         }
-    samples = args.samples or 20
-    rep = geometry.check_tightness_sampled(g, samples, seed=args.seed)
+    rep = geometry.check_tightness_sampled(g, args.samples, seed=args.seed)
     return EXIT_OK, {
         "samples": rep.samples,
         "passed": rep.passed,
@@ -240,12 +256,12 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 def _cmd_build(args) -> tuple[int, dict]:
     if args.build_command == "grid":
-        nx, ny, nz = (int(t) for t in args.n.split(","))
+        nx, ny, nz = _parse_ints(args.n, 3)
         g = constructions.grid_ball(nx, ny, nz)
         formats.write_text(args.out, formats.dump_geom(g))
         return EXIT_OK, {"f_vector": list(g.complex.f_vector), "out": args.out}
     if args.build_command == "furch":
-        nx, ny, nz = (int(t) for t in args.n.split(","))
+        nx, ny, nz = _parse_ints(args.n, 3)
         path = formats.read_path_file(args.path)
         ball = constructions.furch_ball(nx, ny, nz, path)
         formats.write_text(args.out, formats.dump_geom(ball.realization))
@@ -268,8 +284,7 @@ def _cmd_build(args) -> tuple[int, dict]:
     if args.build_command == "wedge":
         b1 = formats.read_complex(args.file1)
         b2 = formats.read_complex(args.file2)
-        t1 = tuple(int(t) for t in args.t1.split(","))
-        t2 = tuple(int(t) for t in args.t2.split(","))
+        t1, t2 = _parse_ints(args.t1, 3), _parse_ints(args.t2, 3)
         w = constructions.wedge_thicken(b1, b2, t1, t2)
         formats.write_text(args.out, formats.dump_facets(w.complex))
         return EXIT_OK, {

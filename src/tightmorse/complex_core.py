@@ -4,13 +4,18 @@ Faces are canonical tuples of strictly increasing non-negative integer
 labels.  A complex stores its full downward closure, grouped by dimension,
 so every operator has cheap access to the whole face poset.  The empty face
 is implicit and never stored.
+
+Every complex is built by ``_by_dimension`` from a downward-closed family:
+``from_facets`` and ``from_faces`` close their input first (``_close``), the
+other operators produce closed families directly.  ``cofaces`` is the one
+immediate-coface map; ``free_faces`` and the collapse engine read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -30,12 +35,6 @@ def canonical_face(vertices: Iterable[int]) -> Face:
     if face and face[0] < 0:
         raise MalformedFacetError(f"negative vertex label in face {face}")
     return face
-
-
-def subfaces(face: Face) -> Iterator[Face]:
-    """All nonempty proper subfaces of a face."""
-    for k in range(1, len(face)):
-        yield from itertools.combinations(face, k)
 
 
 class SimplicialComplex:
@@ -144,26 +143,28 @@ class SimplicialComplex:
 EMPTY_COMPLEX = SimplicialComplex(())
 
 
+def _by_dimension(faces: Iterable[Face]) -> SimplicialComplex:
+    """Complex of a downward-closed family of canonical faces.
+
+    The family is trusted to be closed; the empty face is dropped.
+    """
+    levels: dict[int, set[Face]] = {}
+    for face in faces:
+        levels.setdefault(len(face), set()).add(face)
+    top = max(levels, default=0)
+    return SimplicialComplex(tuple(levels.get(k, ()) for k in range(1, top + 1)))
+
+
 def _close(faces: Iterable[Face]) -> SimplicialComplex:
     """Downward closure of a set of canonical faces."""
-    levels: dict[int, set[Face]] = {}
     seen: set[Face] = set()
-    stack = list(faces)
-    while stack:
-        face = stack.pop()
-        if face in seen or not face:
-            continue
-        seen.add(face)
-        levels.setdefault(len(face) - 1, set()).add(face)
-        for k in range(1, len(face)):
-            for sub in itertools.combinations(face, k):
-                if sub not in seen:
-                    seen.add(sub)
-                    levels.setdefault(k - 1, set()).add(sub)
-    if not levels:
-        return EMPTY_COMPLEX
-    top = max(levels)
-    return SimplicialComplex(tuple(frozenset(levels.get(d, ())) for d in range(top + 1)))
+    # largest first: a face inside one already closed costs one lookup
+    for face in sorted(faces, key=len, reverse=True):
+        if face not in seen:
+            seen.add(face)
+            for k in range(1, len(face)):
+                seen.update(itertools.combinations(face, k))
+    return _by_dimension(seen)
 
 
 def from_facets(facets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -195,16 +196,12 @@ def _require_vertex(c: SimplicialComplex, v: int) -> None:
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces s with s + v in c and v not in s.  May be empty."""
     _require_vertex(c, v)
-    levels: dict[int, set[Face]] = {}
-    for d in range(1, c.dimension + 1):
-        for face in c.face_set(d):
-            if v in face:
-                rest = tuple(u for u in face if u != v)
-                levels.setdefault(len(rest) - 1, set()).add(rest)
-    if not levels:
-        return EMPTY_COMPLEX
-    top = max(levels)
-    return SimplicialComplex(tuple(frozenset(levels.get(d, ())) for d in range(top + 1)))
+    return _by_dimension(
+        tuple(u for u in face if u != v)
+        for d in range(1, c.dimension + 1)
+        for face in c.face_set(d)
+        if v in face
+    )
 
 
 def deletion(c: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -216,9 +213,8 @@ def deletion(c: SimplicialComplex, v: int) -> SimplicialComplex:
 
 
 def star(c: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Closed star: closure of all faces containing v."""
-    _require_vertex(c, v)
-    return _close([f for d in range(c.dimension + 1) for f in c.face_set(d) if v in f])
+    """Closed star: closure of all faces containing v, the cone over its link."""
+    return cone(link(c, v), v)
 
 
 def restrict(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -252,9 +248,7 @@ def join(
     for d in range(c2.dimension + 1):
         faces2.extend(tuple(sorted(relabel[u] for u in f)) for f in c2.face_set(d))
 
-    joined = _close([
-        tuple(sorted(f1 + f2)) for f1 in faces1 for f2 in faces2 if f1 or f2
-    ])
+    joined = _by_dimension(tuple(sorted(f1 + f2)) for f1 in faces1 for f2 in faces2)
     if return_map:
         return joined, relabel
     return joined
@@ -264,27 +258,15 @@ def cone(c: SimplicialComplex, apex: int) -> SimplicialComplex:
     """Cone over c with the given fresh apex label."""
     if c.has_vertex(apex):
         raise LabelClashError(f"apex {apex} already a vertex")
-    if c.is_empty:
-        return from_faces([(apex,)])
-    faces: list[Face] = [(apex,)]
-    for d in range(c.dimension + 1):
-        for f in c.face_set(d):
-            faces.append(f)
-            faces.append(tuple(sorted(f + (apex,))))
-    return _close(faces)
+    faces = [f for d in range(c.dimension + 1) for f in c.face_set(d)]
+    return _by_dimension([(apex,), *faces, *(tuple(sorted(f + (apex,))) for f in faces)])
 
 
 def suspension(c: SimplicialComplex) -> tuple[SimplicialComplex, int, int]:
     """Join with two fresh apices; returns (complex, north, south)."""
     base = max(c.vertices) if not c.is_empty else -1
     north, south = base + 1, base + 2
-    faces: list[Face] = [(north,), (south,)]
-    for d in range(c.dimension + 1):
-        for f in c.face_set(d):
-            faces.append(f)
-            faces.append(tuple(sorted(f + (north,))))
-            faces.append(tuple(sorted(f + (south,))))
-    return _close(faces), north, south
+    return join(c, _by_dimension([(north,), (south,)])), north, south
 
 
 # -- subdivision ----------------------------------------------------------
@@ -314,7 +296,7 @@ def barycentric_subdivision(
     for face in all_faces:
         grow([label_of[face]], face)
 
-    sd = _close(chains)
+    sd = _by_dimension(chains)  # a subset of a chain is a chain
     if return_vertex_map:
         return sd, {i: face for face, i in label_of.items()}
     return sd
@@ -322,21 +304,28 @@ def barycentric_subdivision(
 
 # -- free faces and boundaries --------------------------------------------
 
+def cofaces(c: SimplicialComplex) -> dict[Face, set[Face]]:
+    """Immediate cofaces (one dimension up) of every face of c.
+
+    The map and its sets are new on every call, so the caller may mutate
+    them.
+    """
+    icof: dict[Face, set[Face]] = {f: set() for level in c._by_dim for f in level}
+    for level in c._by_dim[1:]:
+        for face in level:
+            for k in range(len(face)):
+                icof[face[:k] + face[k + 1:]].add(face)
+    return icof
+
+
 def free_faces(c: SimplicialComplex) -> list[tuple[Face, Face]]:
     """All (free face, unique proper coface) pairs.
 
-    A face is free when it has exactly one proper coface; that coface is
-    then a facet one dimension higher.
+    A face is free when it has exactly one immediate coface.  That coface is
+    then its only proper coface, a facet one dimension higher: a larger
+    coface would contain a second immediate one.
     """
-    last_coface: dict[Face, Face] = {}
-    counts: dict[Face, int] = {f: 0 for f in c.faces()}
-    for face in c.faces():
-        for sub in subfaces(face):
-            counts[sub] += 1
-            last_coface[sub] = face
-    return sorted(
-        (f, last_coface[f]) for f, n in counts.items() if n == 1
-    )
+    return sorted((face, *up) for face, up in cofaces(c).items() if len(up) == 1)
 
 
 def is_closed_surface(c: SimplicialComplex) -> bool:
@@ -363,7 +352,4 @@ def boundary_complex(c: SimplicialComplex) -> SimplicialComplex:
     for top in c.face_set(d):
         for sub in itertools.combinations(top, d):
             count[sub] = count.get(sub, 0) + 1
-    rim = [f for f, n in count.items() if n == 1]
-    if not rim:
-        return EMPTY_COMPLEX
-    return _close(rim)
+    return _close([f for f, n in count.items() if n == 1])

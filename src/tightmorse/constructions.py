@@ -65,25 +65,29 @@ def _cube_tets(cube: Cube, ny: int, nz: int) -> list[tuple[int, int, int, int]]:
     return tets
 
 
-def _grid_coords(nx: int, ny: int, nz: int) -> dict[int, tuple[int, int, int]]:
-    return {
-        _vertex_label(i, j, k, ny, nz): (i, j, k)
-        for i in range(nx + 1)
-        for j in range(ny + 1)
-        for k in range(nz + 1)
-    }
+def _kuhn_ball(
+    nx: int, ny: int, nz: int, removed: frozenset[Cube] = frozenset()
+) -> GeometricRealization:
+    """Kuhn tetrahedra of the box's cubes except the removed ones, with the
+    grid coordinates of the vertices they use."""
+    tets = []
+    for cube in itertools.product(range(nx), range(ny), range(nz)):
+        if cube not in removed:
+            tets.extend(_cube_tets(cube, ny, nz))
+    c = from_facets(tets)
+    coords = {}
+    for point in itertools.product(range(nx + 1), range(ny + 1), range(nz + 1)):
+        v = _vertex_label(*point, ny, nz)
+        if c.has_vertex(v):
+            coords[v] = point
+    return GeometricRealization(c, coords, 3)
 
 
 def grid_ball(nx: int, ny: int, nz: int) -> GeometricRealization:
     """Box of nx*ny*nz unit cubes, each cut into six tetrahedra."""
     if min(nx, ny, nz) < 1:
         raise ValueError("cube counts must be at least 1")
-    tets = []
-    for cube in itertools.product(range(nx), range(ny), range(nz)):
-        tets.extend(_cube_tets(cube, ny, nz))
-    c = from_facets(tets)
-    coords = {v: p for v, p in _grid_coords(nx, ny, nz).items() if c.has_vertex(v)}
-    return GeometricRealization(c, coords, 3)
+    return _kuhn_ball(nx, ny, nz)
 
 
 # -- drilled balls ------------------------------------------------------------
@@ -147,14 +151,8 @@ def furch_ball(nx: int, ny: int, nz: int, path: LatticePath) -> FurchBall:
     if cubes[-2][0] != cubes[-1][0] or cubes[-2][1] != cubes[-1][1]:
         raise PathNotTopToBottomError("final step must be vertical")
 
-    removed = set(cubes[:-1])
-    tets = []
-    for cube in itertools.product(range(nx), range(ny), range(nz)):
-        if cube not in removed:
-            tets.extend(_cube_tets(cube, ny, nz))
-    c = from_facets(tets)
-    coords = {v: p for v, p in _grid_coords(nx, ny, nz).items() if c.has_vertex(v)}
-    realization = GeometricRealization(c, coords, 3)
+    realization = _kuhn_ball(nx, ny, nz, frozenset(cubes[:-1]))
+    c = realization.complex
 
     if tuple(betti(c)) != (1, 0, 0, 0):
         raise NotABallError(f"drilled complex has Betti vector {tuple(betti(c))}")
@@ -325,8 +323,9 @@ def _centroid(points: dict[int, tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
     return tuple(sum(axis) / len(points) for axis in zip(*points.values()))
 
 
-def _support(points: dict[int, tuple[Fraction, ...]], tri: Face, centroid: tuple[Fraction, ...]):
-    """Plane (normal, offset) of a triangle, oriented away from the centroid."""
+def _plane(points: dict[int, tuple[Fraction, ...]], tri: Face):
+    """(normal, offset) of the plane through a triangle's three points; the
+    normal is zero when they are collinear."""
     a, b, c = (points[v] for v in tri)
     u = tuple(q - p for p, q in zip(a, b))
     w = tuple(q - p for p, q in zip(a, c))
@@ -335,7 +334,12 @@ def _support(points: dict[int, tuple[Fraction, ...]], tri: Face, centroid: tuple
         u[2] * w[0] - u[0] * w[2],
         u[0] * w[1] - u[1] * w[0],
     )
-    offset = sum(ni * ai for ni, ai in zip(n, a))
+    return n, sum(ni * ai for ni, ai in zip(n, a))
+
+
+def _support(points: dict[int, tuple[Fraction, ...]], tri: Face, centroid: tuple[Fraction, ...]):
+    """Plane (normal, offset) of a triangle, oriented away from the centroid."""
+    n, offset = _plane(points, tri)
     inner = sum(ni * ci for ni, ci in zip(n, centroid))
     if inner > offset:
         n = tuple(-x for x in n)
@@ -424,21 +428,11 @@ def _hull_triangles(points: dict[int, tuple[Fraction, ...]]) -> list[Face]:
     labels = sorted(points)
     tris = []
     for tri in itertools.combinations(labels, 3):
-        a, b, c = (points[v] for v in tri)
-        u = tuple(q - p for p, q in zip(a, b))
-        w = tuple(q - p for p, q in zip(a, c))
-        n = (
-            u[1] * w[2] - u[2] * w[1],
-            u[2] * w[0] - u[0] * w[2],
-            u[0] * w[1] - u[1] * w[0],
-        )
+        n, offset = _plane(points, tri)
         if all(x == 0 for x in n):
             continue
-        offset = sum(ni * ai for ni, ai in zip(n, a))
-        sides = {1 if sum(ni * pi for ni, pi in zip(n, points[v])) > offset else
-                 (-1 if sum(ni * pi for ni, pi in zip(n, points[v])) < offset else 0)
-                 for v in labels if v not in tri}
-        if sides == {1} or sides == {-1}:
+        heights = [sum(ni * pi for ni, pi in zip(n, points[v])) - offset for v in labels if v not in tri]
+        if all(h > 0 for h in heights) or all(h < 0 for h in heights):
             tris.append(tri)
     return tris
 

@@ -19,6 +19,14 @@ from .morse import MorseMatching, critical_faces
 Number = int | float | Fraction
 
 
+def parse_int(token: str) -> int:
+    """One integer token, such as a vertex label or a cube index."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise FormatError(f"expected an integer, got {token!r}") from exc
+
+
 def parse_number(token: str) -> Number:
     try:
         return int(token)
@@ -60,13 +68,7 @@ def parse_facets(text: str) -> SimplicialComplex:
     body = lines[1:]
     if len(body) != count:
         raise FormatError(f"header says {count} facets, found {len(body)}")
-    facets = []
-    for line in body:
-        try:
-            facets.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise FormatError(f"bad facet line {line!r}") from exc
-    return from_facets(facets)
+    return from_facets([parse_int(tok) for tok in line.split()] for line in body)
 
 
 def dump_facets(c: SimplicialComplex) -> str:
@@ -92,7 +94,7 @@ def parse_geom(text: str) -> GeometricRealization:
         parts = lines[idx].split()
         if len(parts) != 2 + k:
             raise FormatError(f"vertex line has wrong arity: {lines[idx]!r}")
-        coords[int(parts[1])] = tuple(parse_number(tok) for tok in parts[2:])
+        coords[parse_int(parts[1])] = tuple(parse_number(tok) for tok in parts[2:])
         idx += 1
     complex_ = parse_facets("\n".join(lines[idx:]))
     return GeometricRealization(complex_, coords, k)
@@ -117,11 +119,11 @@ def parse_morse(text: str, c: SimplicialComplex) -> MorseMatching:
                 raise FormatError(f"pair line without ';': {line!r}")
             left, right = body.split(";", 1)
             pairs.append((
-                tuple(sorted(int(t) for t in left.split())),
-                tuple(sorted(int(t) for t in right.split())),
+                tuple(sorted(parse_int(t) for t in left.split())),
+                tuple(sorted(parse_int(t) for t in right.split())),
             ))
         elif line.startswith("critical"):
-            criticals.append(tuple(sorted(int(t) for t in line.split()[1:])))
+            criticals.append(tuple(sorted(parse_int(t) for t in line.split()[1:])))
         else:
             raise FormatError(f"unrecognized morse line {line!r}")
     matching = MorseMatching(c, frozenset(pairs))
@@ -147,7 +149,7 @@ def parse_path(text: str) -> LatticePath:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"path line needs three integers: {line!r}")
-        cubes.append(tuple(int(t) for t in parts))
+        cubes.append(tuple(parse_int(t) for t in parts))
     if not cubes:
         raise FormatError("empty path")
     return LatticePath(tuple(cubes))

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .complex_core import Face, SimplicialComplex, canonical_face, cone
+from .complex_core import Face, SimplicialComplex, canonical_face, cofaces, cone
 from .errors import (
     DanglingFaceError,
     EmptyLinkError,
@@ -181,31 +181,22 @@ def is_perfect(m: MorseMatching) -> bool:
 class FaceSetCollapser:
     """Mutable face set supporting elementary collapses and facet removals.
 
-    Tracks immediate cofaces so freeness tests stay local: a face is free
-    iff it has exactly one immediate coface and that coface is a facet.
-    ``_free`` holds exactly the free faces, sorted in lexicographic face
-    order; every removal restores that by bisection.  ``collapse(pick)``
-    passes this list to the policy ``pick``, which must return one of its
-    faces (or None to stop) and must not modify it.
+    ``icof`` starts as ``complex_core.cofaces(c)`` and loses each removed
+    face, so freeness is the one test of ``free_faces``: exactly one
+    immediate coface.  Every removal keeps the face set a complex, so that
+    coface stays a facet.  ``_free`` holds exactly the free faces, sorted in
+    lexicographic face order; every removal restores that by bisection.
+    ``collapse(pick)`` passes this list to the policy ``pick``, which must
+    return one of its faces (or None to stop) and must not modify it.
     """
 
     def __init__(self, c: SimplicialComplex):
-        self.faces: set[Face] = set(c.faces())
-        self.icof: dict[Face, set[Face]] = {f: set() for f in self.faces}
-        for f in self.faces:
-            if len(f) > 1:
-                for k in range(len(f)):
-                    self.icof[f[:k] + f[k + 1:]].add(f)
+        self.icof: dict[Face, set[Face]] = cofaces(c)
+        self.faces: set[Face] = set(self.icof)
         self._free: list[Face] = sorted(f for f in self.faces if self._is_free(f))
 
     def _is_free(self, f: Face) -> bool:
-        if f not in self.faces:
-            return False
-        cof = self.icof[f]
-        if len(cof) != 1:
-            return False
-        (t,) = cof
-        return not self.icof[t]
+        return f in self.faces and len(self.icof[f]) == 1
 
     def unique_coface(self, f: Face) -> Face:
         (t,) = self.icof[f]
@@ -241,19 +232,13 @@ class FaceSetCollapser:
             self._set_free(f, self._is_free(f))
 
     def _detach(self, f: Face) -> set[Face]:
-        """Remove f; returns faces whose freeness may have changed."""
+        """Remove f; returns the faces that lost a coface: its codimension-one faces."""
         self.faces.discard(f)
         self._set_free(f, False)
-        dirty: set[Face] = set()
-        if len(f) > 1:
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1:]
-                self.icof[sub].discard(f)
-                dirty.add(sub)
-                if len(sub) > 1:
-                    for j in range(len(sub)):
-                        dirty.add(sub[:j] + sub[j + 1:])
-        return dirty
+        subs = {f[:k] + f[k + 1:] for k in range(len(f))} if len(f) > 1 else set()
+        for sub in subs:
+            self.icof[sub].discard(f)
+        return subs
 
     def remove_pair(self, s: Face, t: Face) -> None:
         dirty = self._detach(t)

@@ -19,9 +19,9 @@ from tightmorse import (
 from tightmorse.complex_core import (
     EMPTY_COMPLEX,
     boundary_complex,
+    canonical_face,
     from_faces,
     is_closed_surface,
-    subfaces,
 )
 from tightmorse.constructions import _is_two_sphere, checkerboard, dunce_hat, grid_ball
 from tightmorse.errors import (
@@ -30,7 +30,9 @@ from tightmorse.errors import (
     MalformedFacetError,
     VertexNotFoundError,
 )
+from tightmorse.morse import FaceSetCollapser
 
+import complex_oracle as oracle
 from conftest import fan_disc, random_complexes
 
 
@@ -49,7 +51,7 @@ def test_facet_absorption(triangle):
 
 def facets_by_all_subfaces(c):
     """Maximal faces as first defined: no face of any dimension contains them."""
-    non_maximal = {sub for f in c.faces() for sub in subfaces(f)}
+    non_maximal = {sub for f in c.faces() for sub in oracle.subfaces(f)}
     return tuple(f for d in range(c.dimension, -1, -1) for f in c.faces(d) if f not in non_maximal)
 
 
@@ -330,3 +332,47 @@ def test_sd_f_vector_against_direct_enumeration():
         sd = barycentric_subdivision(c)
         assert sd.f_vector == tuple(per_length[k] for k in sorted(per_length))
         assert sd.euler_characteristic == c.euler_characteristic
+
+
+# -- against the oracle: every operator closed by the all-subsets closure ------
+
+def assert_matches_oracle(c, facets, rnd):
+    """The operators that build complexes and free_faces, against the oracle;
+    c is the complex generated by facets."""
+    assert from_facets(facets) == oracle.close([canonical_face(f) for f in facets]) == c
+    shuffled = list(c.faces())
+    rnd.shuffle(shuffled)
+    assert from_faces(shuffled) == c
+    for v in c.vertices:
+        assert link(c, v) == oracle.link(c, v)
+        assert star(c, v) == oracle.star(c, v)
+    apex = max(c.vertices) + 1
+    assert cone(c, apex) == oracle.cone(c, apex)
+    assert suspension(c) == oracle.suspension(c)
+    assert join(c, c) == oracle.join(c, c)  # relabels the second copy
+    assert join(c, link(c, c.vertices[0])) == oracle.join(c, link(c, c.vertices[0]))
+    free = oracle.free_faces(c)
+    assert free_faces(c) == free
+    assert FaceSetCollapser(c).free_pairs() == free
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists, st.randoms(use_true_random=False))
+def test_operators_match_oracle_on_facet_lists(facets, rnd):
+    assert_matches_oracle(from_facets(facets), facets, rnd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes, st.randoms(use_true_random=False))
+def test_operators_match_oracle_on_random_complexes(c, rnd):
+    assert_matches_oracle(c, c.facets, rnd)
+
+
+def test_operators_on_the_empty_complex_match_oracle():
+    assert from_faces([]) == oracle.close([]) == EMPTY_COMPLEX
+    assert cone(EMPTY_COMPLEX, 3) == oracle.cone(EMPTY_COMPLEX, 3)
+    assert suspension(EMPTY_COMPLEX) == oracle.suspension(EMPTY_COMPLEX)
+    assert join(EMPTY_COMPLEX, EMPTY_COMPLEX) == EMPTY_COMPLEX
+    assert free_faces(EMPTY_COMPLEX) == oracle.free_faces(EMPTY_COMPLEX) == []
+    isolated = from_facets([(1, 2), (5,)])
+    assert star(isolated, 5) == oracle.star(isolated, 5) == from_facets([(5,)])

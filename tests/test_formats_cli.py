@@ -191,6 +191,57 @@ def test_cli_tight_check_sampled(tmp_path, capsys):
     geom.write_text(dump_geom(convex_fixture("octahedron_boundary")))
     code, rep = run_cli(["tight", "check", str(geom), "--samples", "10", "--seed", "3"], capsys)
     assert code == 0 and rep["fraction"] == 1.0
+    code, rep = run_cli(["tight", "check", str(geom)], capsys)
+    assert code == 0 and rep["samples"] == 20
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cli_tight_check_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
+    geom = tmp_path / "s.geom"
+    geom.write_text(dump_geom(convex_fixture("simplex3")))
+    with pytest.raises(SystemExit) as exc:
+        main(["tight", "check", str(geom), "--samples", samples])
+    assert exc.value.code == 1
+    assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+
+TETRA_A = dump_facets(from_facets([(1, 2, 3, 4)]))
+TETRA_B = dump_facets(from_facets([(5, 6, 7, 8)]))
+
+
+# a malformed integer token in an input file or a CLI integer list: each
+# ended in a ValueError traceback instead of the one-line JSON error
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"bad.geom": "geom 3\nv x 0 0 0\nfacets 1\n0\n"}, ["tight", "check", "bad.geom", "--pi", "1,2,3"]),
+        (
+            {"e.facets": dump_facets(checkerboard()), "bad.morse": "pair 1 ; 1 x\n"},
+            ["morse", "validate", "e.facets", "bad.morse"],
+        ),
+        (
+            {"e.facets": dump_facets(checkerboard()), "bad.morse": "critical y\n"},
+            ["morse", "vector", "e.facets", "bad.morse"],
+        ),
+        (
+            {"bad.path": "1 1 2\n1 1 z\n"},
+            ["build", "furch", "--n", "3,3,3", "--path", "bad.path", "--out", "f.geom"],
+        ),
+        ({}, ["build", "grid", "--n", "1,1", "--out", "g.geom"]),
+        (
+            {"a.facets": TETRA_A, "b.facets": TETRA_B},
+            ["build", "wedge", "a.facets", "b.facets", "--t1", "0,1,x", "--t2", "6,7,8", "--out", "w.facets"],
+        ),
+    ],
+    ids=["geom_label", "morse_pair", "morse_critical", "path_index", "grid_n", "wedge_t1"],
+)
+def test_cli_malformed_integer_is_an_input_error(tmp_path, capsys, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]  # file names
+    code, rep = run_cli(argv, capsys)
+    assert code == 1
+    assert rep["error"].startswith("FormatError: ")
 
 
 def test_cli_check_nonevasive_reject(tmp_path, capsys):
@@ -227,6 +278,116 @@ def test_cli_check_nonevasive_certificate_golden(tmp_path, capsys, name, make):
         "certificate_size": size,
         "out": str(out),
     }
+    assert len(out.read_bytes()) == nbytes
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# report fields after "inputs" and before "out", with the bytes and sha256 of
+# the written file, recorded before complex_core built every complex through
+# one closure and the grid and Furch balls shared one builder
+BUILD_GOLDEN = {
+    "grid2x2x2": (
+        {"f_vector": [27, 98, 120, 48]},
+        824, "9b273f0c72ff226c188657245053264b53c442c8ba1faa95ae08462606991443",
+    ),
+    "furch3x3x3": (
+        {"f_vector": [64, 275, 362, 150], "betti": [1, 0, 0, 0], "spanning_edge": [20, 21]},
+        2432, "ebfb6c8498554c4e410c50a5c364ac96ee37084f87554892b1d8e960b45ba55b",
+    ),
+    "furch4x4x4": (
+        {"f_vector": [125, 598, 840, 366], "betti": [1, 0, 0, 0], "spanning_edge": [60, 61]},
+        5912, "2223036abfbf2964d4070c5f7e0cecdf1d8b1285f5e86b669525cd4ddb93f4fa",
+    ),
+    "cone-sphere(grid2x2x2)": (
+        {"f_vector": [28, 124, 192, 96], "betti": [1, 0, 0, 1], "apex": 27},
+        1052, "f15fccae3bb925570e70c5754237dd88f2cd2b2135c306eb6ee65470bb99029c",
+    ),
+    "wedge(tetrahedra)": (
+        {"f_vector": [8, 19, 18, 6], "apex": 8, "wedge_point": 4},
+        57, "ad869c37ab46ed8181850a5665f8fae7557b292036dab1e970b2853f21e6f79c",
+    ),
+    "simplex3": (
+        {"f_vector": [4, 6, 4, 1]},
+        64, "f3e5296ef82dbb8827f6b97972e91a47baa28c23c9e6d8e42780a396f9092cc7",
+    ),
+    "octahedron_boundary": (
+        {"f_vector": [6, 12, 8]},
+        127, "a930452ccd24b394911fb63767a647d02d88342b7bf81a12d58f9fc0cf64c989",
+    ),
+    "icosahedron_boundary": (
+        {"f_vector": [12, 30, 20]},
+        353, "09ab886c9c44076c566553d18f269d4790edd297ecd3eaac403fde3f5bd1771c",
+    ),
+    "schlegel_cross4": (
+        {"f_vector": [8, 24, 32, 15]},
+        235, "6524dac93204ef69cb0291e7dedf12dda9dd08b34fe18fe8c509ae11d2b29ae7",
+    ),
+    "delta4_boundary": (
+        {"f_vector": [5, 10, 10, 5]},
+        116, "cda6242b2c1fc6b2f2e908d109e2e158fb57380bd911168b5b42a55d92e8ae9e",
+    ),
+    "stacked(12)": (
+        {"f_vector": [16, 42, 40, 13]},
+        1968, "f1229160b4fc965647de9e0293abd682eb49becbe9d018009d2a3abc191f1065",
+    ),
+    "stacked(8,3)": (
+        {"f_vector": [12, 30, 28, 9]},
+        283, "3ae084bbcafcc22dd99454503c460a849f947e0b7ce5d7f0e0953d12a74534de",
+    ),
+    "checkerboard": (
+        {"f_vector": [6, 12, 4]},
+        33, "ce587282bdacec438fbb1bd8e29fea12c3e5272551cfbb58aa612cb3f3f0f3af",
+    ),
+    "dunce_hat": (
+        {"f_vector": [8, 24, 17]},
+        112, "f074edf0c44eb43a15d866eb9dc7eb92dad4ef72572d2223a3066252b634fdc0",
+    ),
+    "trefoil_path": (
+        {"steps": 69, "box": [7, 7, 16]},
+        451, "7f0d3f156f58052f8a51fd867f505df24c042b8a272591992e5ed7bc7c868804",
+    ),
+}
+
+
+def build_args(name, tmp_path):
+    """(arguments after 'build', input files) of one golden build."""
+    def write(file_name, text):
+        path = tmp_path / file_name
+        path.write_text(text)
+        return str(path)
+
+    if name == "grid2x2x2":
+        return ["grid", "--n", "2,2,2"], []
+    if name.startswith("furch"):
+        n = int(name[len("furch")])
+        path = write("p.path", dump_path(straight_path(n, n, n)))
+        return ["furch", "--n", f"{n},{n},{n}", "--path", path], [path]
+    if name == "cone-sphere(grid2x2x2)":
+        ball = write("g.geom", dump_geom(grid_ball(2, 2, 2)))
+        return ["cone-sphere", ball], [ball]
+    if name == "wedge(tetrahedra)":
+        b1 = write("b1.facets", dump_facets(from_facets([(1, 2, 3, 4)])))
+        b2 = write("b2.facets", dump_facets(from_facets([(5, 6, 7, 8)])))
+        return ["wedge", b1, b2, "--t1", "2,3,4", "--t2", "6,7,8"], [b1, b2]
+    return ["fixture", name], []
+
+
+@pytest.mark.parametrize("name", list(BUILD_GOLDEN))
+def test_cli_build_golden(tmp_path, capsys, name):
+    args, inputs = build_args(name, tmp_path)
+    out = tmp_path / "out"
+    code, rep = run_cli(["build", *args, "--out", str(out)], capsys)
+    fields, nbytes, digest = BUILD_GOLDEN[name]
+    expected = {
+        "command": "build",
+        "version": __version__,
+        "seed": 0,
+        "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()[:12] for p in inputs},
+        **fields,
+        "out": str(out),
+    }
+    assert code == 0
+    assert list(rep.items()) == list(expected.items())  # key order too
     assert len(out.read_bytes()) == nbytes
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
