@@ -437,6 +437,8 @@ def collapsible(
     face at all).  backtracking: exhaustive over free-pair choices with
     memoized dead states; exact within the node budget.
     """
+    if strategy not in ("greedy", "backtracking"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if c.is_empty:
         return CollapsibleResult("no", reason="empty")
     if c.num_faces == 1:
@@ -454,9 +456,6 @@ def collapsible(
             if len(tracker.faces) == 1:
                 return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(tracker.faces)))
         return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
-
-    if strategy != "backtracking":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     tracker = _Budget(budget)
     dead: set[frozenset[Face]] = set()

@@ -4,6 +4,10 @@ Reports are single-line JSON on stdout (``--format text`` for key: value
 lines), with fixed key order so a fixed seed reproduces output byte for
 byte.  Exit codes: 0 decided or success, 1 usage or input error, 2 budget
 exceeded, 3 assertion failure in the sweep.
+
+Each command imports the library modules its own branch runs, so a process
+that only computes Betti numbers does not load the geometry, Morse, search
+or construction code.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
-from . import algorithms, constructions, formats, geometry, homology_z2, morse
+from . import __version__, formats
 from .errors import FormatError, PerfectnessAssertionFailedError, TightMorseError
 
 EXIT_OK = 0
@@ -160,6 +163,8 @@ def _cert_to_json(cert):
 
 
 def _cmd_betti(args) -> tuple[int, dict]:
+    from . import homology_z2
+
     c = formats.read_complex(args.file)
     b = homology_z2.betti(c)
     return EXIT_OK, {
@@ -170,7 +175,11 @@ def _cmd_betti(args) -> tuple[int, dict]:
 
 
 def _cmd_morse(args) -> tuple[int, dict]:
+    from . import morse
+
     if args.morse_command == "sweep":
+        from . import algorithms, homology_z2
+
         g = formats.read_geom(args.geom_file)
         direction = _parse_vector(args.pi)
         matching = algorithms.sweep_perfect_morse(g, direction, assume_tight=args.assume_tight)
@@ -205,6 +214,8 @@ def _cmd_morse(args) -> tuple[int, dict]:
 
 
 def _cmd_tight(args) -> tuple[int, dict]:
+    from . import geometry
+
     g = formats.read_geom(args.geom_file)
     if args.verify_embedding:
         geometry.verify_embedding(g)
@@ -229,6 +240,8 @@ def _cmd_tight(args) -> tuple[int, dict]:
 
 
 def _cmd_check(args) -> tuple[int, dict]:
+    from . import algorithms
+
     c = formats.read_complex(args.file)
     if args.check_command == "collapsible":
         res = algorithms.collapsible(
@@ -255,6 +268,8 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _cmd_build(args) -> tuple[int, dict]:
+    from . import constructions, homology_z2
+
     if args.build_command == "grid":
         nx, ny, nz = _parse_ints(args.n, 3)
         g = constructions.grid_ball(nx, ny, nz)

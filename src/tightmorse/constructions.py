@@ -27,6 +27,7 @@ from .complex_core import (
 from .errors import (
     FacetNotFoundError,
     FormatError,
+    GridSizeError,
     LabelClashError,
     MorseInvariantError,
     NotABallError,
@@ -86,7 +87,7 @@ def _kuhn_ball(
 def grid_ball(nx: int, ny: int, nz: int) -> GeometricRealization:
     """Box of nx*ny*nz unit cubes, each cut into six tetrahedra."""
     if min(nx, ny, nz) < 1:
-        raise ValueError("cube counts must be at least 1")
+        raise GridSizeError("cube counts must be at least 1")
     return _kuhn_ball(nx, ny, nz)
 
 

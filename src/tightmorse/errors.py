@@ -98,6 +98,10 @@ class DegenerateDirectionError(TightMorseError):
         super().__init__(f"coincident vertex pairs: {self.ties}" if self.ties else "zero direction")
 
 
+class DirectionLengthError(TightMorseError):
+    """The direction has a different length than the ambient dimension."""
+
+
 class ThresholdHitsVertexError(TightMorseError):
     """A halfspace threshold coincides with a vertex height."""
 
@@ -171,6 +175,10 @@ class PathNotTopToBottomError(TightMorseError):
 
 class PathSelfIntersectsError(TightMorseError):
     """A drilling path repeats a cube."""
+
+
+class GridSizeError(TightMorseError):
+    """A grid ball needs at least one cube along each axis."""
 
 
 class NotABallError(TightMorseError):

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .complex_core import SimplicialComplex, from_facets
-from .constructions import LatticePath
 from .errors import FormatError
-from .geometry import GeometricRealization
-from .morse import MorseMatching, critical_faces
+
+# geometry, morse and constructions are imported where they are used, so
+# that reading a facets file loads none of them
+if TYPE_CHECKING:
+    from .constructions import LatticePath
+    from .geometry import GeometricRealization
+    from .morse import MorseMatching
 
 Number = int | float | Fraction
 
@@ -81,6 +86,8 @@ def dump_facets(c: SimplicialComplex) -> str:
 # -- geom v1 -----------------------------------------------------------------
 
 def parse_geom(text: str) -> GeometricRealization:
+    from .geometry import GeometricRealization
+
     lines = _content_lines(text)
     if not lines or not lines[0].startswith("geom"):
         raise FormatError("expected 'geom <k>' header")
@@ -110,6 +117,8 @@ def dump_geom(g: GeometricRealization) -> str:
 # -- morse v1 ----------------------------------------------------------------
 
 def parse_morse(text: str, c: SimplicialComplex) -> MorseMatching:
+    from .morse import MorseMatching, critical_faces
+
     pairs = []
     criticals = []
     for line in _content_lines(text):
@@ -133,6 +142,8 @@ def parse_morse(text: str, c: SimplicialComplex) -> MorseMatching:
 
 
 def dump_morse(m: MorseMatching) -> str:
+    from .morse import critical_faces
+
     lines = []
     for s, t in sorted(m.pairs):
         lines.append("pair " + " ".join(map(str, s)) + " ; " + " ".join(map(str, t)))
@@ -144,6 +155,8 @@ def dump_morse(m: MorseMatching) -> str:
 # -- drilling paths ------------------------------------------------------------
 
 def parse_path(text: str) -> LatticePath:
+    from .constructions import LatticePath
+
     cubes = []
     for line in _content_lines(text):
         parts = line.split()

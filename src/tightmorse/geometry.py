@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 from .complex_core import SimplicialComplex, link, restrict
 from .errors import (
     DegenerateDirectionError,
+    DirectionLengthError,
     InvalidEmbeddingError,
     NotTightError,
     ThresholdHitsVertexError,
@@ -83,15 +84,24 @@ class SweepOrder:
     heights: tuple[Number, ...]
 
 
+def _check_length(g: GeometricRealization, direction: Vector) -> None:
+    if len(direction) != g.ambient_dim:
+        raise DirectionLengthError(
+            f"direction has {len(direction)} coordinates, expected {g.ambient_dim}"
+        )
+
+
 def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
     """Sort vertices by height, breaking ties by simulation of simplicity.
 
     Vertices are sorted by (height, coordinate tuple, label).  This is the
     exact vertex order along direction + ε·e_1 + ε²·e_2 + ... + ε^k·e_k for
     every small enough ε > 0 (Edelsbrunner–Mücke 1990), and it is strict
-    for distinct points.  Raises DegenerateDirectionError for the zero
-    vector and for coincident points.
+    for distinct points.  Raises DirectionLengthError for a direction of
+    the wrong length, and DegenerateDirectionError for the zero vector and
+    for coincident points.
     """
+    _check_length(g, direction)
     if all(d == 0 for d in direction):
         raise DegenerateDirectionError([])
     keyed = sorted((g.height(v, direction), g.coords[v], v) for v in g.complex.vertices)
@@ -103,6 +113,7 @@ def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
 
 def upper_subcomplex(g: GeometricRealization, direction: Vector, threshold: Number) -> SimplicialComplex:
     """Induced subcomplex on vertices strictly above the threshold height."""
+    _check_length(g, direction)
     above = []
     for v in g.complex.vertices:
         h = g.height(v, direction)

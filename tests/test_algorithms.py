@@ -290,6 +290,18 @@ def test_collapsible_e_betti_precheck(checkerboard):
     assert collapsible(checkerboard).reason == "betti"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [checkerboard, lambda: from_facets([(1,)]), lambda: from_facets([(1, 2, 3)])],
+    ids=["not_acyclic", "single_vertex", "triangle"],
+)
+def test_collapsible_rejects_unknown_strategy_before_prechecks(make):
+    # the strategy was checked only after both prechecks had passed, so a
+    # typo answered "no"/"betti" or "yes" on these inputs
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        collapsible(make(), "bogus")
+
+
 def test_dunce_hat_no_free_face():
     dh = dunce_hat()
     assert free_faces(dh) == []

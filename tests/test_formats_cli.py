@@ -244,6 +244,27 @@ def test_cli_malformed_integer_is_an_input_error(tmp_path, capsys, files, argv):
     assert rep["error"].startswith("FormatError: ")
 
 
+# each answered as if the direction were padded with zeros or cut short
+@pytest.mark.parametrize("command", [["tight", "check"], ["morse", "sweep"]], ids=["tight", "sweep"])
+@pytest.mark.parametrize("pi", ["1,2", "1,2,4,8"])
+def test_cli_direction_of_wrong_length_is_an_input_error(tmp_path, capsys, command, pi):
+    geom = tmp_path / "simplex3.geom"
+    geom.write_text(dump_geom(convex_fixture("simplex3")))
+    code, rep = run_cli([*command, str(geom), "--pi", pi], capsys)
+    assert code == 1
+    n = len(pi.split(","))
+    assert rep["error"] == f"DirectionLengthError: direction has {n} coordinates, expected 3"
+
+
+def test_cli_build_grid_zero_cubes_is_an_input_error(tmp_path, capsys):
+    # ended in a ValueError traceback
+    out = tmp_path / "g.geom"
+    code, rep = run_cli(["build", "grid", "--n", "0,1,1", "--out", str(out)], capsys)
+    assert code == 1
+    assert rep["error"] == "GridSizeError: cube counts must be at least 1"
+    assert not out.exists()
+
+
 def test_cli_check_nonevasive_reject(tmp_path, capsys):
     code, rep = run_cli(["check", "nonevasive", write_e(tmp_path)], capsys)
     assert code == 0

@@ -17,6 +17,7 @@ from tightmorse.constructions import (
 )
 from tightmorse.errors import (
     DegenerateDirectionError,
+    DirectionLengthError,
     InvalidEmbeddingError,
     NotTightError,
     ThresholdHitsVertexError,
@@ -83,6 +84,18 @@ def test_sweep_order_rejects_coincident_points():
         assert sorted(map(sorted, exc.value.ties)) == [[1, 3], [2, 4]]
     with pytest.raises(DegenerateDirectionError):
         is_pi_tight(g, (0, 1))
+
+
+@pytest.mark.parametrize("direction", [(1, 2), (1, 2, 4, 8), ()])
+def test_direction_of_wrong_length_rejected(direction):
+    # the heights zipped the direction with the coordinates, so (1, 2)
+    # silently swept a 3-D realization along (1, 2, 0)
+    g = delta3_realization()
+    message = f"direction has {len(direction)} coordinates, expected 3"
+    with pytest.raises(DirectionLengthError, match=message):
+        sweep_order(g, direction)
+    with pytest.raises(DirectionLengthError, match=message):
+        upper_subcomplex(g, direction, Fraction(1, 2))
 
 
 @st.composite
