@@ -323,6 +323,43 @@ def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int
     return key, relabel
 
 
+class _IsoMemo:
+    """Search results stored up to isomorphism, keyed only when needed.
+
+    Entries are bucketed by f-vector, an isomorphism invariant every complex
+    caches.  ``canonical_form`` runs on a looked-up complex only when its
+    bucket is nonempty, and on a stored complex only when a later complex
+    lands in its bucket; it then keeps its key and relabel.  Equal keys imply
+    equal f-vectors, so the hits are those of a memo keyed on every lookup.
+    """
+
+    def __init__(self) -> None:
+        # f-vector -> (value and relabel by key, complexes not yet keyed)
+        self._buckets: dict[tuple[int, ...], tuple[dict, list]] = {}
+
+    def lookup(self, c: SimplicialComplex):
+        """(hit, form): hit is the (value, relabel) stored for a complex with
+        c's key, or None; form is c's canonical form, None if not computed."""
+        bucket = self._buckets.get(c.f_vector)
+        if bucket is None:
+            return None, None
+        keyed, pending = bucket
+        for other, value in pending:
+            key, relabel = canonical_form(other)
+            keyed[key] = (value, relabel)
+        pending.clear()
+        form = canonical_form(c)
+        return keyed.get(form[0]), form
+
+    def store(self, c: SimplicialComplex, value, form) -> None:
+        """Store value for c after a missed lookup that returned form."""
+        keyed, pending = self._buckets.setdefault(c.f_vector, ({}, []))
+        if form is None:
+            pending.append((c, value))
+        else:
+            keyed[form[0]] = (value, form[1])
+
+
 # -- non-evasiveness ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -361,11 +398,12 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     a vertex with acyclic link is acyclic (Mayer–Vietoris).  Each search
     node costs one budget tick.  The memo is keyed by ``canonical_form`` and
     stores a certificate with its map to canonical labels; a hit relabels
-    it once onto the complex at hand.
+    it once onto the complex at hand.  Keys are computed only when an
+    f-vector repeats (``_IsoMemo``).
     """
     if c.is_empty:
         return NonEvasiveResult("no", reason="empty")
-    memo: dict[frozenset[Face], Optional[tuple[NonEvasivenessCertificate, dict]]] = {}
+    memo = _IsoMemo()
     tracker = _Budget(budget)
 
     def search(cur: SimplicialComplex, acyclic: bool) -> NonEvasivenessCertificate | None:
@@ -374,19 +412,19 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
         tracker.tick()
         if not acyclic and not _acyclic_betti(cur):
             return None
-        key, relabel = canonical_form(cur)
-        if key in memo:
-            hit = memo[key]
-            if hit is None:
-                return None
+        hit, form = memo.lookup(cur)
+        if hit is not None:
             cert, stored = hit
-            back = {i: v for v, i in relabel.items()}
+            if cert is None:
+                return None
+            back = {i: v for v, i in form[1].items()}
             return cert.relabeled({u: back[i] for u, i in stored.items()})
         result: NonEvasivenessCertificate | None = None
         star_size = {v: 0 for v in cur.vertices}
-        for f in cur.faces():
-            for v in f:
-                star_size[v] += 1
+        for dim in range(cur.dimension + 1):
+            for f in cur.face_set(dim):
+                for v in f:
+                    star_size[v] += 1
         for v in sorted(cur.vertices, key=lambda u: (star_size[u], u)):
             lk = link(cur, v)
             if lk.is_empty:
@@ -400,7 +438,7 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
                 continue
             result = NonEvasivenessCertificate(v, link_cert, del_cert)
             break
-        memo[key] = (result, relabel) if result else None
+        memo.store(cur, result, form)
         return result
 
     if not _acyclic_betti(c):
@@ -435,7 +473,8 @@ def collapsible(
     greedy: seeded random free-pair choices with restarts; never proves a
     negative beyond the exact prechecks (wrong Betti vector, or no free
     face at all).  backtracking: exhaustive over free-pair choices with
-    memoized dead states; exact within the node budget.
+    memoized dead states, keyed by ``canonical_form`` only when an f-vector
+    repeats (``_IsoMemo``); exact within the node budget.
     """
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -458,21 +497,21 @@ def collapsible(
         return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
 
     tracker = _Budget(budget)
-    dead: set[frozenset[Face]] = set()
+    dead = _IsoMemo()
 
     def search(faces: frozenset[Face]) -> list[Pair] | None:
         if len(faces) == 1:
             return []
         tracker.tick()
         cur = from_faces(faces)
-        key, _ = canonical_form(cur)
-        if key in dead:
+        hit, form = dead.lookup(cur)
+        if hit is not None:
             return None
         for s, t in free_faces(cur):
             rest = search(faces - {s, t})
             if rest is not None:
                 return [(s, t)] + rest
-        dead.add(key)
+        dead.store(cur, None, form)
         return None
 
     try:

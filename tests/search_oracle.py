@@ -1,21 +1,27 @@
-"""The non-evasiveness search as the library ran it before its fast path.
+"""The exact searches as the library ran them before their fast paths.
 
 ``canonical_form`` sorts the vertices by ``repr`` of nested colour tuples,
 and ``nonevasive`` checks the Betti vector at every search node and
-relabels every certificate it stores in the memo.  The library must give
-the same statuses, reasons and certificates.
+relabels every certificate it stores in the memo.  ``backtracking`` is
+``collapsible(c, "backtracking", budget)`` with its dead set keyed by the
+library's ``canonical_form`` at every node.  The library must give the same
+statuses, reasons, certificates, collapse steps and node counts.
 """
 
 from __future__ import annotations
 
+from tightmorse import algorithms
 from tightmorse.algorithms import (
+    CollapseSequence,
+    CollapsibleResult,
     NonEvasiveResult,
     NonEvasivenessCertificate,
     _acyclic_betti,
     _Budget,
     _BudgetExhausted,
 )
-from tightmorse.complex_core import Face, SimplicialComplex, deletion, link
+from tightmorse.complex_core import Face, SimplicialComplex, deletion, free_faces, from_faces, link
+from tightmorse.morse import Pair
 
 
 def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int]]:
@@ -89,3 +95,44 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     if cert is None:
         return NonEvasiveResult("no", reason="exhausted")
     return NonEvasiveResult("yes", certificate=cert)
+
+
+def backtracking(c: SimplicialComplex, budget: int = 10**6) -> CollapsibleResult:
+    if c.is_empty:
+        return CollapsibleResult("no", reason="empty")
+    if c.num_faces == 1:
+        return CollapsibleResult("yes", CollapseSequence(c, (), c))
+    if not _acyclic_betti(c):
+        return CollapsibleResult("no", reason="betti")
+
+    if not free_faces(c):
+        return CollapsibleResult("no", reason="no free face")
+
+    tracker = _Budget(budget)
+    dead: set[frozenset[Face]] = set()
+
+    def search(faces: frozenset[Face]) -> list[Pair] | None:
+        if len(faces) == 1:
+            return []
+        tracker.tick()
+        cur = from_faces(faces)
+        key, _ = algorithms.canonical_form(cur)
+        if key in dead:
+            return None
+        for s, t in free_faces(cur):
+            rest = search(faces - {s, t})
+            if rest is not None:
+                return [(s, t)] + rest
+        dead.add(key)
+        return None
+
+    try:
+        steps = search(frozenset(c.faces()))
+    except _BudgetExhausted:
+        return CollapsibleResult("budget")
+    if steps is None:
+        return CollapsibleResult("no", reason="exhausted")
+    remaining = set(c.faces())
+    for s, t in steps:
+        remaining -= {s, t}
+    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(remaining)))

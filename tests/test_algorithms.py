@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
 
-from tightmorse import betti, free_faces, from_facets
+from tightmorse import algorithms, betti, free_faces, from_facets
 from tightmorse.algorithms import (
+    _IsoMemo,
     collapsible,
     canonical_form,
     nonevasive,
@@ -21,8 +22,10 @@ from tightmorse.constructions import (
     checkerboard,
     convex_fixture,
     dunce_hat,
+    furch_ball,
     grid_ball,
     stacked_ball,
+    straight_path,
     suspension_realization,
 )
 from tightmorse.errors import (
@@ -276,6 +279,57 @@ def test_nonevasive_nodes_match_oracle(c):
     assert search_nodes(nonevasive, c) == search_nodes(oracle.nonevasive, c)
 
 
+def counting(monkeypatch, module):
+    """Wrap module.canonical_form; returns the list its calls append to."""
+    calls = []
+    original = module.canonical_form
+
+    def wrapper(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(module, "canonical_form", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization.complex, lambda: grid_ball(2, 1, 1).complex],
+    ids=["drilled3x3x2", "grid(2,1,1)"],
+)
+def test_nonevasive_keys_fewer_complexes_than_oracle(monkeypatch, make):
+    # the oracle keys every node that passes its Betti check; the library
+    # keys a node only when an earlier one has the same f-vector
+    c = make()
+    lib_calls, oracle_calls = counting(monkeypatch, algorithms), counting(monkeypatch, oracle)
+    res, ref = nonevasive(c), oracle.nonevasive(c)
+    assert res.status == "yes" and res.certificate == ref.certificate
+    assert 0 < len(lib_calls) < len(oracle_calls)
+
+
+def test_iso_memo_keys_lazily_and_separates_equal_f_vectors(monkeypatch):
+    path = from_facets([(0, 1), (1, 2), (2, 3)])
+    star = from_facets([(0, 1), (0, 2), (0, 3)])
+    assert path.f_vector == star.f_vector == (4, 3)
+    calls = counting(monkeypatch, algorithms)
+    memo = _IsoMemo()
+    assert memo.lookup(path) == (None, None)
+    memo.store(path, "path", None)
+    assert calls == []  # nothing shares its f-vector yet
+    hit, form = memo.lookup(star)
+    assert hit is None and calls == [path, star]
+    memo.store(star, "star", form)
+    for c, value in ((path, "path"), (star, "star")):
+        shift = {v: 3 * v + 10 for v in c.vertices}
+        moved = from_facets([[shift[u] for u in f] for f in c.facets])
+        hit, form = memo.lookup(moved)
+        assert hit is not None and hit[0] == value
+        # stored labels -> canonical labels -> labels of the moved copy
+        back = {i: v for v, i in form[1].items()}
+        assert {u: back[i] for u, i in hit[1].items()} == shift
+    assert len(calls) == 4  # the stored complexes kept their keys
+
+
 # -- collapsibility ---------------------------------------------------------------------
 
 def test_collapsible_simplex_greedy(simplex3):
@@ -341,6 +395,47 @@ def test_greedy_and_backtracking_agree_small_corpus(checkerboard, annulus, trian
         greedy = collapsible(c, strategy="greedy", seed=0, restarts=50)
         assert exact.status in ("yes", "no")
         assert greedy.status == exact.status
+
+
+def backtracking(c, budget=10**6):
+    return collapsible(c, "backtracking", budget)
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_complexes)
+def test_backtracking_matches_oracle(c):
+    res, ref = backtracking(c), oracle.backtracking(c)
+    assert (res.status, res.reason) == (ref.status, ref.reason)
+    assert (res.sequence is None) == (ref.sequence is None)
+    if res.sequence is not None:
+        assert res.sequence.steps == ref.sequence.steps
+    # one budget tick per search node, as in the oracle
+    for budget in range(1, 7):
+        assert backtracking(c, budget).status == oracle.backtracking(c, budget).status
+    assert search_nodes(backtracking, c) == search_nodes(oracle.backtracking, c)
+
+
+def flapped_dunce_hat(tails):
+    """The dunce hat with tails glued on: acyclic, with free faces, not collapsible."""
+    return from_facets([*dunce_hat().facets, *tails])
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]),
+        flapped_dunce_hat([(1, 2, 20), (1, 3, 21)]),
+        grid_ball(1, 1, 1).complex,
+    ],
+    ids=["dunce_hat+flap+path", "dunce_hat+2flaps", "grid(1,1,1)"],
+)
+def test_backtracking_nodes_match_oracle(c):
+    # random complexes this small are collapsible or fail a precheck; the
+    # dunce hats with tails exhaust the search and hit its dead set
+    res, ref = backtracking(c), oracle.backtracking(c)
+    assert (res.status, res.reason) == (ref.status, ref.reason)
+    assert (res.sequence and res.sequence.steps) == (ref.sequence and ref.sequence.steps)
+    assert search_nodes(backtracking, c) == search_nodes(oracle.backtracking, c)
 
 
 def test_collapse_sequences_replay(simplex3, annulus):

@@ -79,6 +79,9 @@ def test_path_round_trip():
 
 # -- CLI ------------------------------------------------------------------------
 
+FIXTURES = Path(__file__).parents[1] / "fixtures"
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out.strip()
@@ -128,6 +131,33 @@ def test_cli_morse_validate_and_vector(tmp_path, capsys):
     assert code == 0 and rep["valid"] is True
     code, rep = run_cli(["morse", "vector", path, str(mfile)], capsys)
     assert rep["morse_vector"] == [1, 3, 0]
+
+
+@pytest.mark.parametrize("critical_lines", [True, False], ids=["with_critical", "without_critical"])
+def test_cli_morse_validate_pairs_of_another_complex(tmp_path, capsys, critical_lines):
+    # the sweep matching of the 3-simplex, validated against the checkerboard:
+    # with its critical lines it ended in "FormatError: critical lines
+    # disagree with the pairs" (exit 1), without them in the report below
+    mfile = tmp_path / "simplex3.morse"
+    code, _ = run_cli(
+        ["morse", "sweep", str(FIXTURES / "simplex3.geom"), "--pi", "1,2,4", "--out", str(mfile)], capsys
+    )
+    assert code == 0
+    if not critical_lines:
+        kept = [line for line in mfile.read_text().splitlines() if not line.startswith("critical")]
+        mfile.write_text("\n".join(kept) + "\n")
+    code, rep = run_cli(["morse", "validate", str(FIXTURES / "checkerboard.facets"), str(mfile)], capsys)
+    assert code == 0
+    assert rep["valid"] is False and rep["error"] == "face (0, 2, 3) not in complex"
+
+
+def test_cli_morse_validate_critical_lines_disagree(tmp_path, capsys):
+    # pairs that fit the complex, with one critical line too many
+    mfile = tmp_path / "e.morse"
+    mfile.write_text(dump_morse(random_discrete_morse(checkerboard(), seed=4)) + "critical 1 2\n")
+    code, rep = run_cli(["morse", "validate", write_e(tmp_path), str(mfile)], capsys)
+    assert code == 1
+    assert rep["error"] == "FormatError: critical lines disagree with the pairs"
 
 
 def test_cli_tight_check_direction(tmp_path, capsys):
@@ -301,6 +331,86 @@ def test_cli_check_nonevasive_certificate_golden(tmp_path, capsys, name, make):
     }
     assert len(out.read_bytes()) == nbytes
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def search_input(name, tmp_path):
+    """Path of one golden search input: a fixture file or a built ball."""
+    if name in ("checkerboard", "dunce_hat"):
+        return str(FIXTURES / f"{name}.facets")
+    if name == "simplex3":
+        return str(FIXTURES / "simplex3.geom")
+    g = {
+        "grid1x1x1": lambda: grid_ball(1, 1, 1),
+        "grid2x2x2": lambda: grid_ball(2, 2, 2),
+        "drilled3x3x2": drilled_geom,
+        "stacked(6)": lambda: convex_fixture("stacked(6)"),
+    }[name]()
+    path = tmp_path / f"{name}.geom"
+    path.write_text(dump_geom(g))
+    return str(path)
+
+
+def search_report(path, exit_code, fields):
+    return exit_code, [
+        ("command", "check"),
+        ("version", __version__),
+        ("seed", 0),
+        ("inputs", {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]}),
+        *fields.items(),
+    ]
+
+
+# report fields after "inputs" and before "out", with the bytes and sha256 of
+# the certificate written (None when none is), recorded before the searches
+# keyed their memo by f-vector first
+NONEVASIVE_SEARCH_GOLDEN = {
+    "grid2x2x2": (
+        {"result": "yes", "certificate_size": 293},
+        (12268, "c6d2fc6e0349e2bfea6f7be136f1e5acb68748da59a22d067e7c807294e8efba"),
+    ),
+    "drilled3x3x2": (
+        {"result": "yes", "certificate_size": 595},
+        (24947, "ff555bed200c3db9799db7ac7e1f7c8c9454e992a1719cd3d40b6a25fcd73fa7"),
+    ),
+    "stacked(6)": (
+        {"result": "yes", "certificate_size": 63},
+        (2587, "701a7e85cb0463da11412b2ac61b6346d006af62999f79bd8f3db474fc7df547"),
+    ),
+    "checkerboard": ({"result": "no", "reason": "betti"}, None),
+    "dunce_hat": ({"result": "no", "reason": "exhausted"}, None),
+}
+
+
+@pytest.mark.parametrize("name", list(NONEVASIVE_SEARCH_GOLDEN))
+def test_cli_check_nonevasive_search_golden(tmp_path, capsys, name):
+    path = search_input(name, tmp_path)
+    out = tmp_path / "cert.json"
+    code, rep = run_cli(["check", "nonevasive", path, "--out", str(out)], capsys)
+    fields, written = NONEVASIVE_SEARCH_GOLDEN[name]
+    if written is not None:
+        fields = {**fields, "out": str(out)}
+    assert (code, list(rep.items())) == search_report(path, 0, fields)
+    if written is None:
+        assert not out.exists()
+    else:
+        assert (len(out.read_bytes()), hashlib.sha256(out.read_bytes()).hexdigest()) == written
+
+
+# (extra arguments, exit code, report fields after "inputs"), recorded as above
+BACKTRACKING_GOLDEN = {
+    "simplex3": ([], 0, {"result": "yes", "steps": 7}),
+    "checkerboard": ([], 0, {"result": "no", "reason": "betti"}),
+    "grid1x1x1": ([], 0, {"result": "yes", "steps": 25}),
+    "grid1x1x1 budget 1": (["--budget", "1"], 2, {"result": "budget"}),
+}
+
+
+@pytest.mark.parametrize("name", list(BACKTRACKING_GOLDEN))
+def test_cli_check_collapsible_backtracking_golden(tmp_path, capsys, name):
+    path = search_input(name.split()[0], tmp_path)
+    extra, exit_code, fields = BACKTRACKING_GOLDEN[name]
+    code, rep = run_cli(["check", "collapsible", path, "--strategy", "backtracking", *extra], capsys)
+    assert (code, list(rep.items())) == search_report(path, exit_code, fields)
 
 
 # report fields after "inputs" and before "out", with the bytes and sha256 of
