@@ -18,7 +18,6 @@ from .complex_core import (
     from_faces,
     is_closed_surface,
     link,
-    restrict,
 )
 from .errors import (
     DimensionOutOfRangeError,
@@ -252,11 +251,14 @@ def sweep_perfect_morse(
     realization.
 
     Processes vertices in sweep order (ascending height, ties broken as in
-    ``sweep_order``).  A vertex with empty lower link stays critical;
-    otherwise the lower link gets a perfect matching which is lifted over
-    the cone at the vertex.  The result is validated and compared against
-    the Betti vector; a mismatch raises PerfectnessAssertionFailedError
-    since the construction guarantees perfectness on genuinely tight input.
+    ``sweep_order``).  The lower links come from one pass over the faces: a
+    face lies in the lower link of exactly one vertex, its last vertex in
+    the sweep order, and is filed there without that vertex.  A vertex with
+    empty lower link stays critical; otherwise the lower link gets a perfect
+    matching which is lifted over the cone at the vertex.  The result is
+    validated and compared against the Betti vector; a mismatch raises
+    PerfectnessAssertionFailedError since the construction guarantees
+    perfectness on genuinely tight input.
     """
     order = sweep_order(g, direction)
     if not assume_tight:
@@ -266,11 +268,16 @@ def sweep_perfect_morse(
                 f"{len(report.failures)} prefix injectivity failures", report
             )
     c = g.complex
+    position = {v: i for i, v in enumerate(order.vertices)}
+    # lower link faces of each vertex, by dimension (a closed family)
+    lower_levels = {v: [set() for _ in range(c.dimension)] for v in order.vertices}
+    for d in range(1, c.dimension + 1):
+        for face in c.face_set(d):
+            last = max(face, key=position.__getitem__)
+            lower_levels[last][d - 1].add(tuple(u for u in face if u != last))
     pairs: set[Pair] = set()
-    earlier: set[int] = set()
     for v in order.vertices:
-        full_link = link(c, v)
-        lower = restrict(full_link, [u for u in full_link.vertices if u in earlier])
+        lower = SimplicialComplex(lower_levels[v])
         if not lower.is_empty:
             try:
                 m_link = _perfect_on_link(lower)
@@ -278,7 +285,6 @@ def sweep_perfect_morse(
                 raise LinkNotPlanarCollapsibleError(v, exc) from exc
             lifted = lift_matching_over_cone(v, lower, m_link)
             pairs |= lifted.pairs
-        earlier.add(v)
 
     matching = MorseMatching(c, frozenset(pairs))
     validate(matching)

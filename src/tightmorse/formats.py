@@ -101,7 +101,10 @@ def parse_geom(text: str) -> GeometricRealization:
         parts = lines[idx].split()
         if len(parts) != 2 + k:
             raise FormatError(f"vertex line has wrong arity: {lines[idx]!r}")
-        coords[parse_int(parts[1])] = tuple(parse_number(tok) for tok in parts[2:])
+        label = parse_int(parts[1])
+        if label in coords:
+            raise FormatError(f"vertex {label} has two coordinate lines")
+        coords[label] = tuple(parse_number(tok) for tok in parts[2:])
         idx += 1
     complex_ = parse_facets("\n".join(lines[idx:]))
     return GeometricRealization(complex_, coords, k)

@@ -122,6 +122,58 @@ def test_cli_sweep_report_and_matching(tmp_path, capsys):
     assert len(matching.pairs) == 7
 
 
+# name -> (realization, --pi, extra flags, exit code, report fields after
+# "inputs", (bytes, sha256) of the --out file or None when none is written)
+SWEEP_GOLDEN = {
+    "simplex3": (
+        lambda: convex_fixture("simplex3"), "1,2,4", [], 0,
+        '"morse_vector": [1, 0, 0, 0], "betti": [1, 0, 0, 0], "perfect": true',
+        (122, "daee171b7a18b25af734b04cbb18110b3a81973da779e1b9aef8c78d4c6fd66f"),
+    ),
+    "octahedron": (
+        lambda: convex_fixture("octahedron_boundary"), "1,1,1", [], 0,
+        '"morse_vector": [1, 0, 1], "betti": [1, 0, 1], "perfect": true',
+        (210, "6b1c9c78c7b83531aaa6325699f59933a26374d55d53b46b474e791d3ca91964"),
+    ),
+    "grid2x2x1": (
+        lambda: grid_ball(2, 2, 1), "1,17,289", [], 0,
+        '"morse_vector": [1, 0, 0, 0], "betti": [1, 0, 0, 0], "perfect": true',
+        (1582, "d62598af5c7be10756a9f09386d78fc6d1ab56b32655db73816d42c4c525af34"),
+    ),
+    "delta4": (
+        lambda: convex_fixture("delta4_boundary"), "1,2,4,8", [], 0,
+        '"morse_vector": [1, 0, 0, 1], "betti": [1, 0, 0, 1], "perfect": true',
+        (266, "5e8c216fc5123389a185a2154047d2b57b87e18024f243c0fed0b3e8dcf2ae4e"),
+    ),
+    "drilled3x3x2": (
+        lambda: drilled_geom(), "1,17,-289", ["--assume-tight"], 3,
+        '"error": "perfectness assertion failed", "morse_vector": [1, 1, 1, 0], "betti": [1, 0, 0, 0]',
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GOLDEN))
+def test_cli_sweep_golden(tmp_path, capsys, name):
+    make, pi, flags, exit_code, fields, written = SWEEP_GOLDEN[name]
+    geom = tmp_path / f"{name}.geom"
+    geom.write_text(dump_geom(make()))
+    out = tmp_path / f"{name}.morse"
+    code = main(["morse", "sweep", str(geom), "--pi", pi, *flags, "--out", str(out)])
+    inputs = json.dumps({str(geom): hashlib.sha256(geom.read_bytes()).hexdigest()[:12]})
+    tail = f', "out": {json.dumps(str(out))}' if written else ""
+    assert code == exit_code
+    assert capsys.readouterr().out == (
+        f'{{"command": "morse", "version": "{__version__}", "seed": 0, '
+        f'"inputs": {inputs}, {fields}{tail}}}\n'
+    )
+    if written is None:
+        assert not out.exists()
+    else:
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == written
+
+
 def test_cli_morse_validate_and_vector(tmp_path, capsys):
     path = write_e(tmp_path)
     m = random_discrete_morse(checkerboard(), seed=0)
@@ -284,6 +336,16 @@ def test_cli_direction_of_wrong_length_is_an_input_error(tmp_path, capsys, comma
     assert code == 1
     n = len(pi.split(","))
     assert rep["error"] == f"DirectionLengthError: direction has {n} coordinates, expected 3"
+
+
+def test_cli_repeated_geom_vertex_label_is_an_input_error(tmp_path, capsys):
+    # the second point of vertex 1 replaced the first, and the edge was
+    # reported tight (exit 0)
+    geom = tmp_path / "dup.geom"
+    geom.write_text("geom 3\nv 1 1 0 0\nv 1 0 1 0\nv 2 0 0 0\nfacets 1\n1 2\n")
+    code, rep = run_cli(["tight", "check", str(geom), "--pi", "1,2,4"], capsys)
+    assert code == 1
+    assert rep["error"] == "FormatError: vertex 1 has two coordinate lines"
 
 
 def test_cli_build_grid_zero_cubes_is_an_input_error(tmp_path, capsys):

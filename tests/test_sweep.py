@@ -1,0 +1,119 @@
+"""The one-pass sweep against the per-vertex oracle.
+
+``sweep_oracle`` builds each lower link from the vertex's full link, cut down
+to the vertices already swept, as the library did before it filed every face
+under its last vertex in one pass.  Both must return the same pairs, or raise
+the same exception with the same message.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sweep_oracle as oracle
+from tightmorse import algorithms, from_facets
+from tightmorse.algorithms import sweep_perfect_morse
+from tightmorse.complex_core import cone
+from tightmorse.constructions import (
+    convex_fixture,
+    dunce_hat,
+    furch_ball,
+    grid_ball,
+    straight_path,
+    suspension_realization,
+)
+from tightmorse.errors import LinkNotPlanarCollapsibleError
+from tightmorse.geometry import GeometricRealization
+
+
+def outcome(sweep, g, direction, assume_tight):
+    """Sorted pairs, or the (type, message) of the exception raised."""
+    try:
+        return sorted(sweep(g, direction, assume_tight=assume_tight).pairs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_oracle(g, direction, assume_tight):
+    expected = outcome(oracle.sweep_perfect_morse, g, direction, assume_tight)
+    assert outcome(sweep_perfect_morse, g, direction, assume_tight) == expected
+    return expected
+
+
+facet_lists = st.lists(
+    st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True), min_size=1, max_size=8
+)
+
+# tied directions, such as (1, 1, 0) on integer points, leave the order to
+# the symbolic tie-break
+directions = st.one_of(
+    st.sampled_from([(1, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 0), (1, 17, 289), (-1, 17, -289)]),
+    st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+)
+
+
+@st.composite
+def realizations(draw):
+    """A complex on at most 9 vertices of dimension at most 3, at distinct
+    integer points in [0, 4]^3."""
+    c = from_facets(draw(facet_lists))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=9, max_size=9, unique=True))
+    return GeometricRealization(c, {v: points[v] for v in c.vertices}, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizations(), directions, st.booleans())
+def test_sweep_matches_oracle(g, direction, assume_tight):
+    assert_same_as_oracle(g, direction, assume_tight)
+
+
+def test_grid_signed_permutations_match_oracle():
+    g = grid_ball(2, 2, 2)
+    for perm in itertools.permutations((1, 17, 289)):
+        for signs in itertools.product((1, -1), repeat=3):
+            direction = tuple(s * x for s, x in zip(signs, perm))
+            assert isinstance(assert_same_as_oracle(g, direction, False), list)  # tight
+
+
+@pytest.mark.parametrize("assume_tight", [False, True])
+@pytest.mark.parametrize("direction", [(1, 17, 289), (1, 17, -289)])
+def test_drilled_ball_matches_oracle(direction, assume_tight):
+    g = furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization
+    assert_same_as_oracle(g, direction, assume_tight)
+
+
+@pytest.mark.parametrize("assume_tight", [False, True])
+def test_delta4_matches_oracle(assume_tight):
+    assert_same_as_oracle(convex_fixture("delta4_boundary"), (1, 2, 4, 8), assume_tight)
+
+
+@pytest.mark.parametrize("assume_tight", [False, True])
+@pytest.mark.parametrize("direction", [(0, 0, 0, 1), (0, 0, 0, -1)])
+def test_suspended_octahedron_matches_oracle(direction, assume_tight):
+    g, _, _ = suspension_realization(convex_fixture("octahedron_boundary").complex)
+    assert_same_as_oracle(g, direction, assume_tight)
+
+
+def test_dunce_hat_cone_apex_on_top_matches_oracle():
+    # every base vertex has a graph as lower link; the apex, swept last, has
+    # the dunce hat, which has no free edge and is no closed surface
+    c = cone(dunce_hat(), 9)
+    coords = {v: (v, v * v, 0) for v in range(1, 9)}
+    coords[9] = (0, 0, 1)
+    g = GeometricRealization(c, coords, 3)
+    exc_type, message = assert_same_as_oracle(g, (0, 0, 1), True)
+    assert exc_type is LinkNotPlanarCollapsibleError
+    assert message.startswith("lower link of vertex 9 is not planar-collapsible")
+
+
+def test_sweep_builds_no_vertex_link(monkeypatch):
+    # the lower links come from one pass over the faces, not from link()
+    g = grid_ball(2, 2, 1)
+    expected = oracle.sweep_perfect_morse(g, (1, 17, 289)).pairs
+
+    def no_link(c, v):
+        raise AssertionError(f"link of vertex {v} built")
+
+    monkeypatch.setattr(algorithms, "link", no_link)
+    assert sweep_perfect_morse(g, (1, 17, 289)).pairs == expected
