@@ -77,15 +77,16 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
 
     tracker = FaceSetCollapser(d)
     # a free edge lies in a triangle, so this stops once no triangle has one
-    pairs = tracker.collapse(lambda free: next((f for f in free if len(f) == 2), None))
-    triangles = sum(len(f) == 3 for f in tracker.faces)
+    pairs = tracker.collapse(lambda free, face: next((i for i in free if len(face[i]) == 2), None))
+    left = tracker.remaining()
+    triangles = sum(len(f) == 3 for f in left)
     if triangles:
         raise StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
 
     # spanning forest on what is left (a graph)
-    vertices = sorted(f[0] for f in tracker.faces if len(f) == 1)
+    vertices = sorted(f[0] for f in left if len(f) == 1)
     adjacency: dict[int, list[int]] = {v: [] for v in vertices}
-    for f in sorted(tracker.faces):
+    for f in left:
         if len(f) == 2:
             adjacency[f[0]].append(f[1])
             adjacency[f[1]].append(f[0])
@@ -194,30 +195,43 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
     """Greedy collapse of c onto the subcomplex d, never touching d.
 
     Requires dim c <= 2 and the inclusion to be a homology isomorphism
-    (equal Betti vectors plus injectivity in every dimension).  Raises
-    StuckBeforeTargetError with the residual complex if the greedy run
-    terminates early.
+    (equal Betti vectors plus injectivity in every dimension).  A collapse
+    onto d is a homotopy equivalence, so homology is checked only when the
+    greedy run stops short of d: NotASubcomplexError if the inclusion is not
+    an isomorphism, else StuckBeforeTargetError with the residual complex.
     """
     if c.dimension > 2:
         raise DimensionOutOfRangeError("relative collapse limited to dimension <= 2")
     if not is_subcomplex(d, c):
         raise NotASubcomplexError("target is not a subcomplex")
-    b_c, b_d = betti(c), betti(d)
-    iso = tuple(b_c) == tuple(b_d) + (0,) * (len(b_c) - len(b_d)) and all(
-        inclusion_induced_injective(d, c, i) for i in range(c.dimension + 1)
-    )
-    if not iso:
-        raise NotASubcomplexError(
-            f"inclusion is not a homology isomorphism: {tuple(b_d)} vs {tuple(b_c)}"
-        )
-    forbidden = frozenset(d.faces())
     tracker = FaceSetCollapser(c)
-    # highest-dimensional free face outside d, the first (smallest) on ties
-    steps = tracker.collapse(
-        lambda free: max((f for f in free if f not in forbidden), key=len, default=None)
-    )
-    if tracker.faces != forbidden:
-        raise StuckBeforeTargetError(from_faces(sorted(tracker.faces)))
+    forbidden = {tracker.index[f] for k in range(d.dimension + 1) for f in d.face_set(k)}
+    top = c.dimension  # the size of the largest faces that can be free
+
+    def pick(free: list[int], face: list[Face]) -> int | None:
+        """Highest-dimensional free face outside d, the first (smallest) on ties."""
+        best = None
+        for i in free:
+            if i not in forbidden:
+                size = len(face[i])
+                if size == top:
+                    return i
+                if best is None or size > len(face[best]):
+                    best = i
+        return best
+
+    steps = tracker.collapse(pick)
+    # a collapse never removes a face of d, so it reached d when only d is left
+    if len(tracker) != len(forbidden):
+        b_c, b_d = betti(c), betti(d)
+        iso = tuple(b_c) == tuple(b_d) + (0,) * (len(b_c) - len(b_d)) and all(
+            inclusion_induced_injective(d, c, i) for i in range(c.dimension + 1)
+        )
+        if not iso:
+            raise NotASubcomplexError(
+                f"inclusion is not a homology isomorphism: {tuple(b_d)} vs {tuple(b_c)}"
+            )
+        raise StuckBeforeTargetError(from_faces(tracker.remaining()))
     return CollapseSequence(c, tuple(steps), d)
 
 
@@ -478,9 +492,10 @@ def collapsible(
 
     greedy: seeded random free-pair choices with restarts; never proves a
     negative beyond the exact prechecks (wrong Betti vector, or no free
-    face at all).  backtracking: exhaustive over free-pair choices with
-    memoized dead states, keyed by ``canonical_form`` only when an f-vector
-    repeats (``_IsoMemo``); exact within the node budget.
+    face at all, read from the first attempt's free list).  backtracking:
+    exhaustive over free-pair choices with memoized dead states, keyed by
+    ``canonical_form`` only when an f-vector repeats (``_IsoMemo``); exact
+    within the node budget.
     """
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -491,16 +506,20 @@ def collapsible(
     if not _acyclic_betti(c):
         return CollapsibleResult("no", reason="betti")
 
+    if strategy == "greedy":
+        first = FaceSetCollapser(c)
+        if not first.free:
+            return CollapsibleResult("no", reason="no free face")
+        for attempt in range(restarts):
+            tracker = first if attempt == 0 else FaceSetCollapser(c)
+            steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
+            if len(tracker) == 1:
+                target = from_faces(tracker.remaining())
+                return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))
+        return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
+
     if not free_faces(c):
         return CollapsibleResult("no", reason="no free face")
-
-    if strategy == "greedy":
-        for attempt in range(restarts):
-            tracker = FaceSetCollapser(c)
-            steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
-            if len(tracker.faces) == 1:
-                return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(tracker.faces)))
-        return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
 
     tracker = _Budget(budget)
     dead = _IsoMemo()

@@ -7,8 +7,10 @@ is implicit and never stored.
 
 Every complex is built by ``_by_dimension`` from a downward-closed family:
 ``from_facets`` and ``from_faces`` close their input first (``_close``), the
-other operators produce closed families directly.  ``cofaces`` is the one
-immediate-coface map; ``free_faces`` and the collapse engine read it.
+other operators produce closed families directly.  ``cofaces`` is the
+immediate-coface map that ``free_faces`` reads; the collapse engine
+(``morse.FaceSetCollapser``) numbers the faces and keeps its own coface
+counts instead.
 """
 
 from __future__ import annotations

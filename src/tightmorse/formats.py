@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .complex_core import SimplicialComplex, from_facets
+from .complex_core import Face, SimplicialComplex, from_facets
 from .errors import FormatError
 
 # geometry, morse and constructions are imported where they are used, so
@@ -123,6 +123,7 @@ def parse_morse(text: str, c: SimplicialComplex) -> MorseMatching:
     from .morse import MorseMatching, critical_faces
 
     pairs = []
+    seen: set[tuple[Face, Face]] = set()
     criticals = []
     for line in _content_lines(text):
         if line.startswith("pair"):
@@ -130,10 +131,15 @@ def parse_morse(text: str, c: SimplicialComplex) -> MorseMatching:
             if ";" not in body:
                 raise FormatError(f"pair line without ';': {line!r}")
             left, right = body.split(";", 1)
-            pairs.append((
+            pair = (
                 tuple(sorted(parse_int(t) for t in left.split())),
                 tuple(sorted(parse_int(t) for t in right.split())),
-            ))
+            )
+            # the matching is a set of pairs, so a repeat would vanish in it
+            if pair in seen:
+                raise FormatError(f"{_pair_line(*pair)} is listed twice")
+            seen.add(pair)
+            pairs.append(pair)
         elif line.startswith("critical"):
             criticals.append(tuple(sorted(parse_int(t) for t in line.split()[1:])))
         else:
@@ -147,12 +153,14 @@ def parse_morse(text: str, c: SimplicialComplex) -> MorseMatching:
     return matching
 
 
+def _pair_line(s: Face, t: Face) -> str:
+    return "pair " + " ".join(map(str, s)) + " ; " + " ".join(map(str, t))
+
+
 def dump_morse(m: MorseMatching) -> str:
     from .morse import critical_faces
 
-    lines = []
-    for s, t in sorted(m.pairs):
-        lines.append("pair " + " ".join(map(str, s)) + " ; " + " ".join(map(str, t)))
+    lines = [_pair_line(s, t) for s, t in sorted(m.pairs)]
     for f in critical_faces(m):
         lines.append("critical " + " ".join(map(str, f)))
     return "\n".join(lines) + "\n"

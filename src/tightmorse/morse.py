@@ -10,11 +10,12 @@ the canonical representation throughout the package.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .complex_core import Face, SimplicialComplex, canonical_face, cofaces, cone
+from .complex_core import Face, SimplicialComplex, canonical_face, cone
 from .errors import (
     DanglingFaceError,
     EmptyLinkError,
@@ -181,78 +182,93 @@ def is_perfect(m: MorseMatching) -> bool:
 class FaceSetCollapser:
     """Mutable face set supporting elementary collapses and facet removals.
 
-    ``icof`` starts as ``complex_core.cofaces(c)`` and loses each removed
-    face, so freeness is the one test of ``free_faces``: exactly one
-    immediate coface.  Every removal keeps the face set a complex, so that
-    coface stays a facet.  ``_free`` holds exactly the free faces, sorted in
-    lexicographic face order; every removal restores that by bisection.
-    ``collapse(pick)`` passes this list to the policy ``pick``, which must
-    return one of its faces (or None to stop) and must not modify it.
+    Faces are numbered in lexicographic order: ``face`` maps an id to its
+    face and ``index`` a face to its id.  Per id the collapser keeps the ids
+    of the codimension-one faces, the count of remaining immediate cofaces
+    (-1 once the face is removed) and the sum of their ids.  A face is free
+    when its count is 1, and that sum then names its unique coface, a facet.
+    ``free`` lists the free ids in ascending order, so in lexicographic face
+    order; a removal updates the counts and sums of the removed face's
+    codimension-one faces and keeps ``free`` sorted by bisection.
+
+    ``remove_pair``, ``remove_facet`` and ``facets_of_max_dim`` work on ids;
+    ``free_pairs`` and ``remaining`` give faces.  ``collapse(pick)`` passes
+    ``free`` and ``face`` to the policy ``pick``, which must return one of
+    the free ids (or None to stop) and must not modify either list.
     """
 
     def __init__(self, c: SimplicialComplex):
-        self.icof: dict[Face, set[Face]] = cofaces(c)
-        self.faces: set[Face] = set(self.icof)
-        self._free: list[Face] = sorted(f for f in self.faces if self._is_free(f))
+        face = sorted(f for d in range(c.dimension + 1) for f in c.face_set(d))
+        index = {f: i for i, f in enumerate(face)}
+        n = len(face)
+        get = index.__getitem__
+        subs_of = [tuple(map(get, combinations(f, len(f) - 1))) if len(f) > 1 else () for f in face]
+        count = [0] * n
+        total = [0] * n
+        for i, subs in enumerate(subs_of):
+            for j in subs:
+                count[j] += 1
+                total[j] += i
+        self.face: list[Face] = face
+        self.index: dict[Face, int] = index
+        self._subs, self._count, self._total = subs_of, count, total
+        self.free: list[int] = [i for i in range(n) if count[i] == 1]
+        self._left = n
 
-    def _is_free(self, f: Face) -> bool:
-        return f in self.faces and len(self.icof[f]) == 1
+    def coface(self, i: int) -> int | None:
+        """The id of the unique coface of a free face, None if i is not free."""
+        return self._total[i] if self._count[i] == 1 else None
 
-    def unique_coface(self, f: Face) -> Face:
-        (t,) = self.icof[f]
-        return t
+    def free_pairs(self) -> list[Pair]:
+        face, total = self.face, self._total
+        return [(face[i], face[total[i]]) for i in self.free]
 
-    def free_pairs(self) -> list[tuple[Face, Face]]:
-        return [(f, self.unique_coface(f)) for f in self._free]
+    def remaining(self) -> list[Face]:
+        """The faces not yet removed, in lexicographic order."""
+        return [f for f, n in zip(self.face, self._count) if n >= 0]
 
-    def facets_of_max_dim(self) -> list[Face]:
-        top = max(len(f) for f in self.faces)
-        return sorted(f for f in self.faces if len(f) == top)
+    def facets_of_max_dim(self) -> list[int]:
+        left = [i for i, n in enumerate(self._count) if n >= 0]
+        top = max(len(self.face[i]) for i in left)
+        return [i for i in left if len(self.face[i]) == top]
 
-    def collapse(self, pick: Callable[[list[Face]], Face | None]) -> list[Pair]:
+    def collapse(self, pick: Callable[[list[int], list[Face]], int | None]) -> list[Pair]:
         """Remove pick's free face and its coface until pick returns None;
-        returns the removed pairs in order."""
+        returns the removed pairs of faces in order."""
+        face, total = self.face, self._total
         steps: list[Pair] = []
-        while (s := pick(self._free)) is not None:
-            t = self.unique_coface(s)
+        while (s := pick(self.free, face)) is not None:
+            t = total[s]
             self.remove_pair(s, t)
-            steps.append((s, t))
+            steps.append((face[s], face[t]))
         return steps
 
-    def _set_free(self, f: Face, free: bool) -> None:
-        i = bisect_left(self._free, f)
-        listed = i < len(self._free) and self._free[i] == f
-        if free and not listed:
-            self._free.insert(i, f)
-        elif listed and not free:
-            del self._free[i]
+    def _remove(self, i: int) -> None:
+        """Remove the maximal face i and update its codimension-one faces."""
+        count, total, free = self._count, self._total, self.free
+        count[i] = -1
+        self._left -= 1
+        for j in self._subs[i]:
+            n = count[j] - 1
+            count[j] = n
+            total[j] -= i
+            if n == 1:
+                insort(free, j)
+            elif n == 0:
+                del free[bisect_left(free, j)]
 
-    def _recheck(self, dirty: Iterable[Face]) -> None:
-        for f in dirty:
-            self._set_free(f, self._is_free(f))
+    def remove_pair(self, s: int, t: int) -> None:
+        """Collapse the free face s with its unique coface t."""
+        self._remove(t)
+        self._remove(s)
 
-    def _detach(self, f: Face) -> set[Face]:
-        """Remove f; returns the faces that lost a coface: its codimension-one faces."""
-        self.faces.discard(f)
-        self._set_free(f, False)
-        subs = {f[:k] + f[k + 1:] for k in range(len(f))} if len(f) > 1 else set()
-        for sub in subs:
-            self.icof[sub].discard(f)
-        return subs
-
-    def remove_pair(self, s: Face, t: Face) -> None:
-        dirty = self._detach(t)
-        dirty |= self._detach(s)
-        self._recheck(d for d in dirty if d in self.faces)
-
-    def remove_facet(self, f: Face) -> None:
-        if self.icof[f]:
-            raise MorseInvariantError(f"{f} is not maximal")
-        dirty = self._detach(f)
-        self._recheck(d for d in dirty if d in self.faces)
+    def remove_facet(self, f: int) -> None:
+        if self._count[f]:
+            raise MorseInvariantError(f"{self.face[f]} is not maximal")
+        self._remove(f)
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return self._left
 
 
 def from_collapse_sequence(c: SimplicialComplex, seq) -> MorseMatching:
@@ -267,9 +283,11 @@ def from_collapse_sequence(c: SimplicialComplex, seq) -> MorseMatching:
     pairs: list[Pair] = []
     for k, (s, t) in enumerate(steps):
         s, t = canonical_face(s), canonical_face(t)
-        if s not in tracker.faces or not tracker._is_free(s) or tracker.unique_coface(s) != t:
+        i = tracker.index.get(s)
+        j = None if i is None else tracker.coface(i)
+        if j is None or tracker.face[j] != t:
             raise NotFreeAtStepError(k, (s, t))
-        tracker.remove_pair(s, t)
+        tracker.remove_pair(i, j)
         pairs.append((s, t))
     return MorseMatching(c, frozenset(pairs))
 
@@ -298,9 +316,9 @@ def lift_matching_over_cone(v: int, link_complex: SimplicialComplex, m_link: Mor
     return MorseMatching(star_complex, frozenset(pairs))
 
 
-def random_pick(rng: random.Random) -> Callable[[list[Face]], Face | None]:
+def random_pick(rng: random.Random) -> Callable[[list[int], list[Face]], int | None]:
     """Collapse policy: a uniformly random free face, None when none is left."""
-    return lambda free: free[rng.randrange(len(free))] if free else None
+    return lambda free, face: free[rng.randrange(len(free))] if free else None
 
 
 def random_discrete_morse(c: SimplicialComplex, seed: int = 0) -> MorseMatching:
@@ -313,7 +331,7 @@ def random_discrete_morse(c: SimplicialComplex, seed: int = 0) -> MorseMatching:
     pick = random_pick(rng)
     tracker = FaceSetCollapser(c)
     pairs: list[Pair] = []
-    while tracker.faces:
+    while len(tracker):
         # a collapse never removes the last face, so a facet is left here
         pairs += tracker.collapse(pick)
         tops = tracker.facets_of_max_dim()

@@ -2,16 +2,20 @@
 
 ``collapse_oracle`` re-sorts every free face at every step, as the library
 did before it kept the list sorted incrementally; every collapse entry point
-must give the same pairs, steps and errors as its oracle twin.
+must give the same pairs, steps and errors as its oracle twin.  The
+engine's per-id tables must give the free faces of the definition after
+every removal, and the homology and free-face work that a finished collapse
+makes redundant must not run.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import collapse_oracle as oracle
 import complex_oracle
+from tightmorse import algorithms
 from tightmorse.algorithms import collapsible, planar_perfect_morse, relative_collapse
 from tightmorse.complex_core import boundary_complex, from_faces
 from tightmorse.constructions import (
@@ -23,8 +27,8 @@ from tightmorse.constructions import (
     remove_facet,
     straight_path,
 )
-from tightmorse.errors import TightMorseError
-from tightmorse.morse import FaceSetCollapser, random_discrete_morse
+from tightmorse.errors import NotFreeAtStepError, TightMorseError
+from tightmorse.morse import FaceSetCollapser, from_collapse_sequence, random_discrete_morse, random_pick
 
 from conftest import random_complexes
 
@@ -91,6 +95,25 @@ def test_fixed_complexes_match_oracle(c):
     assert_same_as_oracle(c, 0, (verts[0], verts[len(verts) // 2], verts[-1]))
 
 
+def assert_free_list_matches_definition(c, seed):
+    """Remove faces in a seeded random order: a free pair when there is one,
+    else a random top facet; the free list and the coface each free face
+    names by its coface-id sum must match the definition after every step."""
+    rng = random.Random(seed)
+    tracker = FaceSetCollapser(c)
+    while len(tracker):
+        left = tracker.remaining()
+        assert from_faces(left).num_faces == len(left) == len(tracker)
+        free = tracker.free_pairs()
+        assert free == complex_oracle.free_faces(from_faces(left))
+        if free:
+            s = rng.choice(tracker.free)
+            tracker.remove_pair(s, tracker.coface(s))
+        else:
+            tracker.remove_facet(rng.choice(tracker.facets_of_max_dim()))
+    assert tracker.free_pairs() == [] and tracker.remaining() == []
+
+
 @pytest.mark.parametrize(
     "c",
     [checkerboard(), grid_ball(2, 2, 1).complex, cone_sphere(grid_ball(1, 1, 1).complex).complex],
@@ -98,13 +121,71 @@ def test_fixed_complexes_match_oracle(c):
 )
 def test_free_list_matches_definition_after_every_removal(c):
     for seed in range(3):
-        rng = random.Random(seed)
-        tracker = FaceSetCollapser(c)
-        while tracker.faces:
-            free = tracker.free_pairs()
-            assert free == complex_oracle.free_faces(from_faces(tracker.faces))
-            if free:
-                tracker.remove_pair(*rng.choice(free))
-            else:
-                tracker.remove_facet(rng.choice(tracker.facets_of_max_dim()))
-        assert tracker.free_pairs() == []
+        assert_free_list_matches_definition(c, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes, st.integers(0, 2**32 - 1))
+def test_free_list_matches_definition_on_random_complexes(c, seed):
+    assert_free_list_matches_definition(c, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_complexes, st.integers(0, 10), st.sampled_from(["outside", "not free", "coface"]), st.data())
+def test_replay_rejects_every_bad_step_as_not_free(c, seed, kind, data):
+    # a bad step after a valid prefix: a face outside the complex, a face
+    # that is not free (removed ones included), or a free face with a wrong
+    # coface; each is a NotFreeAtStepError at its step, never a lookup error
+    steps = FaceSetCollapser(c).collapse(random_pick(random.Random(seed)))
+    k = data.draw(st.integers(0, len(steps)), label="step")
+    tracker = FaceSetCollapser(c)
+    for s, t in steps[:k]:
+        tracker.remove_pair(tracker.index[s], tracker.index[t])
+    outside = (max(c.vertices) + 1,)
+    if kind == "outside":
+        bad = data.draw(st.sampled_from([(outside, outside + (outside[0] + 1,)), (outside, c.faces()[-1])]))
+    elif kind == "not free":
+        stuck = [f for f in c.faces() if tracker.coface(tracker.index[f]) is None]
+        assume(stuck)
+        s = data.draw(st.sampled_from(stuck))
+        bad = (s, data.draw(st.sampled_from(list(c.faces()) + [outside])))
+    else:
+        assume(tracker.free)
+        i = data.draw(st.sampled_from(tracker.free))
+        wrong = [f for f in c.faces() if f != tracker.face[tracker.coface(i)]] + [outside]
+        bad = (tracker.face[i], data.draw(st.sampled_from(wrong)))
+    with pytest.raises(NotFreeAtStepError) as exc:
+        from_collapse_sequence(c, steps[:k] + [bad])
+    assert exc.value.step == k
+
+
+def boom(*args, **kwargs):
+    raise AssertionError("work a finished collapse makes redundant")
+
+
+def test_relative_collapse_checks_no_homology_when_it_reaches_the_target(monkeypatch):
+    disk = grid_rim((2, 2, 2), True)
+    targets = [from_faces([(v,)]) for v in disk.vertices]
+    expected = [oracle.relative_collapse(disk, point).steps for point in targets]
+    monkeypatch.setattr(algorithms, "betti", boom)
+    monkeypatch.setattr(algorithms, "inclusion_induced_injective", boom)
+    assert [relative_collapse(disk, point).steps for point in targets] == expected
+
+
+def test_relative_collapse_onto_a_non_isomorphic_target_keeps_its_error():
+    disk = grid_rim((2, 2, 2), True)
+    verts = disk.vertices
+    two_points = from_faces([(verts[0],), (verts[-1],)])
+    error = ("NotASubcomplexError", "inclusion is not a homology isomorphism: (2,) vs (1, 0, 0)")
+    assert outcome(lambda: relative_collapse(disk, two_points)) == error
+    assert outcome(lambda: oracle.relative_collapse(disk, two_points)) == error
+
+
+@pytest.mark.parametrize(
+    "c", [grid_ball(2, 2, 2).complex, dunce_hat()], ids=["grid(2,2,2)", "dunce_hat"]
+)
+def test_greedy_collapsible_builds_no_second_coface_map(monkeypatch, c):
+    expected = collapsible_summary(oracle.collapsible_greedy(c))
+    monkeypatch.setattr(algorithms, "free_faces", boom)
+    assert collapsible_summary(collapsible(c)) == expected
+    assert expected[:2] in (("yes", None), ("no", "no free face"))

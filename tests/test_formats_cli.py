@@ -24,6 +24,7 @@ from tightmorse.formats import (
     parse_morse,
     parse_number,
     parse_path,
+    read_complex,
 )
 from tightmorse.morse import random_discrete_morse
 
@@ -348,6 +349,18 @@ def test_cli_repeated_geom_vertex_label_is_an_input_error(tmp_path, capsys):
     assert rep["error"] == "FormatError: vertex 1 has two coordinate lines"
 
 
+@pytest.mark.parametrize("repeat", ["pair 1 ; 1 2", "pair 1 ; 2 1"], ids=["same", "reordered"])
+def test_cli_repeated_morse_pair_is_an_input_error(tmp_path, capsys, repeat):
+    # the matching kept one copy of the pair, and was reported valid (exit 0)
+    facets = tmp_path / "e.facets"
+    facets.write_text("facets 1\n1 2\n")
+    mfile = tmp_path / "dup.morse"
+    mfile.write_text(f"pair 1 ; 1 2\n{repeat}\n")
+    code, rep = run_cli(["morse", "validate", str(facets), str(mfile)], capsys)
+    assert code == 1
+    assert rep["error"] == "FormatError: pair 1 ; 1 2 is listed twice"
+
+
 def test_cli_build_grid_zero_cubes_is_an_input_error(tmp_path, capsys):
     # ended in a ValueError traceback
     out = tmp_path / "g.geom"
@@ -412,11 +425,11 @@ def search_input(name, tmp_path):
     return str(path)
 
 
-def search_report(path, exit_code, fields):
+def search_report(path, exit_code, fields, seed=0):
     return exit_code, [
         ("command", "check"),
         ("version", __version__),
-        ("seed", 0),
+        ("seed", seed),
         ("inputs", {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]}),
         *fields.items(),
     ]
@@ -473,6 +486,42 @@ def test_cli_check_collapsible_backtracking_golden(tmp_path, capsys, name):
     extra, exit_code, fields = BACKTRACKING_GOLDEN[name]
     code, rep = run_cli(["check", "collapsible", path, "--strategy", "backtracking", *extra], capsys)
     assert (code, list(rep.items())) == search_report(path, exit_code, fields)
+
+
+# (seed, report fields after "inputs", sha256 of the steps and the end vertex
+# of the library's sequence or None), recorded before the collapse engine
+# numbered its faces
+GREEDY_GOLDEN = {
+    "checkerboard": (0, {"result": "no", "reason": "betti"}, None),
+    "dunce_hat": (0, {"result": "no", "reason": "no free face"}, None),
+    "simplex3": (0, {"result": "yes", "steps": 7}, None),
+    "furch3x3x3 seed 0": (
+        0, {"result": "yes", "steps": 425},
+        ("5f250d98363fa41510d8b50491664d063f74c2b87d7a60ec9dd228ea842dc3e3", 25),
+    ),
+    "furch3x3x3 seed 5": (
+        5, {"result": "yes", "steps": 425},
+        ("b355aca5f297d0b2bbfd049a3df0580f06c2a01a8683c79341af132ee75faaa3", 22),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GREEDY_GOLDEN))
+def test_cli_check_collapsible_greedy_golden(tmp_path, capsys, name):
+    seed, fields, sequence = GREEDY_GOLDEN[name]
+    if name.startswith("furch"):
+        pfile = tmp_path / "p.path"
+        pfile.write_text(dump_path(straight_path(3, 3, 3)))
+        path = str(tmp_path / "furch.geom")
+        run_cli(["build", "furch", "--n", "3,3,3", "--path", str(pfile), "--out", path], capsys)
+    else:
+        path = search_input(name, tmp_path)
+    code, rep = run_cli(["check", "collapsible", path, "--seed", str(seed)], capsys)
+    assert (code, list(rep.items())) == search_report(path, 0, fields, seed)
+    if sequence is not None:
+        res = tightmorse.collapsible(read_complex(path), seed=seed)
+        digest = hashlib.sha256(repr(res.sequence.steps).encode()).hexdigest()
+        assert (digest, *res.sequence.target.vertices) == sequence
 
 
 # report fields after "inputs" and before "out", with the bytes and sha256 of
