@@ -28,7 +28,7 @@ _EXPORTS = {
         "star",
         "suspension",
     ),
-    "homology_z2": ("BettiVector", "betti", "boundary_matrix", "inclusion_induced_injective"),
+    "homology_z2": ("BettiVector", "betti", "inclusion_induced_injective"),
     "morse": (
         "MorseMatching",
         "MorseVector",

@@ -499,6 +499,8 @@ def collapsible(
     """
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "greedy" and restarts < 1:
+        raise ValueError("need at least one greedy restart")
     if c.is_empty:
         return CollapsibleResult("no", reason="empty")
     if c.num_faces == 1:

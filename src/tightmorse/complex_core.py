@@ -7,8 +7,8 @@ is implicit and never stored.
 
 Every complex is built by ``_by_dimension`` from a downward-closed family:
 ``from_facets`` and ``from_faces`` close their input first (``_close``), the
-other operators produce closed families directly.  ``cofaces`` is the
-immediate-coface map that ``free_faces`` reads; the collapse engine
+other operators produce closed families directly.  ``free_faces`` maps
+each face to its one immediate coface in a single pass; the collapse engine
 (``morse.FaceSetCollapser``) numbers the faces and keeps its own coface
 counts instead.
 """
@@ -306,20 +306,6 @@ def barycentric_subdivision(
 
 # -- free faces and boundaries --------------------------------------------
 
-def cofaces(c: SimplicialComplex) -> dict[Face, set[Face]]:
-    """Immediate cofaces (one dimension up) of every face of c.
-
-    The map and its sets are new on every call, so the caller may mutate
-    them.
-    """
-    icof: dict[Face, set[Face]] = {f: set() for level in c._by_dim for f in level}
-    for level in c._by_dim[1:]:
-        for face in level:
-            for k in range(len(face)):
-                icof[face[:k] + face[k + 1:]].add(face)
-    return icof
-
-
 def free_faces(c: SimplicialComplex) -> list[tuple[Face, Face]]:
     """All (free face, unique proper coface) pairs.
 
@@ -327,7 +313,12 @@ def free_faces(c: SimplicialComplex) -> list[tuple[Face, Face]]:
     then its only proper coface, a facet one dimension higher: a larger
     coface would contain a second immediate one.
     """
-    return sorted((face, *up) for face, up in cofaces(c).items() if len(up) == 1)
+    coface: dict[Face, Face | None] = {}  # None once a second coface is seen
+    for level in c._by_dim[1:]:
+        for face in level:
+            for sub in itertools.combinations(face, len(face) - 1):
+                coface[sub] = None if sub in coface else face
+    return sorted((face, up) for face, up in coface.items() if up is not None)
 
 
 def is_closed_surface(c: SimplicialComplex) -> bool:

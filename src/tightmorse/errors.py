@@ -30,7 +30,7 @@ class LabelClashError(TightMorseError):
 # ----------------------------------------------------------------- homology
 
 class DimensionOutOfRangeError(TightMorseError):
-    """Boundary matrix requested outside 1..dim."""
+    """A routine was asked for a dimension it does not handle."""
 
 
 class EmptyComplexError(TightMorseError):

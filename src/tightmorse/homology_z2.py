@@ -1,84 +1,22 @@
-"""Exact mod-2 homology: bit-packed boundary matrices, Betti numbers, and
-persistence pairs, which decide injectivity of inclusion-induced maps.
+"""Exact mod-2 homology by one persistence reduction: Betti numbers and
+the injectivity of inclusion-induced maps.
 
-Rows of a matrix are Python integers used as bit vectors (bit j = column j),
-so elimination is a loop of XORs on arbitrary-precision ints.  Face-to-index
-maps are lexicographic, making every matrix reproducible bit for bit.  The
-persistence reduction packs columns the same way (bit k = k-th face of the
-filtration), and one reduction answers every inclusion of a filtration at
-once: H_i(A) -> H_i(X) is injective iff no i-class born in A dies in X.
+The boundary matrix of a filtration is reduced column by column, each
+column a Python integer used as a bit vector (bit k = k-th face of the
+filtration), so elimination is a loop of XORs on arbitrary-precision ints.
+That one reduction answers every question here: b_i counts the i-classes
+that are never destroyed, and H_i(A) -> H_i(X) is injective iff no i-class
+born in A dies in X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .complex_core import Face, SimplicialComplex
-from .errors import DimensionOutOfRangeError, EmptyComplexError, NotASubcomplexError
-
-# -- GF(2) elimination -----------------------------------------------------
-
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of the span of the given bit-vectors."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                rank += 1
-                break
-            row ^= piv
-    return rank
-
-
-# -- boundary matrices -----------------------------------------------------
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Mod-2 matrix with bit-packed rows.
-
-    For a boundary matrix, rows are indexed by (i-1)-faces and columns by
-    i-faces, both in lexicographic order.
-    """
-
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
-
-    def rank(self) -> int:
-        return gf2_rank(list(self.rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        """Column j as a bit mask over rows."""
-        mask = 0
-        for i, row in enumerate(self.rows):
-            mask |= ((row >> j) & 1) << i
-        return mask
-
-
-def boundary_matrix(c: SimplicialComplex, i: int) -> BitMatrix:
-    """Incidence matrix of the boundary map from i-chains to (i-1)-chains."""
-    if c.is_empty:
-        raise EmptyComplexError("boundary matrix of the empty complex")
-    if i < 1 or i > c.dimension:
-        raise DimensionOutOfRangeError(f"dimension {i} outside 1..{c.dimension}")
-    low = c.faces(i - 1)
-    high = c.faces(i)
-    index = {f: r for r, f in enumerate(low)}
-    rows = [0] * len(low)
-    for j, face in enumerate(high):
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            rows[index[sub]] |= 1 << j
-    return BitMatrix(len(low), len(high), tuple(rows))
-
+from .errors import EmptyComplexError, NotASubcomplexError
 
 # -- Betti numbers ---------------------------------------------------------
 
@@ -105,23 +43,19 @@ class BettiVector:
         return sum((-1) ** i * b for i, b in enumerate(self.values))
 
 
-def _boundary_ranks(c: SimplicialComplex) -> list[int]:
-    """rank of the boundary map in each dimension 0..dim+1 (ends are 0)."""
-    ranks = [0] * (c.dimension + 2)
-    for i in range(1, c.dimension + 1):
-        ranks[i] = boundary_matrix(c, i).rank()
-    return ranks
-
-
 def betti(c: SimplicialComplex, reduced: bool = False) -> BettiVector:
-    """Betti numbers over Z2; non-reduced by default."""
+    """Betti numbers over Z2; non-reduced by default.
+
+    ``c.faces()`` lists the faces by dimension, so it is a filtration, and
+    b_i counts the i-faces that create a class that is never destroyed.
+    """
     if c.is_empty:
         raise EmptyComplexError("Betti numbers of the empty complex")
-    ranks = _boundary_ranks(c)
-    values = [
-        len(c.face_set(i)) - ranks[i] - ranks[i + 1]
-        for i in range(c.dimension + 1)
-    ]
+    faces = c.faces()
+    values = [0] * (c.dimension + 1)
+    for k, destroyer in persistence_pairs(faces):
+        if destroyer is None:
+            values[len(faces[k]) - 1] += 1
     if reduced:
         values[0] -= 1
     return BettiVector(tuple(values), reduced=reduced)
@@ -153,8 +87,8 @@ def persistence_pairs(faces: Sequence[Face]) -> list[tuple[int, int | None]]:
     for k, face in enumerate(faces):
         column = 0
         if len(face) > 1:
-            for t in range(len(face)):
-                column |= 1 << index[face[:t] + face[t + 1:]]
+            for j in map(index.__getitem__, combinations(face, len(face) - 1)):
+                column |= 1 << j
         while column:
             low = column.bit_length() - 1
             other = reduced.get(low)

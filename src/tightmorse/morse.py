@@ -85,11 +85,13 @@ def validate(m: MorseMatching) -> None:
 
     Raises DanglingFaceError, NotCofaceError, NotAMatchingError, or
     MatchingCycleError (with a witness V-cycle); returns None when valid.
+    The pairs are checked in sorted order, so the error reported does not
+    depend on the order the matching was built in.
     """
     c = m.complex
+    pairs = sorted(m.pairs)
     seen: set[Face] = set()
-    partner: dict[Face, Face] = {}
-    for s, t in m.pairs:
+    for s, t in pairs:
         for f in (s, t):
             if f not in c:
                 raise DanglingFaceError(f"face {f} not in complex")
@@ -99,11 +101,10 @@ def validate(m: MorseMatching) -> None:
             if f in seen:
                 raise NotAMatchingError(f"face {f} matched twice")
             seen.add(f)
-        partner[s] = t
 
     # V-cycles live inside a single (i, i+1) layer, so check layers separately.
     by_dim: dict[int, dict[Face, Face]] = {}
-    for s, t in m.pairs:
+    for s, t in pairs:
         by_dim.setdefault(len(s) - 1, {})[s] = t
     for dim, layer in sorted(by_dim.items()):
         _check_layer_acyclic(layer)

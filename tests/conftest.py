@@ -57,6 +57,23 @@ def fan_disc(k: int) -> SimplicialComplex:
     return from_facets([(0, i, i + 1) for i in range(1, k + 1)])
 
 
+def torus_3x3() -> SimplicialComplex:
+    """The 3x3 grid on the torus, each square cut along its diagonal."""
+    v = lambda i, j: 3 * (i % 3) + j % 3
+    return from_facets(
+        t
+        for i in range(3)
+        for j in range(3)
+        for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
+    )
+
+
+def drilled_cone_sphere() -> SimplicialComplex:
+    """The cone sphere over the straight-drilled 3x3x3 ball."""
+    ball = constructions.furch_ball(3, 3, 3, constructions.straight_path(3, 3, 3))
+    return constructions.cone_sphere(ball.realization.complex).complex
+
+
 @pytest.fixture
 def annulus() -> SimplicialComplex:
     return annulus_complex(3)

@@ -356,6 +356,13 @@ def test_collapsible_rejects_unknown_strategy_before_prechecks(make):
         collapsible(make(), "bogus")
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_greedy_collapsible_rejects_fewer_than_one_restart(restarts):
+    # with no attempt it answered "budget", "0 greedy restarts failed"
+    with pytest.raises(ValueError, match="need at least one greedy restart"):
+        collapsible(from_facets([(1, 2, 3)]), restarts=restarts)
+
+
 def test_dunce_hat_no_free_face():
     dh = dunce_hat()
     assert free_faces(dh) == []

@@ -33,7 +33,7 @@ from tightmorse.errors import (
 from tightmorse.morse import FaceSetCollapser
 
 import complex_oracle as oracle
-from conftest import fan_disc, random_complexes
+from conftest import fan_disc, random_complexes, torus_3x3
 
 
 def test_single_triangle_closure(triangle):
@@ -157,17 +157,6 @@ def test_suspension_of_two_points():
 def test_boundary_of_cone_over_simplex(simplex3):
     coned = cone(simplex3, 7)
     assert boundary_complex(coned).f_vector == (5, 10, 10, 5)
-
-
-def torus_3x3():
-    """The 3x3 grid on the torus, each square cut along its diagonal."""
-    v = lambda i, j: 3 * (i % 3) + j % 3
-    return from_facets(
-        t
-        for i in range(3)
-        for j in range(3)
-        for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
-    )
 
 
 def test_closed_surface_and_two_sphere(boundary_delta3, boundary_delta2, checkerboard, simplex3):

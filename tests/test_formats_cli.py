@@ -201,7 +201,8 @@ def test_cli_morse_validate_pairs_of_another_complex(tmp_path, capsys, critical_
         mfile.write_text("\n".join(kept) + "\n")
     code, rep = run_cli(["morse", "validate", str(FIXTURES / "checkerboard.facets"), str(mfile)], capsys)
     assert code == 0
-    assert rep["valid"] is False and rep["error"] == "face (0, 2, 3) not in complex"
+    # validate walks the pairs in sorted order: (0, 1) < (0, 2) < ...
+    assert rep["valid"] is False and rep["error"] == "face (0, 1, 3) not in complex"
 
 
 def test_cli_morse_validate_critical_lines_disagree(tmp_path, capsys):
@@ -286,6 +287,18 @@ def test_cli_tight_check_rejects_fewer_than_one_sample(tmp_path, capsys, samples
         main(["tight", "check", str(geom), "--samples", samples])
     assert exc.value.code == 1
     assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_cli_check_collapsible_rejects_fewer_than_one_restart(tmp_path, capsys, restarts):
+    # it printed "result": "budget", "reason": "0 greedy restarts failed" and
+    # exited 2 without trying
+    facets = tmp_path / "t.facets"
+    facets.write_text(dump_facets(from_facets([(1, 2, 3)])))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "collapsible", str(facets), "--restarts", restarts])
+    assert exc.value.code == 1
+    assert "argument --restarts: must be at least 1" in capsys.readouterr().err
 
 
 TETRA_A = dump_facets(from_facets([(1, 2, 3, 4)]))

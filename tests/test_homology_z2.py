@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tightmorse import betti, boundary_matrix, from_facets, inclusion_induced_injective
+from tightmorse import betti, constructions, from_facets, inclusion_induced_injective
 from tightmorse.complex_core import from_faces
 from tightmorse.errors import (
     DimensionOutOfRangeError,
@@ -9,7 +9,8 @@ from tightmorse.errors import (
     NotASubcomplexError,
 )
 
-from conftest import annulus_complex, fan_disc
+from conftest import annulus_complex, drilled_cone_sphere, fan_disc, random_complexes, torus_3x3
+from homology_oracle import betti as oracle_betti, boundary_matrix
 from tightness_oracle import gf2_kernel_basis
 
 
@@ -119,6 +120,34 @@ def test_betti_reduced_flag(checkerboard):
 def test_betti_empty_rejected():
     with pytest.raises(EmptyComplexError):
         betti(from_faces([]))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: constructions.grid_ball(3, 3, 3).complex, (1, 0, 0, 0)),
+    (drilled_cone_sphere, (1, 0, 0, 1)),
+    (constructions.dunce_hat, (1, 0, 0)),
+    (constructions.checkerboard, (1, 3, 0)),
+    (torus_3x3, (1, 2, 1)),
+], ids=["grid3", "drilled_cone_sphere", "dunce_hat", "checkerboard", "torus_3x3"])
+def test_betti_matches_rank_oracle_on_fixed_cases(make, expected):
+    c = make()
+    assert tuple(betti(c)) == tuple(oracle_betti(c)) == expected
+    assert betti(c, reduced=True) == oracle_betti(c, reduced=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_complexes)
+def test_betti_matches_rank_oracle_on_random_complexes(c):
+    assert betti(c) == oracle_betti(c)
+    assert betti(c, reduced=True) == oracle_betti(c, reduced=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=8))
+def test_betti_matches_rank_oracle_on_facet_lists(facets):
+    c = from_facets(facets)
+    assert betti(c) == oracle_betti(c)
 
 
 def test_inclusion_identity(checkerboard):

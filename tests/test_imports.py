@@ -24,7 +24,7 @@ EXPORTS = {
         "SimplicialComplex", "barycentric_subdivision", "boundary_complex", "cone", "deletion",
         "free_faces", "from_facets", "join", "link", "restrict", "star", "suspension",
     ],
-    "homology_z2": ["BettiVector", "betti", "boundary_matrix", "inclusion_induced_injective"],
+    "homology_z2": ["BettiVector", "betti", "inclusion_induced_injective"],
     "morse": [
         "MorseMatching", "MorseVector", "critical_faces", "from_collapse_sequence", "is_perfect",
         "lift_matching_over_cone", "morse_vector", "random_discrete_morse", "validate",

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightmorse import betti, from_facets
+from tightmorse.algorithms import sweep_perfect_morse
 from tightmorse.complex_core import from_faces
+from tightmorse.constructions import convex_fixture
 from tightmorse.errors import (
     DanglingFaceError,
     EmptyLinkError,
@@ -82,6 +84,18 @@ def test_acyclic_matching_on_circle_accepted(boundary_delta2):
     validate(m)
     assert not has_v_cycle_brute_force(m)
     assert tuple(morse_vector(m)) == (1, 1)
+
+
+def test_validate_report_does_not_depend_on_build_order(checkerboard):
+    # the sweep matching of the 3-simplex, validated against the checkerboard:
+    # the first pair reported used to follow the frozenset's build history
+    pairs = sorted(sweep_perfect_morse(convex_fixture("simplex3"), (1, 2, 4)).pairs)
+    reports = set()
+    for built in (pairs, pairs[::-1], set(pairs)):
+        with pytest.raises(DanglingFaceError) as exc:
+            validate(matching(checkerboard, built))
+        reports.add(str(exc.value))
+    assert reports == {"face (0, 1, 3) not in complex"}
 
 
 def test_validator_agrees_with_brute_force_on_random_matchings(checkerboard):

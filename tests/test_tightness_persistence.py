@@ -6,6 +6,8 @@ tightness reports must be equal field by field, and inclusion checks must
 give the same answer in every dimension.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,8 @@ from tightmorse.complex_core import from_faces, restrict
 from tightmorse.constructions import furch_ball, grid_ball, straight_path
 from tightmorse.geometry import GeometricRealization, is_pi_tight, is_prefix_tight
 from tightmorse.homology_z2 import persistence_pairs
+
+from conftest import drilled_cone_sphere
 
 
 def assert_same_as_oracle(g, direction):
@@ -76,6 +80,24 @@ def test_persistence_pairs_of_triangle():
     faces = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
     # one component survives; the edge (2, 3) closes a cycle the triangle fills
     assert persistence_pairs(faces) == [(0, None), (1, 3), (2, 4), (5, 6)]
+
+
+# (count, sha256 of repr) of the pairs, recorded from the reduction that built
+# each column by slicing faces; in lexicographic and in reversed order per level
+PAIRS_PINNED = {
+    ("grid2", False): (147, "537ce33655d293f2b5a44669a23fdc7e83fddb4dc366931f0d88ead6ee4a8fbb"),
+    ("grid2", True): (147, "b9634a543aaeec244916bd489c357be15773c5acc16ee5291272e2ab6b32590b"),
+    ("cone", False): (614, "f9dee5a73087249e33461212baee8e45dd2076e076b7cc5d4863fbc6d9ba9384"),
+    ("cone", True): (614, "7d0305182aff542fbde6ddd2053ee29b2009926328207bee5f737395744fcd50"),
+}
+
+
+@pytest.mark.parametrize("name, rev", list(PAIRS_PINNED))
+def test_persistence_pairs_pinned(name, rev):
+    c = grid_ball(2, 2, 2).complex if name == "grid2" else drilled_cone_sphere()
+    faces = [f for d in range(c.dimension + 1) for f in (reversed(c.faces(d)) if rev else c.faces(d))]
+    pairs = persistence_pairs(faces)
+    assert (len(pairs), hashlib.sha256(repr(pairs).encode()).hexdigest()) == PAIRS_PINNED[name, rev]
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,9 @@ from tightmorse.geometry import (
     Vector,
     sweep_order,
 )
-from tightmorse.homology_z2 import boundary_matrix, is_subcomplex
+from tightmorse.homology_z2 import is_subcomplex
+
+from homology_oracle import boundary_matrix
 
 
 class Gf2Space:
