@@ -404,6 +404,10 @@ class _Budget:
 
 
 def _acyclic_betti(c: SimplicialComplex) -> bool:
+    """Is c mod-2 acyclic?  An acyclic complex has Euler characteristic 1,
+    so any other answers "no" without a reduction."""
+    if c.euler_characteristic != 1:
+        return False
     b = betti(c)
     return b[0] == 1 and all(b[i] == 0 for i in range(1, len(b)))
 
@@ -412,7 +416,8 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     """Exact recursive non-evasiveness with memoization and a node budget.
 
     Fast rejection: a non-evasive complex is collapsible hence mod-2
-    acyclic, so a nontrivial Betti vector answers "no" immediately.  The
+    acyclic, so a nontrivial Betti vector answers "no" immediately, and an
+    Euler characteristic other than 1 answers before any reduction.  The
     Betti vector is computed only at the root and on links: a deletion is
     searched only after its link was certified, and an acyclic complex minus
     a vertex with acyclic link is acyclic (Mayer–Vietoris).  Each search
@@ -421,6 +426,8 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     it once onto the complex at hand.  Keys are computed only when an
     f-vector repeats (``_IsoMemo``).
     """
+    if budget < 0:
+        raise ValueError("the budget must not be negative")
     if c.is_empty:
         return NonEvasiveResult("no", reason="empty")
     memo = _IsoMemo()
@@ -490,36 +497,47 @@ def collapsible(
 ) -> CollapsibleResult:
     """Search for a full collapse to a single vertex.
 
+    A collapsible complex is mod-2 acyclic, so an Euler characteristic
+    other than 1 answers "no" (reason "betti") before anything else.
     greedy: seeded random free-pair choices with restarts; never proves a
     negative beyond the exact prechecks (wrong Betti vector, or no free
-    face at all, read from the first attempt's free list).  backtracking:
-    exhaustive over free-pair choices with memoized dead states, keyed by
-    ``canonical_form`` only when an f-vector repeats (``_IsoMemo``); exact
-    within the node budget.
+    face at all, read from the first attempt's free list).  A collapse to a
+    vertex proves acyclicity, so the Betti vector is computed only after
+    the first attempt fails, and it takes precedence over "no free face".
+    backtracking: exhaustive over free-pair choices with memoized dead
+    states, keyed by ``canonical_form`` only when an f-vector repeats
+    (``_IsoMemo``); exact within the node budget.
     """
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "greedy" and restarts < 1:
         raise ValueError("need at least one greedy restart")
+    if budget < 0:
+        raise ValueError("the budget must not be negative")
     if c.is_empty:
         return CollapsibleResult("no", reason="empty")
     if c.num_faces == 1:
         return CollapsibleResult("yes", CollapseSequence(c, (), c))
-    if not _acyclic_betti(c):
+    if c.euler_characteristic != 1:
         return CollapsibleResult("no", reason="betti")
 
     if strategy == "greedy":
         first = FaceSetCollapser(c)
-        if not first.free:
-            return CollapsibleResult("no", reason="no free face")
+        no_free_face = not first.free
         for attempt in range(restarts):
             tracker = first if attempt == 0 else FaceSetCollapser(c)
             steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
             if len(tracker) == 1:
                 target = from_faces(tracker.remaining())
                 return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))
+            if attempt == 0 and not _acyclic_betti(c):
+                return CollapsibleResult("no", reason="betti")
+            if no_free_face:
+                return CollapsibleResult("no", reason="no free face")
         return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
 
+    if not _acyclic_betti(c):
+        return CollapsibleResult("no", reason="betti")
     if not free_faces(c):
         return CollapsibleResult("no", reason="no free face")
 

@@ -50,14 +50,20 @@ def _parse_ints(text: str, count: int) -> tuple[int, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -120,12 +126,12 @@ def _build_parser() -> _Parser:
     cc = csub.add_parser("collapsible")
     cc.add_argument("file")
     cc.add_argument("--strategy", choices=("greedy", "backtracking"), default="greedy")
-    cc.add_argument("--budget", type=int, default=10**6)
+    cc.add_argument("--budget", type=_nonnegative_int, default=10**6)
     cc.add_argument("--seed", type=int, default=0)
     cc.add_argument("--restarts", type=_positive_int, default=50)
     cn = csub.add_parser("nonevasive")
     cn.add_argument("file")
-    cn.add_argument("--budget", type=int, default=10**6)
+    cn.add_argument("--budget", type=_nonnegative_int, default=10**6)
     cn.add_argument("--out", help="write the certificate as JSON here")
 
     pb = sub.add_parser("build", help="generators for the example complexes")

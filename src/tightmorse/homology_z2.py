@@ -1,12 +1,15 @@
 """Exact mod-2 homology by one persistence reduction: Betti numbers and
 the injectivity of inclusion-induced maps.
 
-The boundary matrix of a filtration is reduced column by column, each
-column a Python integer used as a bit vector (bit k = k-th face of the
-filtration), so elimination is a loop of XORs on arbitrary-precision ints.
-That one reduction answers every question here: b_i counts the i-classes
-that are never destroyed, and H_i(A) -> H_i(X) is injective iff no i-class
-born in A dies in X.
+The boundary matrix of a filtration is reduced one dimension at a time,
+top dimension first, each column a Python integer used as a bit vector
+(bit k = k-th face of the dimension below, in filtration order), so
+elimination is a loop of XORs on arbitrary-precision ints.  Clearing skips
+the columns of faces that a column one dimension up has already paired,
+since they reduce to zero (Chen–Kerber 2011; Bauer–Kerber–Reininghaus
+2014).  That one reduction answers every question here: b_i counts the
+i-classes that are never destroyed, and H_i(A) -> H_i(X) is injective iff
+no i-class born in A dies in X.
 """
 
 from __future__ import annotations
@@ -73,33 +76,48 @@ def persistence_pairs(faces: Sequence[Face]) -> list[tuple[int, int | None]]:
     """Persistence pairs of a filtration, as indices into ``faces``.
 
     ``faces`` lists the faces of a complex, each after its proper faces.
-    The boundary matrix in that order is reduced column by column: a column
-    is added to by earlier reduced columns until its lowest one (the largest
-    row index) is claimed by no earlier column.  A face whose column reduces
-    to zero creates a class; the face whose column ends with its lowest one
-    on the creator destroys that class.  Returns (creator, destroyer) in
-    creator order, with None for a class that is never destroyed.
+    The boundary matrix in that order is reduced with clearing, one
+    dimension at a time from the top: the rows of a d-face's column are the
+    (d-1)-faces, numbered in filtration order within their dimension, and a
+    column is added to by earlier reduced columns until its lowest one (the
+    largest row) is claimed by no earlier column.  A face whose column
+    reduces to zero creates a class; the face whose column ends with its
+    lowest one on the creator destroys that class.  Clearing: a face already
+    paired with a destroyer one dimension up is a creator, so its column is
+    skipped unreduced.  No column meets a column of another dimension, so
+    the pairs are those of reducing the whole matrix column by column.
+    Returns (creator, destroyer) in creator order, with None for a class
+    that is never destroyed.
     """
-    index = {f: k for k, f in enumerate(faces)}
-    reduced: dict[int, int] = {}  # lowest one -> reduced column
-    destroyer: dict[int, int] = {}
-    creators = []
+    row: dict[Face, int] = {}  # face -> position among the faces of its dimension
+    levels: list[list[int]] = []  # indices into faces, per dimension
     for k, face in enumerate(faces):
-        column = 0
-        if len(face) > 1:
-            for j in map(index.__getitem__, combinations(face, len(face) - 1)):
+        if len(face) > len(levels):
+            levels.append([])
+        level = levels[len(face) - 1]
+        row[face] = len(level)
+        level.append(k)
+    # per face: the destroyer of a class it creates (None: never), -1 if it destroys
+    partner: list[int | None] = [None] * len(faces)
+    for d in range(len(levels) - 1, 0, -1):
+        rows = levels[d - 1]
+        reduced: dict[int, int] = {}  # lowest one -> reduced column
+        for k in levels[d]:
+            if partner[k] is not None:  # cleared: its column reduces to zero
+                continue
+            column = 0
+            for j in map(row.__getitem__, combinations(faces[k], d)):
                 column |= 1 << j
-        while column:
-            low = column.bit_length() - 1
-            other = reduced.get(low)
-            if other is None:
-                reduced[low] = column
-                destroyer[low] = k
-                break
-            column ^= other
-        else:
-            creators.append(k)
-    return [(k, destroyer.get(k)) for k in creators]
+            while column:
+                low = column.bit_length() - 1
+                other = reduced.get(low)
+                if other is None:
+                    reduced[low] = column
+                    partner[rows[low]] = k
+                    partner[k] = -1
+                    break
+                column ^= other
+    return [(k, p) for k, p in enumerate(partner) if p != -1]
 
 
 def inclusion_induced_injective(a: SimplicialComplex, x: SimplicialComplex, i: int) -> bool:

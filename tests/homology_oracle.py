@@ -1,18 +1,24 @@
-"""Reference mod-2 homology: bit-packed boundary matrices and their ranks.
+"""Reference mod-2 homology: bit-packed boundary matrices and their ranks,
+and the persistence reduction without clearing.
 
-This is the rank form of ``tightmorse.homology_z2.betti``, kept as the
+``betti`` is the rank form of ``tightmorse.homology_z2.betti``, kept as the
 oracle that the library's persistence reduction is compared against:
 b_i = #i-faces - rank d_i - rank d_{i+1}, each rank by GF(2) elimination of
 a boundary matrix.  Rows of a matrix are Python integers used as bit
 vectors (bit j = column j), and face-to-index maps are lexicographic, so
-every matrix is reproducible bit for bit.
+every matrix is reproducible bit for bit.  ``persistence_pairs`` reduces the
+whole boundary matrix of a filtration in one pass, every column as wide as
+the filtration and none skipped; the library's clearing reduction must give
+the same pairs in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
-from tightmorse.complex_core import SimplicialComplex
+from tightmorse.complex_core import Face, SimplicialComplex
 from tightmorse.errors import DimensionOutOfRangeError, EmptyComplexError
 from tightmorse.homology_z2 import BettiVector
 
@@ -96,3 +102,33 @@ def betti(c: SimplicialComplex, reduced: bool = False) -> BettiVector:
     if reduced:
         values[0] -= 1
     return BettiVector(tuple(values), reduced=reduced)
+
+
+def persistence_pairs(faces: Sequence[Face]) -> list[tuple[int, int | None]]:
+    """Persistence pairs of a filtration, as indices into ``faces``.
+
+    The boundary matrix in filtration order is reduced column by column: a
+    column is added to by earlier reduced columns until its lowest one (the
+    largest row index) is claimed by no earlier column.  Returns (creator,
+    destroyer) in creator order, with None for a class never destroyed.
+    """
+    index = {f: k for k, f in enumerate(faces)}
+    reduced: dict[int, int] = {}  # lowest one -> reduced column
+    destroyer: dict[int, int] = {}
+    creators = []
+    for k, face in enumerate(faces):
+        column = 0
+        if len(face) > 1:
+            for j in map(index.__getitem__, combinations(face, len(face) - 1)):
+                column |= 1 << j
+        while column:
+            low = column.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = column
+                destroyer[low] = k
+                break
+            column ^= other
+        else:
+            creators.append(k)
+    return [(k, destroyer.get(k)) for k in creators]

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import collapse_oracle
 import search_oracle as oracle
 
 from tightmorse import algorithms, betti, free_faces, from_facets
@@ -363,11 +364,51 @@ def test_greedy_collapsible_rejects_fewer_than_one_restart(restarts):
         collapsible(from_facets([(1, 2, 3)]), restarts=restarts)
 
 
+# RP^2 on 6 vertices: Euler characteristic 1 but Betti vector (1, 1, 1), so
+# only the reduction can reject it; with a pendant edge it has a free face
+RP2 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+]
+
+
+@pytest.mark.parametrize("facets", [RP2, RP2 + [(6, 7)]], ids=["rp2", "rp2+edge"])
+def test_prechecks_reject_rp2_by_its_betti_vector(facets):
+    c = from_facets(facets)
+    assert c.euler_characteristic == 1 and tuple(betti(c)) == (1, 1, 1)
+    assert bool(free_faces(c)) == (len(facets) > len(RP2))
+    for res in (collapsible(c), collapsible(c, "backtracking"), nonevasive(c)):
+        assert (res.status, res.reason) == ("no", "betti")
+    assert collapse_oracle.collapsible_greedy(c).reason == oracle.nonevasive(c).reason == "betti"
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        nonevasive,
+        lambda c, budget: collapsible(c, "backtracking", budget),
+        lambda c, budget: collapsible(c, budget=budget),
+    ],
+    ids=["nonevasive", "backtracking", "greedy"],
+)
+def test_searches_reject_a_negative_budget(search, checkerboard):
+    # it answered as if the budget were 0
+    for c in (from_facets([(1, 2, 3)]), checkerboard):
+        with pytest.raises(ValueError, match="budget must not be negative"):
+            search(c, budget=-3)
+    # a budget of 0 still lets the prechecks answer
+    res = search(checkerboard, budget=0)
+    assert (res.status, res.reason) == ("no", "betti")
+    assert search(from_facets([(1,)]), budget=0).status == "yes"
+
+
 def test_dunce_hat_no_free_face():
+    # acyclic, so the reason survives the Betti check of either strategy
     dh = dunce_hat()
-    assert free_faces(dh) == []
-    res = collapsible(dh, strategy="greedy")
-    assert res.status == "no" and res.reason == "no free face"
+    assert free_faces(dh) == [] and tuple(betti(dh)) == (1, 0, 0)
+    for strategy in ("greedy", "backtracking"):
+        res = collapsible(dh, strategy=strategy)
+        assert res.status == "no" and res.reason == "no free face"
 
 
 def test_suspension_of_dunce_hat_not_collapsible():

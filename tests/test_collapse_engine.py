@@ -5,7 +5,7 @@ did before it kept the list sorted incrementally; every collapse entry point
 must give the same pairs, steps and errors as its oracle twin.  The
 engine's per-id tables must give the free faces of the definition after
 every removal, and the homology and free-face work that a finished collapse
-makes redundant must not run.
+or the Euler characteristic makes redundant must not run.
 """
 
 import random
@@ -189,3 +189,28 @@ def test_greedy_collapsible_builds_no_second_coface_map(monkeypatch, c):
     monkeypatch.setattr(algorithms, "free_faces", boom)
     assert collapsible_summary(collapsible(c)) == expected
     assert expected[:2] in (("yes", None), ("no", "no free face"))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [grid_ball(2, 2, 2).complex, furch_ball(3, 3, 3, straight_path(3, 3, 3)).realization.complex],
+    ids=["grid(2,2,2)", "drilled(3,3,3)"],
+)
+def test_greedy_collapsible_runs_no_reduction_when_it_collapses(monkeypatch, c):
+    expected = collapsible_summary(oracle.collapsible_greedy(c))
+    assert expected[0] == "yes"
+    monkeypatch.setattr(algorithms, "betti", boom)
+    assert collapsible_summary(collapsible(c)) == expected
+
+
+@pytest.mark.parametrize(
+    "c",
+    [cone_sphere(grid_ball(1, 1, 1).complex).complex, checkerboard()],
+    ids=["cone_sphere(grid(1,1,1))", "checkerboard"],
+)
+def test_euler_characteristic_rejects_without_a_reduction(monkeypatch, c):
+    assert c.euler_characteristic != 1
+    monkeypatch.setattr(algorithms, "betti", boom)
+    monkeypatch.setattr(algorithms, "FaceSetCollapser", boom)
+    for res in (collapsible(c), collapsible(c, "backtracking"), algorithms.nonevasive(c)):
+        assert (res.status, res.reason) == ("no", "betti")

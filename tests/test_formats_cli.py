@@ -301,6 +301,29 @@ def test_cli_check_collapsible_rejects_fewer_than_one_restart(tmp_path, capsys, 
     assert "argument --restarts: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["nonevasive"], ["collapsible", "--strategy", "backtracking"], ["collapsible"]],
+    ids=["nonevasive", "backtracking", "greedy"],
+)
+def test_cli_check_rejects_a_negative_budget(tmp_path, capsys, args):
+    # the searches answered as if the budget were 0 ("result": "budget",
+    # exit 2), and greedy ignored it
+    facets = tmp_path / "t.facets"
+    facets.write_text(dump_facets(from_facets([(1, 2, 3)])))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *args[:1], str(facets), *args[1:], "--budget", "-3"])
+    assert exc.value.code == 1
+    assert "argument --budget: must be at least 0" in capsys.readouterr().err
+
+
+def test_cli_check_budget_zero_still_answers_the_prechecks(tmp_path, capsys):
+    facets = write_e(tmp_path)
+    for args in (["nonevasive"], ["collapsible", "--strategy", "backtracking"]):
+        code, rep = run_cli(["check", *args[:1], facets, *args[1:], "--budget", "0"], capsys)
+        assert (code, rep["result"], rep["reason"]) == (0, "no", "betti")
+
+
 TETRA_A = dump_facets(from_facets([(1, 2, 3, 4)]))
 TETRA_B = dump_facets(from_facets([(5, 6, 7, 8)]))
 

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homology_oracle
 import tightness_oracle as oracle
 from tightmorse import from_facets, inclusion_induced_injective
 from tightmorse.complex_core import from_faces, restrict
@@ -18,7 +19,7 @@ from tightmorse.constructions import furch_ball, grid_ball, straight_path
 from tightmorse.geometry import GeometricRealization, is_pi_tight, is_prefix_tight
 from tightmorse.homology_z2 import persistence_pairs
 
-from conftest import drilled_cone_sphere
+from conftest import drilled_cone_sphere, random_complexes
 
 
 def assert_same_as_oracle(g, direction):
@@ -98,6 +99,32 @@ def test_persistence_pairs_pinned(name, rev):
     faces = [f for d in range(c.dimension + 1) for f in (reversed(c.faces(d)) if rev else c.faces(d))]
     pairs = persistence_pairs(faces)
     assert (len(pairs), hashlib.sha256(repr(pairs).encode()).hexdigest()) == PAIRS_PINNED[name, rev]
+
+
+@st.composite
+def filtrations(draw):
+    """A random complex's faces in one of the three orders the library
+    reduces: by dimension (shuffled within each), the tightness scan's
+    upper-set order for random distinct heights, and inclusion's order with
+    the faces of a subcomplex (the closure of some faces) first."""
+    c = draw(random_complexes)
+    levels = [list(c.faces(d)) for d in range(c.dimension + 1)]
+    order = draw(st.sampled_from(["dimension", "upper", "inclusion"]))
+    if order == "dimension":
+        return [f for level in levels for f in draw(st.permutations(level))]
+    if order == "upper":
+        position = {v: k for k, v in enumerate(draw(st.permutations(c.vertices)))}
+        return sorted(c.faces(), key=lambda f: (-min(map(position.__getitem__, f)), len(f), f))
+    keep = draw(st.sets(st.sampled_from(c.faces())))
+    a = from_faces(keep)
+    inner = [f for d in range(a.dimension + 1) for f in a.faces(d)]
+    return inner + [f for level in levels for f in level if f not in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(filtrations())
+def test_persistence_pairs_match_reduction_without_clearing(faces):
+    assert persistence_pairs(faces) == homology_oracle.persistence_pairs(faces)
 
 
 @settings(max_examples=200, deadline=None)
