@@ -13,9 +13,9 @@ from typing import Optional
 from .complex_core import (
     Face,
     SimplicialComplex,
+    _by_dimension,
     deletion,
     free_faces,
-    from_faces,
     is_closed_surface,
     link,
 )
@@ -37,7 +37,7 @@ from .morse import (
     FaceSetCollapser,
     MorseMatching,
     Pair,
-    lift_matching_over_cone,
+    _lift_pairs,
     morse_vector,
     random_pick,
     validate,
@@ -152,10 +152,7 @@ def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) ->
 
 def _is_nonempty_tree(g: SimplicialComplex) -> bool:
     """Nonempty, dimension <= 1, connected, acyclic."""
-    if g.is_empty or g.dimension > 1:
-        return False
-    b = betti(g)
-    return b[0] == 1 and b[1] == 0
+    return not g.is_empty and g.dimension <= 1 and _acyclic_betti(g)
 
 
 def planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate:
@@ -231,7 +228,7 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
             raise NotASubcomplexError(
                 f"inclusion is not a homology isomorphism: {tuple(b_d)} vs {tuple(b_c)}"
             )
-        raise StuckBeforeTargetError(from_faces(tracker.remaining()))
+        raise StuckBeforeTargetError(_by_dimension(tracker.remaining()))
     return CollapseSequence(c, tuple(steps), d)
 
 
@@ -251,7 +248,7 @@ def _perfect_on_link(lower_link: SimplicialComplex) -> MorseMatching:
         if not is_closed_surface(lower_link):
             raise
         top = min(lower_link.face_set(2))
-        punctured = from_faces([f for f in lower_link.faces() if f != top])
+        punctured = _by_dimension(f for f in lower_link.faces() if f != top)
         inner = planar_perfect_morse(punctured)
         return MorseMatching(lower_link, inner.pairs)
 
@@ -269,9 +266,10 @@ def sweep_perfect_morse(
     face lies in the lower link of exactly one vertex, its last vertex in
     the sweep order, and is filed there without that vertex.  A vertex with
     empty lower link stays critical; otherwise the lower link gets a perfect
-    matching which is lifted over the cone at the vertex.  The result is
-    validated and compared against the Betti vector; a mismatch raises
-    PerfectnessAssertionFailedError since the construction guarantees
+    matching which is lifted over the cone at the vertex.  A lift is valid
+    iff its link matching is, so the one ``validate`` of the result checks
+    every lift.  The result is compared against the Betti vector; a mismatch
+    raises PerfectnessAssertionFailedError since the construction guarantees
     perfectness on genuinely tight input.
     """
     order = sweep_order(g, direction)
@@ -297,8 +295,7 @@ def sweep_perfect_morse(
                 m_link = _perfect_on_link(lower)
             except StuckNoFreeEdgeError as exc:
                 raise LinkNotPlanarCollapsibleError(v, exc) from exc
-            lifted = lift_matching_over_cone(v, lower, m_link)
-            pairs |= lifted.pairs
+            pairs |= _lift_pairs(v, lower, m_link)
 
     matching = MorseMatching(c, frozenset(pairs))
     validate(matching)
@@ -528,7 +525,7 @@ def collapsible(
             tracker = first if attempt == 0 else FaceSetCollapser(c)
             steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
             if len(tracker) == 1:
-                target = from_faces(tracker.remaining())
+                target = _by_dimension(tracker.remaining())
                 return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))
             if attempt == 0 and not _acyclic_betti(c):
                 return CollapsibleResult("no", reason="betti")
@@ -548,7 +545,7 @@ def collapsible(
         if len(faces) == 1:
             return []
         tracker.tick()
-        cur = from_faces(faces)
+        cur = _by_dimension(faces)
         hit, form = dead.lookup(cur)
         if hit is not None:
             return None
@@ -568,4 +565,4 @@ def collapsible(
     remaining = set(c.faces())
     for s, t in steps:
         remaining -= {s, t}
-    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(remaining)))
+    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), _by_dimension(remaining)))

@@ -312,12 +312,9 @@ def _cmd_build(args) -> tuple[int, dict]:
         }
     # fixtures; abstract ones are written as facets files
     name = args.name
-    if name == "checkerboard":
-        c = constructions.checkerboard()
-        formats.write_text(args.out, formats.dump_facets(c))
-        return EXIT_OK, {"f_vector": list(c.f_vector), "out": args.out}
-    if name == "dunce_hat":
-        c = constructions.dunce_hat()
+    abstract = {"checkerboard": constructions.checkerboard, "dunce_hat": constructions.dunce_hat}
+    if name in abstract:
+        c = abstract[name]()
         formats.write_text(args.out, formats.dump_facets(c))
         return EXIT_OK, {"f_vector": list(c.f_vector), "out": args.out}
     if name == "trefoil_path":

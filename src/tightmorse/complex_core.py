@@ -6,11 +6,11 @@ so every operator has cheap access to the whole face poset.  The empty face
 is implicit and never stored.
 
 Every complex is built by ``_by_dimension`` from a downward-closed family:
-``from_facets`` and ``from_faces`` close their input first (``_close``), the
-other operators produce closed families directly.  ``free_faces`` maps
-each face to its one immediate coface in a single pass; the collapse engine
-(``morse.FaceSetCollapser``) numbers the faces and keeps its own coface
-counts instead.
+``from_facets`` and ``from_faces`` close their input first (``_close``); the
+other operators, and ``algorithms`` on face sets closed by construction,
+pass it directly.  ``free_faces`` maps each face to its one immediate coface
+in a single pass; the collapse engine (``morse.FaceSetCollapser``) numbers
+the faces and keeps its own coface counts instead.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def parse_number(token: str) -> Number:
         pass
     try:
         return Fraction(token)  # handles "3/4" and "0.25" exactly
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"cannot parse number {token!r}") from exc
 
 

@@ -298,23 +298,29 @@ def lift_matching_over_cone(v: int, link_complex: SimplicialComplex, m_link: Mor
 
     Each pair (s, t) lifts to (v*s, v*t); the apex v is matched with v*w
     for the smallest-label critical vertex w.  Critical faces of the lift
-    are v*u for the remaining critical faces u.  Raises EmptyLinkError if
-    the link is empty (the caller marks v critical instead).
+    are v*u for the remaining critical faces u.  The lift is valid iff
+    ``m_link`` is, which is checked here.  Raises EmptyLinkError if the link
+    is empty (the caller marks v critical instead).
     """
     if link_complex.is_empty:
         raise EmptyLinkError(f"link of {v} is empty")
     validate(m_link)
+    return MorseMatching(cone(link_complex, v), frozenset(_lift_pairs(v, link_complex, m_link)))
+
+
+def _lift_pairs(v: int, link_complex: SimplicialComplex, m_link: MorseMatching) -> set[Pair]:
+    """The pairs of ``lift_matching_over_cone``, with ``m_link`` unchecked.
+
+    A defect of ``m_link`` is one of the lift: the lift adds only (v, v*w),
+    its one vertex-edge pair, and w is critical in ``m_link``.
+    """
     matched = m_link.matched_faces
     critical_vertices = [u for (u,) in link_complex.face_set(0) if (u,) not in matched]
     if not critical_vertices:
         raise MorseInvariantError("valid matching on a nonempty complex has a critical vertex")
-    w = min(critical_vertices)
-    star_complex = cone(link_complex, v)
-    pairs: set[Pair] = {
-        (tuple(sorted(s + (v,))), tuple(sorted(t + (v,)))) for s, t in m_link.pairs
-    }
-    pairs.add(((v,), tuple(sorted((v, w)))))
-    return MorseMatching(star_complex, frozenset(pairs))
+    pairs = {(tuple(sorted(s + (v,))), tuple(sorted(t + (v,)))) for s, t in m_link.pairs}
+    pairs.add(((v,), tuple(sorted((v, min(critical_vertices))))))
+    return pairs
 
 
 def random_pick(rng: random.Random) -> Callable[[list[int], list[Face]], int | None]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import collapse_oracle
 import search_oracle as oracle
 
-from tightmorse import algorithms, betti, free_faces, from_facets
+from tightmorse import algorithms, betti, complex_core, free_faces, from_facets
 from tightmorse.algorithms import (
     _IsoMemo,
     collapsible,
@@ -33,6 +33,8 @@ from tightmorse.errors import (
     NotAcyclicError,
     NotASubcomplexError,
     NotTightError,
+    StuckBeforeTargetError,
+    StuckNoDeletableVertexError,
     StuckNoFreeEdgeError,
 )
 from tightmorse.geometry import GeometricRealization
@@ -108,6 +110,16 @@ def test_acyclic_cert_bowtie():
     assert verify_certificate(bowtie, cert)
 
 
+def test_acyclic_cert_stuck_on_dunce_hat():
+    # acyclic but not planar: no vertex link is a tree, and each blocking
+    # link is reported by its f-vector
+    with pytest.raises(StuckNoDeletableVertexError) as exc:
+        planar_acyclic_nonevasive(dunce_hat())
+    assert exc.value.links == {
+        1: (7, 8), 2: (7, 8), 3: (6, 7), 4: (6, 6), 5: (5, 5), 6: (6, 6), 7: (6, 6), 8: (5, 5)
+    }
+
+
 # -- relative collapse -------------------------------------------------------------
 
 def test_relative_collapse_identity(annulus):
@@ -144,6 +156,19 @@ def test_relative_collapse_rejects_non_retract(annulus):
     point = from_facets([(0,)])
     with pytest.raises(NotASubcomplexError):
         relative_collapse(annulus, point)  # not a homology isomorphism
+
+
+def close_raises(*args, **kwargs):
+    raise AssertionError("a face family closed by construction is closed again")
+
+
+def test_relative_collapse_stuck_before_target_reports_the_residual(monkeypatch):
+    # the dunce hat has no free face, so the residual is all of it
+    dh, point = dunce_hat(), from_faces([(1,)])
+    monkeypatch.setattr(complex_core, "_close", close_raises)
+    with pytest.raises(StuckBeforeTargetError) as exc:
+        relative_collapse(dh, point)
+    assert exc.value.residual == dh
 
 
 # -- the sweep ---------------------------------------------------------------------
@@ -484,6 +509,29 @@ def test_backtracking_nodes_match_oracle(c):
     assert (res.status, res.reason) == (ref.status, ref.reason)
     assert (res.sequence and res.sequence.steps) == (ref.sequence and ref.sequence.steps)
     assert search_nodes(backtracking, c) == search_nodes(oracle.backtracking, c)
+
+
+def collapsible_outcome(res):
+    seq = res.sequence
+    return res.status, res.reason, seq and (seq.steps, seq.target)
+
+
+@pytest.mark.parametrize(
+    "c, strategy, reference",
+    [
+        (grid_ball(1, 1, 1).complex, "backtracking", oracle.backtracking),
+        (checkerboard(), "backtracking", oracle.backtracking),
+        (dunce_hat(), "backtracking", oracle.backtracking),
+        (grid_ball(2, 2, 2).complex, "greedy", collapse_oracle.collapsible_greedy),
+    ],
+    ids=["backtracking-grid(1,1,1)", "backtracking-checkerboard", "backtracking-dunce_hat",
+         "greedy-grid(2,2,2)"],
+)
+def test_collapsible_closes_no_face_family_again(monkeypatch, c, strategy, reference):
+    # search nodes and targets are what is left after removing free pairs
+    expected = collapsible_outcome(reference(c))
+    monkeypatch.setattr(complex_core, "_close", close_raises)
+    assert collapsible_outcome(collapsible(c, strategy)) == expected
 
 
 def test_collapse_sequences_replay(simplex3, annulus):

@@ -35,6 +35,8 @@ def test_parse_number_exact():
     assert parse_number("3/4") == Fraction(3, 4)
     with pytest.raises(FormatError):
         parse_number("x")
+    with pytest.raises(FormatError, match="cannot parse number '1/0'"):
+        parse_number("1/0")
 
 
 def test_facets_round_trip(checkerboard):
@@ -383,6 +385,20 @@ def test_cli_repeated_geom_vertex_label_is_an_input_error(tmp_path, capsys):
     code, rep = run_cli(["tight", "check", str(geom), "--pi", "1,2,4"], capsys)
     assert code == 1
     assert rep["error"] == "FormatError: vertex 1 has two coordinate lines"
+
+
+# a zero denominator raised ZeroDivisionError, which ended in a traceback
+@pytest.mark.parametrize(
+    "geom_text, pi",
+    [("geom 3\nv 1 1/0 0 0\nfacets 1\n1\n", "1,2,4"), (None, "1/0,2,4")],
+    ids=["geom_coordinate", "pi"],
+)
+def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys, geom_text, pi):
+    geom = tmp_path / "z.geom"
+    geom.write_text(geom_text or dump_geom(convex_fixture("simplex3")))
+    code, rep = run_cli(["tight", "check", str(geom), "--pi", pi], capsys)
+    assert code == 1
+    assert rep["error"] == "FormatError: cannot parse number '1/0'"
 
 
 @pytest.mark.parametrize("repeat", ["pair 1 ; 1 2", "pair 1 ; 2 1"], ids=["same", "reordered"])
@@ -773,6 +789,16 @@ def test_cli_usage_error_exit_code(capsys):
 def test_cli_io_error_exit_code(capsys):
     code, rep = run_cli(["betti", "/nonexistent/file.facets"], capsys)
     assert code == 1 and "error" in rep
+
+
+def test_cli_timings_appends_elapsed_seconds(tmp_path, capsys):
+    path = write_e(tmp_path)
+    _, plain = run_cli(["betti", path], capsys)
+    code, timed = run_cli(["--timings", "betti", path], capsys)
+    assert code == 0
+    assert list(timed) == [*plain, "elapsed_s"]
+    assert {key: timed[key] for key in plain} == plain
+    assert isinstance(timed["elapsed_s"], float) and timed["elapsed_s"] >= 0
 
 
 def test_cli_text_format(tmp_path, capsys):

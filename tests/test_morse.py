@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tightmorse import betti, from_facets
 from tightmorse.algorithms import sweep_perfect_morse
-from tightmorse.complex_core import from_faces
+from tightmorse.complex_core import cone, from_faces
 from tightmorse.constructions import convex_fixture
 from tightmorse.errors import (
     DanglingFaceError,
@@ -12,9 +12,11 @@ from tightmorse.errors import (
     NotAMatchingError,
     NotCofaceError,
     NotFreeAtStepError,
+    TightMorseError,
 )
 from tightmorse.morse import (
     MorseMatching,
+    _lift_pairs,
     critical_faces,
     from_collapse_sequence,
     is_perfect,
@@ -26,7 +28,7 @@ from tightmorse.morse import (
     validate,
 )
 
-from conftest import fan_disc
+from conftest import fan_disc, random_complexes
 
 
 def matching(c, pairs):
@@ -222,6 +224,51 @@ def test_lift_count_law_on_link_complexes(checkerboard, annulus):
 def test_lift_empty_link_rejected():
     with pytest.raises(EmptyLinkError):
         lift_matching_over_cone(9, from_faces([]), MorseMatching(from_faces([]), frozenset()))
+
+
+@st.composite
+def link_matchings(draw):
+    """A complex of dimension at most 2 on vertices 0..7 and a set of pairs:
+    part of an acyclic matching, then pairs of a face with a coface, in
+    random order while they keep it a matching, which may close a V-cycle,
+    and at most one pair (s, s + u), which may repeat a face, leave the
+    complex through vertex 8 or fail to be a coface."""
+    c = draw(random_complexes.filter(lambda c: c.dimension <= 2))
+    valid = sorted(random_discrete_morse(c, seed=draw(st.integers(0, 10))).pairs)
+    pairs = set(draw(st.lists(st.sampled_from(valid), unique=True)) if valid else ())
+    used = {f for pair in pairs for f in pair}
+    for t in draw(st.permutations([t for t in c.faces() if len(t) > 1])):
+        k = draw(st.integers(0, len(t) - 1))
+        s = t[:k] + t[k + 1:]
+        if s not in used and t not in used:
+            pairs.add((s, t))
+            used |= {s, t}
+    vertices = st.sampled_from((*c.vertices, 8))
+    for s, u in draw(st.lists(st.tuples(st.sampled_from(c.faces()), vertices), max_size=1)):
+        pairs.add((s, tuple(sorted({*s, u}))))
+    return c, MorseMatching(c, frozenset(pairs))
+
+
+def raises(call) -> bool:
+    try:
+        call()
+    except TightMorseError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_matchings())
+def test_lift_is_valid_iff_the_link_matching_is(case):
+    # the sweep checks its lifts only through the union of their pairs
+    lk, m = case
+    apex = 9
+    invalid = raises(lambda: validate(m))
+    lifted = lambda: MorseMatching(cone(lk, apex), frozenset(_lift_pairs(apex, lk, m)))
+    assert raises(lambda: validate(lifted())) == invalid
+    assert raises(lambda: lift_matching_over_cone(apex, lk, m)) == invalid
+    if not invalid:
+        assert lift_matching_over_cone(apex, lk, m).pairs == _lift_pairs(apex, lk, m)
 
 
 # -- random discrete morse ----------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_oracle as oracle
-from tightmorse import algorithms, from_facets
+from tightmorse import algorithms, complex_core, from_facets, morse
 from tightmorse.algorithms import sweep_perfect_morse
 from tightmorse.complex_core import cone
 from tightmorse.constructions import (
@@ -117,3 +117,38 @@ def test_sweep_builds_no_vertex_link(monkeypatch):
 
     monkeypatch.setattr(algorithms, "link", no_link)
     assert sweep_perfect_morse(g, (1, 17, 289)).pairs == expected
+
+
+def raise_when_called(*args, **kwargs):
+    raise AssertionError("a value the sweep has already proved is checked again")
+
+
+@pytest.mark.parametrize(
+    "make, direction",
+    [
+        (lambda: grid_ball(2, 2, 2), (1, 17, 289)),
+        (lambda: convex_fixture("delta4_boundary"), (1, 2, 4, 8)),
+        (lambda: suspension_realization(convex_fixture("octahedron_boundary").complex)[0], (0, 0, 0, 1)),
+    ],
+    ids=["grid(2,2,2)", "delta4_boundary", "suspended_octahedron"],
+)
+def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
+    # a lift is valid iff its link matching is, so the final validate of the
+    # whole matching is the one check; delta4 takes the puncture fallback
+    g = make()
+    expected = oracle.sweep_perfect_morse(g, direction).pairs
+    monkeypatch.setattr(morse, "validate", raise_when_called)
+    monkeypatch.setattr(morse, "cone", raise_when_called)
+    calls = []
+    validate = algorithms.validate
+    monkeypatch.setattr(algorithms, "validate", lambda m: calls.append(m) or validate(m))
+    assert sweep_perfect_morse(g, direction).pairs == expected
+    assert len(calls) == 1
+
+
+def test_sweep_closes_no_face_family_again(monkeypatch):
+    # the punctured last link is a closed family minus one top face
+    g = convex_fixture("delta4_boundary")
+    expected = oracle.sweep_perfect_morse(g, (1, 2, 4, 8)).pairs
+    monkeypatch.setattr(complex_core, "_close", raise_when_called)
+    assert sweep_perfect_morse(g, (1, 2, 4, 8)).pairs == expected
