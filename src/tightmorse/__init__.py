@@ -46,8 +46,6 @@ _EXPORTS = {
         "is_pi_tight",
         "is_prefix_tight",
         "sweep_order",
-        "upper_subcomplex",
-        "verify_lemma_betti_recursion",
     ),
     "algorithms": (
         "CollapseSequence",

@@ -229,16 +229,12 @@ def restrict(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex
 
 # -- joins, cones, suspensions -------------------------------------------
 
-def join(
-    c1: SimplicialComplex,
-    c2: SimplicialComplex,
-    return_map: bool = False,
-) -> SimplicialComplex | tuple[SimplicialComplex, dict[int, int]]:
+def join(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes.
 
-    If the label sets clash, c2 is relabeled by a constant shift; the
-    old-to-new map is returned when ``return_map`` is set (identity map
-    otherwise).  Joining with an empty complex returns the other complex.
+    If the label sets clash, c2 is relabeled by a constant shift, so that
+    its smallest label follows the largest label of c1.  Joining with an
+    empty complex returns the other complex.
     """
     relabel = {v: v for v in c2.vertices}
     if set(c1.vertices) & set(c2.vertices):
@@ -250,10 +246,7 @@ def join(
     for d in range(c2.dimension + 1):
         faces2.extend(tuple(sorted(relabel[u] for u in f)) for f in c2.face_set(d))
 
-    joined = _by_dimension(tuple(sorted(f1 + f2)) for f1 in faces1 for f2 in faces2)
-    if return_map:
-        return joined, relabel
-    return joined
+    return _by_dimension(tuple(sorted(f1 + f2)) for f1 in faces1 for f2 in faces2)
 
 
 def cone(c: SimplicialComplex, apex: int) -> SimplicialComplex:
@@ -273,14 +266,11 @@ def suspension(c: SimplicialComplex) -> tuple[SimplicialComplex, int, int]:
 
 # -- subdivision ----------------------------------------------------------
 
-def barycentric_subdivision(
-    c: SimplicialComplex,
-    return_vertex_map: bool = False,
-) -> SimplicialComplex | tuple[SimplicialComplex, dict[int, Face]]:
+def barycentric_subdivision(c: SimplicialComplex) -> SimplicialComplex:
     """Barycentric subdivision: vertices are faces, faces are chains.
 
-    New labels are allocated in (dimension, lexicographic) order of the
-    original faces; the label-to-face map is returned on request.
+    The vertex labelled i is the barycenter of ``c.faces()[i]``: labels are
+    allocated in (dimension, lexicographic) order of the original faces.
     """
     all_faces = c.faces()
     label_of = {face: i for i, face in enumerate(all_faces)}
@@ -298,10 +288,7 @@ def barycentric_subdivision(
     for face in all_faces:
         grow([label_of[face]], face)
 
-    sd = _by_dimension(chains)  # a subset of a chain is a chain
-    if return_vertex_map:
-        return sd, {i: face for face, i in label_of.items()}
-    return sd
+    return _by_dimension(chains)  # a subset of a chain is a chain
 
 
 # -- free faces and boundaries --------------------------------------------

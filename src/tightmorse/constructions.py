@@ -385,8 +385,11 @@ def stacked_ball(k: int, seed: int | None = None) -> GeometricRealization:
 
     Each new vertex sits just beyond the barycenter of the chosen boundary
     triangle, with the offset halved until the point is beneath every other
-    supporting plane (verified exactly on rationals).
+    supporting plane (verified exactly on rationals).  Raises ValueError
+    for a negative k.
     """
+    if k < 0:
+        raise ValueError("the number of stackings must not be negative")
     g = _simplex3()
     rng = random.Random(seed) if seed is not None else None
     facets = list(g.complex.face_set(3))
@@ -488,7 +491,7 @@ def convex_fixture(name: str) -> GeometricRealization:
     """Named fixtures in exact convex position.
 
     simplex3, octahedron_boundary, icosahedron_boundary, schlegel_cross4,
-    delta4_boundary, stacked(K), and stacked(K,SEED).
+    delta4_boundary, stacked(K), and stacked(K,SEED) for K >= 0.
     """
     name = name.strip()
     if name == "simplex3":
@@ -502,14 +505,13 @@ def convex_fixture(name: str) -> GeometricRealization:
     if name == "delta4_boundary":
         return _delta4_boundary()
     if name.startswith("stacked(") and name.endswith(")"):
-        inner = name[len("stacked("):-1]
-        parts = [p.strip() for p in inner.split(",")]
         try:
-            k = int(parts[0])
-            seed = int(parts[1]) if len(parts) > 1 else None
-        except (ValueError, IndexError):
-            raise UnknownFixtureError(f"cannot parse {name!r}")
-        return stacked_ball(k, seed)
+            k, *seed = map(int, name[len("stacked("):-1].split(","))
+        except ValueError:
+            raise UnknownFixtureError(f"cannot parse {name!r}") from None
+        if k < 0 or len(seed) > 1:
+            raise UnknownFixtureError(f"{name!r}: expected stacked(K) or stacked(K,SEED), K >= 0")
+        return stacked_ball(k, *seed)
     raise UnknownFixtureError(name)
 
 
@@ -533,20 +535,19 @@ def dunce_hat() -> SimplicialComplex:
     ])
 
 
-def suspension_realization(
-    c: SimplicialComplex, spread: Fraction = Fraction(1, 100)
-) -> tuple[GeometricRealization, int, int]:
+def suspension_realization(c: SimplicialComplex) -> tuple[GeometricRealization, int, int]:
     """Suspension with apices on the last axis and the base slightly tilted.
 
     The base complex sits near the hyperplane of height zero with distinct
-    small heights, apices at heights +1 and -1, in one more ambient
-    dimension; the last coordinate vector is then in general position.
+    heights in (-1/100, 1/100), apices at heights +1 and -1, in one more
+    ambient dimension; the last coordinate vector is then in general
+    position.
     """
     sus, north, south = suspension(c)
     n = c.vertex_count
     coords: dict[int, tuple] = {}
     for m, v in enumerate(c.vertices):
-        h = spread * Fraction(2 * (m + 1) - (n + 1), n + 1)
+        h = Fraction(2 * (m + 1) - (n + 1), 100 * (n + 1))
         coords[v] = (Fraction(m), Fraction(0), Fraction(0), h)
     coords[north] = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     coords[south] = (Fraction(0), Fraction(0), Fraction(0), Fraction(-1))

@@ -102,10 +102,6 @@ class DirectionLengthError(TightMorseError):
     """The direction has a different length than the ambient dimension."""
 
 
-class ThresholdHitsVertexError(TightMorseError):
-    """A halfspace threshold coincides with a vertex height."""
-
-
 class NotTightError(TightMorseError):
     """The realization failed the tightness precondition."""
 

@@ -32,11 +32,23 @@ def parse_int(token: str) -> int:
         raise FormatError(f"expected an integer, got {token!r}") from exc
 
 
+# Python's default limit on the digits of an int read from a string; Fraction
+# expands a decimal exponent in full, so a larger one could take any time
+MAX_EXPONENT = 4300
+
+
 def parse_number(token: str) -> Number:
     try:
         return int(token)
     except ValueError:
         pass
+    _, e, exponent = token.lower().partition("e")
+    try:
+        too_large = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:
+        too_large = False  # not an exponent; Fraction rejects the token
+    if too_large:
+        raise FormatError(f"exponent of {token!r} exceeds {MAX_EXPONENT} in absolute value")
     try:
         return Fraction(token)  # handles "3/4" and "0.25" exactly
     except (ValueError, ZeroDivisionError) as exc:

@@ -31,15 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .complex_core import SimplicialComplex, link, restrict
-from .errors import (
-    DegenerateDirectionError,
-    DirectionLengthError,
-    InvalidEmbeddingError,
-    NotTightError,
-    ThresholdHitsVertexError,
-)
-from .homology_z2 import betti, persistence_pairs
+from .complex_core import SimplicialComplex, restrict
+from .errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
+from .homology_z2 import persistence_pairs
 
 Number = int | float | Fraction
 Vector = tuple[Number, ...]
@@ -84,13 +78,6 @@ class SweepOrder:
     heights: tuple[Number, ...]
 
 
-def _check_length(g: GeometricRealization, direction: Vector) -> None:
-    if len(direction) != g.ambient_dim:
-        raise DirectionLengthError(
-            f"direction has {len(direction)} coordinates, expected {g.ambient_dim}"
-        )
-
-
 def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
     """Sort vertices by height, breaking ties by simulation of simplicity.
 
@@ -101,7 +88,10 @@ def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
     the wrong length, and DegenerateDirectionError for the zero vector and
     for coincident points.
     """
-    _check_length(g, direction)
+    if len(direction) != g.ambient_dim:
+        raise DirectionLengthError(
+            f"direction has {len(direction)} coordinates, expected {g.ambient_dim}"
+        )
     if all(d == 0 for d in direction):
         raise DegenerateDirectionError([])
     keyed = sorted((g.height(v, direction), g.coords[v], v) for v in g.complex.vertices)
@@ -109,19 +99,6 @@ def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
     if coincident:
         raise DegenerateDirectionError(coincident)
     return SweepOrder(tuple(direction), tuple(v for _, _, v in keyed), tuple(h for h, _, _ in keyed))
-
-
-def upper_subcomplex(g: GeometricRealization, direction: Vector, threshold: Number) -> SimplicialComplex:
-    """Induced subcomplex on vertices strictly above the threshold height."""
-    _check_length(g, direction)
-    above = []
-    for v in g.complex.vertices:
-        h = g.height(v, direction)
-        if h == threshold:
-            raise ThresholdHitsVertexError(f"threshold {threshold} hits vertex {v}")
-        if h > threshold:
-            above.append(v)
-    return restrict(g.complex, above)
 
 
 # -- tightness -------------------------------------------------------------
@@ -263,68 +240,6 @@ def check_tightness_sampled(
         if not rep.tight:
             failures.append((idx, direction, rep))
     return SampledTightnessReport(samples, samples - len(failures), tuple(failures))
-
-
-# -- the Betti recursion at the top vertex ----------------------------------
-
-@dataclass(frozen=True)
-class RecursionViolation:
-    dim: int
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
-class RecursionReport:
-    ok: bool
-    top_vertex: int | None
-    violations: tuple[RecursionViolation, ...]
-
-
-def verify_lemma_betti_recursion(g: GeometricRealization, direction: Vector) -> RecursionReport:
-    """Check the link/deletion Betti identity at the top vertex.
-
-    For the top vertex v with nonempty link L the identity reads, in
-    non-reduced mod-2 Betti numbers with delta the Kronecker symbol,
-
-        beta_i(L) + beta_{i+1}(C - v) - delta_{i0} = beta_{i+1}(C).
-
-    Precondition (checked, NotTightError otherwise): every sweep prefix of
-    the realization includes injectively, which is what makes the identity
-    a theorem.  An isolated top vertex is handled with the reduced-homology
-    form of the same identity: beta_0 drops by one and the higher terms
-    match without the Kronecker correction.
-    """
-    report = is_prefix_tight(g, direction)
-    if not report.tight:
-        raise NotTightError("prefix injectivity fails; the identity is only claimed for tight embeddings", report)
-    order = sweep_order(g, direction)
-    c = g.complex
-    if len(order.vertices) < 2:
-        return RecursionReport(True, order.vertices[-1] if order.vertices else None, ())
-    v = order.vertices[-1]
-    rest = restrict(c, order.vertices[:-1])
-    lk = link(c, v)
-    b_c = betti(c)
-    b_rest = betti(rest)
-    violations: list[RecursionViolation] = []
-    top = c.dimension
-    if lk.is_empty:
-        if b_c[0] != b_rest[0] + 1:
-            violations.append(RecursionViolation(-1, b_rest[0] + 1, b_c[0]))
-        for i in range(top + 1):
-            lhs = b_rest[i + 1]
-            rhs = b_c[i + 1]
-            if lhs != rhs:
-                violations.append(RecursionViolation(i, lhs, rhs))
-    else:
-        b_link = betti(lk)
-        for i in range(top + 1):
-            lhs = b_link[i] + b_rest[i + 1] - (1 if i == 0 else 0)
-            rhs = b_c[i + 1]
-            if lhs != rhs:
-                violations.append(RecursionViolation(i, lhs, rhs))
-    return RecursionReport(not violations, v, tuple(violations))
 
 
 # -- optional exact embedding verification ----------------------------------

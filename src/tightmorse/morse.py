@@ -3,8 +3,6 @@
 A matching pairs faces with cofaces of one dimension higher; unmatched
 faces are critical.  Acyclicity is checked layer by layer with Kahn-style
 topological sorting, returning an explicit alternating V-cycle on failure.
-An integer-valued function can be emitted for export, but the matching is
-the canonical representation throughout the package.
 """
 
 from __future__ import annotations
@@ -150,14 +148,6 @@ def _check_layer_acyclic(layer: dict[Face, Face]) -> None:
             raise MatchingCycleError(witness)
         positions[cur] = len(walk)
         walk.append(cur)
-
-
-def is_valid(m: MorseMatching) -> bool:
-    try:
-        validate(m)
-        return True
-    except (DanglingFaceError, NotCofaceError, NotAMatchingError, MatchingCycleError):
-        return False
 
 
 def critical_faces(m: MorseMatching) -> list[Face]:
@@ -344,52 +334,3 @@ def random_discrete_morse(c: SimplicialComplex, seed: int = 0) -> MorseMatching:
         tops = tracker.facets_of_max_dim()
         tracker.remove_facet(tops[rng.randrange(len(tops))])
     return MorseMatching(c, frozenset(pairs))
-
-
-def to_integer_function(m: MorseMatching) -> dict[Face, int]:
-    """Explicit weakly-increasing integer function inducing the matching.
-
-    Matched pairs share a value, unmatched cover relations increase
-    strictly; built by topologically sorting the pair-contracted Hasse
-    diagram.
-    """
-    validate(m)
-    c = m.complex
-    node_of: dict[Face, Face] = {}
-    for s, t in m.pairs:
-        node_of[s] = s
-        node_of[t] = s
-    for f in c.faces():
-        node_of.setdefault(f, f)
-
-    matched_pairs = set(m.pairs)
-    succ: dict[Face, set[Face]] = {n: set() for n in node_of.values()}
-    indeg: dict[Face, int] = {n: 0 for n in node_of.values()}
-    for t in c.faces():
-        if len(t) < 2:
-            continue
-        for k in range(len(t)):
-            s = t[:k] + t[k + 1:]
-            if (s, t) in matched_pairs:
-                continue
-            a, b = node_of[s], node_of[t]
-            if a != b and b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
-
-    order: list[Face] = []
-    queue = sorted(n for n, d in indeg.items() if d == 0)
-    while queue:
-        n = queue.pop(0)
-        order.append(n)
-        ready = []
-        for b in succ[n]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        queue.extend(sorted(ready))
-        queue.sort()
-    if len(order) != len(succ):
-        raise MorseInvariantError("contracted Hasse diagram is not acyclic")
-    value = {n: i for i, n in enumerate(order)}
-    return {f: value[node_of[f]] for f in c.faces()}

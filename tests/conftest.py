@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import strategies as st
 
-from tightmorse import constructions, from_facets
-from tightmorse.complex_core import SimplicialComplex, cone
+from tightmorse import betti, constructions, from_facets
+from tightmorse.complex_core import SimplicialComplex, cone, link, restrict
+from tightmorse.geometry import is_prefix_tight, sweep_order
 
 
 # facets on vertices 0..6, optionally coned from 7: at most 8 vertices and
@@ -15,6 +16,22 @@ random_complexes = st.builds(
     st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True), min_size=1, max_size=6),
     st.booleans(),
 )
+
+
+def assert_betti_recursion(g, direction) -> None:
+    """The link/deletion Betti identity at the top vertex v of the sweep.
+
+    Every sweep prefix of g must include injectively; then, in non-reduced
+    mod-2 Betti numbers, with L the link of v in C = g.complex,
+
+        b_i(L) + b_{i+1}(C - v) - delta_{i0} = b_{i+1}(C).
+    """
+    assert is_prefix_tight(g, direction).tight
+    order = sweep_order(g, direction)
+    c, v = g.complex, order.vertices[-1]
+    b_link, b_rest, b_c = betti(link(c, v)), betti(restrict(c, order.vertices[:-1])), betti(c)
+    for i in range(c.dimension + 1):
+        assert b_link[i] + b_rest[i + 1] - (i == 0) == b_c[i + 1], (v, i)
 
 
 @pytest.fixture

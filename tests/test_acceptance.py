@@ -34,14 +34,10 @@ from tightmorse.constructions import (
     straight_path,
     trefoil_path,
 )
-from tightmorse.geometry import (
-    GeometricRealization,
-    sweep_order,
-    verify_lemma_betti_recursion,
-)
+from tightmorse.geometry import GeometricRealization, sweep_order
 from tightmorse.morse import morse_vector, random_discrete_morse, validate
 
-from conftest import annulus_complex, fan_disc
+from conftest import annulus_complex, assert_betti_recursion, fan_disc
 
 
 def _passed(criterion: int, message: str) -> None:
@@ -116,23 +112,20 @@ def test_criterion_2_tight_spheres_perfect(convex_sphere_fixtures):
 
 def test_criterion_3_betti_recursion_on_all_prefixes(convex_ball_fixtures,
                                                      convex_sphere_fixtures):
-    """The link/deletion Betti identity holds at every sweep prefix."""
+    """The link/deletion Betti identity holds at every sweep prefix, and
+    every prefix is prefix-tight."""
     checks = 0
-    for i, (name, g) in enumerate(convex_ball_fixtures):
+    for i, (_, g) in enumerate(convex_ball_fixtures):
         for direction in _directions(g, 3, base_seed=100 + i):
             order = sweep_order(g, direction)
             for j in range(2, len(order.vertices) + 1):
-                prefix = g.restricted(order.vertices[:j])
-                report = verify_lemma_betti_recursion(prefix, direction)
-                assert report.ok, (name, j, report.violations)
+                assert_betti_recursion(g.restricted(order.vertices[:j]), direction)
                 checks += 1
-    for i, (name, g) in enumerate(convex_sphere_fixtures):
+    for i, (_, g) in enumerate(convex_sphere_fixtures):
         for direction in _directions(g, 5, base_seed=500 + i):
             order = sweep_order(g, direction)
             for j in range(2, len(order.vertices) + 1):
-                prefix = g.restricted(order.vertices[:j])
-                report = verify_lemma_betti_recursion(prefix, direction)
-                assert report.ok, (name, j, report.violations)
+                assert_betti_recursion(g.restricted(order.vertices[:j]), direction)
                 checks += 1
     assert checks >= 500
     _passed(3, f"Kronecker-delta Betti recursion verified at {checks} prefixes")

@@ -179,10 +179,10 @@ def test_closed_surface_and_two_sphere(boundary_delta3, boundary_delta2, checker
 
 
 def test_join_relabels_on_clash(triangle):
-    joined, relabel = join(triangle, from_facets([(1, 2)]), return_map=True)
-    assert set(relabel) == {1, 2}
-    assert len(set(relabel.values()) & {1, 2, 3}) == 0
-    assert joined.dimension == 4  # triangle * edge
+    # the edge's labels 1, 2 move past the triangle's to 4, 5
+    joined = join(triangle, from_facets([(1, 2)]))
+    assert joined.facets == ((1, 2, 3, 4, 5),)  # triangle * edge
+    assert join(triangle, from_facets([(7, 8)])).facets == ((1, 2, 3, 7, 8),)
 
 
 def test_sd_of_triangle(triangle):
@@ -220,10 +220,13 @@ def test_sd_of_edge_is_path():
 
 
 def test_sd_preserves_euler_and_betti(checkerboard):
-    sd, label_map = barycentric_subdivision(checkerboard, return_vertex_map=True)
+    sd = barycentric_subdivision(checkerboard)
     assert sd.euler_characteristic == checkerboard.euler_characteristic == -2
     assert tuple(betti(sd)) == (1, 3, 0)
-    assert len(label_map) == checkerboard.num_faces
+    # vertex i is the barycenter of faces()[i]; edges join a face to a coface
+    faces = checkerboard.faces()
+    assert sd.vertices == tuple(range(len(faces)))
+    assert all(set(faces[i]) < set(faces[j]) for i, j in sd.face_set(1))
 
 
 def test_free_faces_of_triangle(triangle):

@@ -225,6 +225,17 @@ def test_stacked_fixture_parse_and_convexity():
     g2 = convex_fixture("stacked(3,7)")
     assert len(g2.complex.face_set(3)) == 4
     assert verify_convex_position(g2)
+    assert convex_fixture("stacked(0)").complex.f_vector == (4, 6, 4, 1)
+    assert convex_fixture("stacked( 3 , 1 )") == stacked_ball(3, seed=1)
+
+
+def test_malformed_stacked_fixture_rejected():
+    # stacked(-3) gave the bare simplex and stacked(3,1,9) dropped the 9
+    for name in ("stacked(-3)", "stacked(3,1,9)", "stacked()", "stacked(3,)"):
+        with pytest.raises(UnknownFixtureError):
+            convex_fixture(name)
+    with pytest.raises(ValueError, match="must not be negative"):
+        stacked_ball(-1)
 
 
 def test_stacked_seeds_vary():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +38,15 @@ def test_parse_number_exact():
         parse_number("x")
     with pytest.raises(FormatError, match="cannot parse number '1/0'"):
         parse_number("1/0")
+    assert parse_number("1e4300") == 10**4300
+    assert parse_number("-2.5E-4300") == Fraction(-25, 10**4301)
+
+
+# Fraction expanded a decimal exponent in full, so 1e999999999999 never finished
+@pytest.mark.parametrize("token", ["1e4301", "-2.5E-4301", "1e1_000_000"])
+def test_parse_number_rejects_a_huge_exponent(token):
+    with pytest.raises(FormatError, match=f"exponent of {token!r} exceeds 4300 in absolute value"):
+        parse_number(token)
 
 
 def test_facets_round_trip(checkerboard):
@@ -401,6 +411,21 @@ def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys, geom_text, pi)
     assert rep["error"] == "FormatError: cannot parse number '1/0'"
 
 
+@pytest.mark.parametrize(
+    "geom_text, pi",
+    [("geom 3\nv 1 1e1000000 0 0\nfacets 1\n1\n", "1,2,4"), (None, "1e1000000,2,4")],
+    ids=["geom_coordinate", "pi"],
+)
+def test_cli_huge_exponent_is_an_input_error(tmp_path, capsys, geom_text, pi):
+    geom = tmp_path / "e.geom"
+    geom.write_text(geom_text or dump_geom(convex_fixture("simplex3")))
+    start = time.perf_counter()
+    code, rep = run_cli(["tight", "check", str(geom), "--pi", pi], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert rep["error"] == "FormatError: exponent of '1e1000000' exceeds 4300 in absolute value"
+
+
 @pytest.mark.parametrize("repeat", ["pair 1 ; 1 2", "pair 1 ; 2 1"], ids=["same", "reordered"])
 def test_cli_repeated_morse_pair_is_an_input_error(tmp_path, capsys, repeat):
     # the matching kept one copy of the pair, and was reported valid (exit 0)
@@ -419,6 +444,16 @@ def test_cli_build_grid_zero_cubes_is_an_input_error(tmp_path, capsys):
     code, rep = run_cli(["build", "grid", "--n", "0,1,1", "--out", str(out)], capsys)
     assert code == 1
     assert rep["error"] == "GridSizeError: cube counts must be at least 1"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["stacked(-3)", "stacked(3,1,9)"])
+def test_cli_build_malformed_stacked_fixture_is_an_input_error(tmp_path, capsys, name):
+    # stacked(-3) wrote the bare simplex and stacked(3,1,9) ignored the 9
+    out = tmp_path / "s.geom"
+    code, rep = run_cli(["build", "fixture", name, "--out", str(out)], capsys)
+    assert code == 1
+    assert rep["error"] == f"UnknownFixtureError: {name!r}: expected stacked(K) or stacked(K,SEED), K >= 0"
     assert not out.exists()
 
 

@@ -15,23 +15,17 @@ from tightmorse.constructions import (
     stacked_ball,
     suspension_realization,
 )
-from tightmorse.errors import (
-    DegenerateDirectionError,
-    DirectionLengthError,
-    InvalidEmbeddingError,
-    NotTightError,
-    ThresholdHitsVertexError,
-)
+from tightmorse.errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
 from tightmorse.geometry import (
     GeometricRealization,
     check_tightness_sampled,
     is_pi_tight,
     is_prefix_tight,
     sweep_order,
-    upper_subcomplex,
     verify_embedding,
-    verify_lemma_betti_recursion,
 )
+
+from conftest import assert_betti_recursion
 
 
 def delta3_realization():
@@ -94,8 +88,6 @@ def test_direction_of_wrong_length_rejected(direction):
     message = f"direction has {len(direction)} coordinates, expected 3"
     with pytest.raises(DirectionLengthError, match=message):
         sweep_order(g, direction)
-    with pytest.raises(DirectionLengthError, match=message):
-        upper_subcomplex(g, direction, Fraction(1, 2))
 
 
 @st.composite
@@ -127,28 +119,6 @@ def test_symbolic_ties_match_explicit_perturbation(case):
     assert sweep_order(g, direction).vertices == sweep_order(g, explicit).vertices
     assert scan_summary(is_pi_tight(g, direction)) == scan_summary(is_pi_tight(g, explicit))
     assert scan_summary(is_prefix_tight(g, direction)) == scan_summary(is_prefix_tight(g, explicit))
-
-
-def test_upper_subcomplex_thresholds():
-    g = delta3_realization()
-    c = g.complex
-    assert upper_subcomplex(g, (1, 2, 4), -1) == c
-    top = upper_subcomplex(g, (1, 2, 4), Fraction(7, 2))
-    assert top.faces() == ((3,),)
-    mid = upper_subcomplex(g, (1, 2, 4), 3)  # between e2 and e3
-    assert mid.faces() == ((3,),)
-    with pytest.raises(ThresholdHitsVertexError):
-        upper_subcomplex(g, (1, 2, 4), 2)
-
-
-def test_upper_subcomplex_monotone():
-    g = delta3_realization()
-    prev = None
-    for t in (Fraction(-1), Fraction(1, 2), Fraction(3, 2), Fraction(3)):
-        cur = set(upper_subcomplex(g, (1, 2, 4), t).faces())
-        if prev is not None:
-            assert cur <= prev
-        prev = cur
 
 
 def test_simplex_is_tight_any_direction():
@@ -214,28 +184,11 @@ def test_convex_fixture_family_tight_in_sampled_directions():
 
 
 def test_betti_recursion_simplex():
-    rep = verify_lemma_betti_recursion(delta3_realization(), (1, 2, 4))
-    assert rep.ok and rep.top_vertex == 3
+    assert_betti_recursion(delta3_realization(), (1, 2, 4))
 
 
 def test_betti_recursion_octahedron():
-    g = convex_fixture("octahedron_boundary")
-    rep = verify_lemma_betti_recursion(g, (1, 2, 4))
-    assert rep.ok
-
-
-def test_betti_recursion_requires_tightness():
-    roof = from_facets([(1, 2), (2, 3)])
-    g = GeometricRealization(roof, {1: (0, 0), 2: (1, 2), 3: (2, Fraction(1, 8))}, 2)
-    with pytest.raises(NotTightError):
-        verify_lemma_betti_recursion(g, (0, 1))
-
-
-def test_betti_recursion_isolated_top_vertex():
-    c = from_facets([(1, 2), (3,)])
-    g = GeometricRealization(c, {1: (0, 0), 2: (1, 1), 3: (0, 5)}, 2)
-    rep = verify_lemma_betti_recursion(g, (0, 1))
-    assert rep.ok and rep.top_vertex == 3
+    assert_betti_recursion(convex_fixture("octahedron_boundary"), (1, 2, 4))
 
 
 def test_prefixes_of_tight_fixture_stay_tight():

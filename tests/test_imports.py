@@ -18,7 +18,7 @@ from tightmorse.morse import random_discrete_morse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# the package-level names when every one was imported eagerly, by module
+# the package-level names, by the module that defines them
 EXPORTS = {
     "complex_core": [
         "SimplicialComplex", "barycentric_subdivision", "boundary_complex", "cone", "deletion",
@@ -31,7 +31,7 @@ EXPORTS = {
     ],
     "geometry": [
         "GeometricRealization", "check_tightness_sampled", "is_pi_tight", "is_prefix_tight",
-        "sweep_order", "upper_subcomplex", "verify_lemma_betti_recursion",
+        "sweep_order",
     ],
     "algorithms": [
         "CollapseSequence", "NonEvasivenessCertificate", "collapsible", "nonevasive",
@@ -96,7 +96,7 @@ def test_star_import_binds_the_same_names(tmp_path):
 
 
 def test_package_exports_resolve_to_their_module_objects():
-    assert tightmorse.__all__ == ALL
+    assert tightmorse.__all__ == ALL and len(ALL) == 44
     for module, names in EXPORTS.items():
         mod = importlib.import_module(f"tightmorse.{module}")
         assert getattr(tightmorse, module) is mod
@@ -120,6 +120,13 @@ def test_package_exports_are_not_cached(monkeypatch):
             assert getattr(tightmorse, name) is stand_in, name
             monkeypatch.setattr(mod, name, original)
             assert getattr(tightmorse, name) is original, name
+
+
+@pytest.mark.parametrize("name", ["upper_subcomplex", "verify_lemma_betti_recursion"])
+def test_removed_package_names_are_gone(name):
+    assert name not in dir(tightmorse)
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(tightmorse, name)
 
 
 def test_unknown_package_attribute_raises():

@@ -20,11 +20,9 @@ from tightmorse.morse import (
     critical_faces,
     from_collapse_sequence,
     is_perfect,
-    is_valid,
     lift_matching_over_cone,
     morse_vector,
     random_discrete_morse,
-    to_integer_function,
     validate,
 )
 
@@ -117,7 +115,11 @@ def test_validator_agrees_with_brute_force_on_random_matchings(checkerboard):
                 pairs.append((s, t))
                 used |= {s, t}
         m = MorseMatching(checkerboard, frozenset(pairs))
-        assert is_valid(m) == (not has_v_cycle_brute_force(m))
+        if has_v_cycle_brute_force(m):
+            with pytest.raises(MatchingCycleError):
+                validate(m)
+        else:
+            validate(m)
 
 
 def test_structural_errors(triangle):
@@ -315,25 +317,3 @@ def test_betti_invariant_under_elementary_collapse(checkerboard, annulus):
         s, t = free_faces(c)[0]
         after = from_faces([f for f in c.faces() if f not in (s, t)])
         assert tuple(betti(after)) == before
-
-
-# -- exported integer function --------------------------------------------------------
-
-def test_integer_function_encodes_matching(boundary_delta3):
-    m = random_discrete_morse(boundary_delta3, seed=2)
-    f = to_integer_function(m)
-    paired = {s: t for s, t in m.pairs}
-    for face in boundary_delta3.faces():
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            if not sub:
-                continue
-            if paired.get(sub) == face:
-                assert f[sub] == f[face]
-            else:
-                assert f[sub] < f[face]
-    # at most 2-to-1
-    from collections import Counter
-
-    counts = Counter(f.values())
-    assert all(n <= 2 for n in counts.values())
