@@ -30,14 +30,16 @@ from .errors import (
     StuckBeforeTargetError,
     StuckNoDeletableVertexError,
     StuckNoFreeEdgeError,
+    TightMorseError,
 )
-from .geometry import GeometricRealization, is_prefix_tight, sweep_order
+from .geometry import GeometricRealization, SweepOrder, is_prefix_tight, sweep_order
 from .homology_z2 import betti, inclusion_induced_injective, is_subcomplex
 from .morse import (
     FaceSetCollapser,
     MorseMatching,
     Pair,
     _lift_pairs,
+    morse_differential,
     morse_vector,
     random_pick,
     validate,
@@ -253,33 +255,17 @@ def _perfect_on_link(lower_link: SimplicialComplex) -> MorseMatching:
         return MorseMatching(lower_link, inner.pairs)
 
 
-def sweep_perfect_morse(
-    g: GeometricRealization,
-    direction,
-    assume_tight: bool = False,
-) -> MorseMatching:
-    """Perfect discrete Morse matching from a height sweep of a tight
-    realization.
+def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> set[Pair]:
+    """The pairs of the sweep along ``order``, unchecked.
 
-    Processes vertices in sweep order (ascending height, ties broken as in
-    ``sweep_order``).  The lower links come from one pass over the faces: a
-    face lies in the lower link of exactly one vertex, its last vertex in
-    the sweep order, and is filed there without that vertex.  A vertex with
-    empty lower link stays critical; otherwise the lower link gets a perfect
-    matching which is lifted over the cone at the vertex.  A lift is valid
-    iff its link matching is, so the one ``validate`` of the result checks
-    every lift.  The result is compared against the Betti vector; a mismatch
-    raises PerfectnessAssertionFailedError since the construction guarantees
-    perfectness on genuinely tight input.
+    The lower links come from one pass over the faces: a face lies in the
+    lower link of exactly one vertex, its last vertex in the sweep order,
+    and is filed there without that vertex.  A vertex with empty lower link
+    stays critical; otherwise the lower link gets a perfect matching which
+    is lifted over the cone at the vertex.  Every pair lies in the lower
+    star of one vertex.  Raises LinkNotPlanarCollapsibleError when a lower
+    link has no such matching.
     """
-    order = sweep_order(g, direction)
-    if not assume_tight:
-        report = is_prefix_tight(g, direction)
-        if not report.tight:
-            raise NotTightError(
-                f"{len(report.failures)} prefix injectivity failures", report
-            )
-    c = g.complex
     position = {v: i for i, v in enumerate(order.vertices)}
     # lower link faces of each vertex, by dimension (a closed family)
     lower_levels = {v: [set() for _ in range(c.dimension)] for v in order.vertices}
@@ -296,13 +282,60 @@ def sweep_perfect_morse(
             except StuckNoFreeEdgeError as exc:
                 raise LinkNotPlanarCollapsibleError(v, exc) from exc
             pairs |= _lift_pairs(v, lower, m_link)
+    return pairs
 
-    matching = MorseMatching(c, frozenset(pairs))
-    validate(matching)
-    mv = morse_vector(matching)
-    bv = betti(c)
-    if tuple(mv) != tuple(bv):
-        raise PerfectnessAssertionFailedError(tuple(mv), tuple(bv))
+
+def _require_prefix_tight(g: GeometricRealization, direction) -> None:
+    """Raise NotTightError with the scan's report unless every prefix injects."""
+    report = is_prefix_tight(g, direction)
+    if not report.tight:
+        raise NotTightError(f"{len(report.failures)} prefix injectivity failures", report)
+
+
+def sweep_perfect_morse(
+    g: GeometricRealization,
+    direction,
+    assume_tight: bool = False,
+) -> MorseMatching:
+    """Perfect discrete Morse matching from a height sweep of a tight
+    realization.
+
+    Processes vertices in sweep order (ascending height, ties broken as in
+    ``sweep_order``), matching each lower link and lifting it over the cone
+    at its vertex (``_sweep_pairs``).  A lift is valid iff its link matching
+    is, so the one ``validate`` of the result checks every lift.
+
+    The sweep certifies itself.  Every pair lies in the lower star of one
+    vertex, so the matching is a gradient that respects the filtration by
+    sweep prefixes, and its Morse complex has the persistence of that
+    filtration (Mischaikow–Nanda 2013).  A zero mod-2 Morse differential
+    (``morse_differential``) therefore proves both that every prefix
+    injects in homology (prefix-tightness) and that the matching is
+    perfect, and the matching is returned with no further check.
+
+    The tightness scan and the Betti numbers run only to explain a failure,
+    with the precedence of checking tightness first.  Unless
+    ``assume_tight``, a sweep that raises or ends with a nonzero
+    differential runs ``is_prefix_tight`` and raises NotTightError if a
+    prefix fails to inject.  Otherwise a nonzero differential raises
+    PerfectnessAssertionFailedError with the Morse and Betti vectors.
+    """
+    order = sweep_order(g, direction)
+    c = g.complex
+    try:
+        matching = MorseMatching(c, frozenset(_sweep_pairs(c, order)))
+        validate(matching)
+    except TightMorseError:
+        if not assume_tight:
+            _require_prefix_tight(g, direction)
+        raise
+    if any(morse_differential(matching).values()):
+        if not assume_tight:
+            _require_prefix_tight(g, direction)
+        mv = morse_vector(matching)
+        bv = betti(c)
+        if tuple(mv) != tuple(bv):
+            raise PerfectnessAssertionFailedError(tuple(mv), tuple(bv))
     return matching
 
 

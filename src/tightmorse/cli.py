@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -223,6 +224,8 @@ def _cmd_tight(args) -> tuple[int, dict]:
         geometry.verify_embedding(g)
     if args.pi:
         report = geometry.is_pi_tight(g, _parse_vector(args.pi))
+        if any(math.isinf(f.threshold) for f in report.failures):
+            return EXIT_USAGE, {"error": "a failing level lies beyond float range"}
         return EXIT_OK, {
             "tight": report.tight,
             "checks": report.checks,

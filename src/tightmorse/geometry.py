@@ -2,17 +2,17 @@
 
 Coordinates supplied as integers or fractions keep every computation
 exact; the only float produced is ``TightnessFailure.threshold``, a label
-for the failing level.  Directions need not be generic: ``sweep_order``
-breaks height ties by simulation of simplicity, so every nonzero direction
-orders distinct points strictly.  The halfspace restriction is modeled
-combinatorially by the full induced subcomplex on the vertices beyond the
-threshold, which is a deformation retract of the geometric restriction for
-linear embeddings in general position.  Consequently the upper sets of one
-sweep form a filtration of the complex, and tightness along a direction is
-decided by one mod-2 persistence reduction of it
-(``homology_z2.persistence_pairs``).  Whether the coordinates are such an
-embedding is checked only on request, by ``verify_embedding``, exactly on
-rationals.
+for the failing level (infinite where the level lies beyond float range).
+Directions need not be generic: ``sweep_order`` breaks height ties by
+simulation of simplicity, so every nonzero direction orders distinct
+points strictly.  The halfspace restriction is modeled combinatorially by
+the full induced subcomplex on the vertices beyond the threshold, which is
+a deformation retract of the geometric restriction for linear embeddings
+in general position.  Consequently the upper sets of one sweep form a
+filtration of the complex, and tightness along a direction is decided by
+one mod-2 persistence reduction of it (``homology_z2.persistence_pairs``).
+Whether the coordinates are such an embedding is checked only on request,
+by ``verify_embedding``, exactly on rationals.
 
 Two injectivity conventions appear:
 
@@ -26,6 +26,7 @@ Two injectivity conventions appear:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,7 +109,8 @@ class TightnessFailure:
     """One failing level and dimension of a tightness scan.
 
     ``threshold`` is the midpoint of the two heights the level separates;
-    it equals their common height where the sweep order broke a tie.
+    it equals their common height where the sweep order broke a tie, and
+    it is infinite, with the midpoint's sign, beyond float range.
     """
 
     threshold: float
@@ -165,14 +167,20 @@ def _injectivity_scan(g: GeometricRealization, order: SweepOrder) -> TightnessRe
         checks += reach + 1
 
     failures = [
-        TightnessFailure(
-            float((order.heights[j - 1] + order.heights[j]) / 2), i, alive[j][i], kept[j][i]
-        )
+        TightnessFailure(_level(order.heights[j - 1], order.heights[j]), i, alive[j][i], kept[j][i])
         for j in range(1, n)
         for i in range(c.dimension + 1)
         if alive[j][i] != kept[j][i]
     ]
     return TightnessReport(not failures, order.direction, checks, tuple(failures))
+
+
+def _level(low: Number, high: Number) -> float:
+    """The midpoint of two heights as a float, infinite beyond float range."""
+    try:
+        return float((low + high) / 2)
+    except OverflowError:
+        return math.inf if low + high > 0 else -math.inf
 
 
 def is_pi_tight(g: GeometricRealization, direction: Vector) -> TightnessReport:

@@ -282,6 +282,28 @@ def test_cli_tight_check_failures(tmp_path, capsys, make, direction, checks, fai
     }
 
 
+# the level midpoints of heights beyond float range ended in an
+# OverflowError traceback from float() in the tightness scan
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["tight", "check", "{}", "--pi", "0,1e400"], "a failing level lies beyond float range"),
+        (["morse", "sweep", "{}", "--pi", "0,-1e400"], "NotTightError: 1 prefix injectivity failures"),
+    ],
+    ids=["tight_check", "morse_sweep"],
+)
+def test_cli_heights_beyond_float_range(tmp_path, capsys, args, error):
+    geom = tmp_path / "v.geom"
+    geom.write_text(dump_geom(v_path_geom()))
+    code = main([a.format(geom) for a in args])
+    inputs = json.dumps({str(geom): hashlib.sha256(geom.read_bytes()).hexdigest()[:12]})
+    assert code == 1
+    assert capsys.readouterr().out == (
+        f'{{"command": "{args[0]}", "version": "{__version__}", "seed": 0, '
+        f'"inputs": {inputs}, "error": "{error}"}}\n'
+    )
+
+
 def test_cli_tight_check_sampled(tmp_path, capsys):
     geom = tmp_path / "s.geom"
     geom.write_text(dump_geom(convex_fixture("octahedron_boundary")))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -132,6 +133,17 @@ def test_v_path_fails_tightness():
     assert not rep.tight
     failure = rep.failures[0]
     assert failure.dim == 0 and failure.betti_sub == 2 and failure.image_rank == 1
+
+
+@pytest.mark.parametrize("shift, threshold", [(0, math.inf), (-4, -math.inf)], ids=["above", "below"])
+def test_threshold_beyond_float_range_is_infinite(shift, threshold):
+    # float() of the level midpoint raised OverflowError; the V path shifted
+    # down by 4 fails at the negative level -3
+    c = from_facets([(1, 2), (2, 3)])
+    g = GeometricRealization(c, {1: (0, 2 + shift), 2: (1, shift), 3: (2, Fraction(17, 8) + shift)}, 2)
+    rep = is_pi_tight(g, (0, 10**400))
+    assert [(f.threshold, f.dim, f.betti_sub, f.image_rank) for f in rep.failures] == [(threshold, 0, 2, 1)]
+    assert [(f.dim, f.betti_sub, f.image_rank) for f in is_pi_tight(g, (0, 1)).failures] == [(0, 2, 1)]
 
 
 def test_upper_and_prefix_conventions_differ():

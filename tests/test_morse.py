@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tightmorse import betti, from_facets
+from tightmorse import betti, constructions, from_facets
 from tightmorse.algorithms import sweep_perfect_morse
 from tightmorse.complex_core import cone, from_faces
 from tightmorse.constructions import convex_fixture
@@ -21,12 +21,14 @@ from tightmorse.morse import (
     from_collapse_sequence,
     is_perfect,
     lift_matching_over_cone,
+    morse_differential,
     morse_vector,
     random_discrete_morse,
     validate,
 )
 
-from conftest import fan_disc, random_complexes
+from conftest import annulus_complex, fan_disc, random_complexes, torus_3x3
+from homology_oracle import gf2_rank
 
 
 def matching(c, pairs):
@@ -307,6 +309,53 @@ def test_rdm_morse_inequalities(facets, seed):
     b = betti(c)
     assert all(mv[i] >= b[i] for i in range(c.dimension + 1))
     assert mv.alternating_sum == c.euler_characteristic
+
+
+# complexes with homology in dimensions 0 to 2, and random ones up to dimension 3
+differential_complexes = st.one_of(
+    random_complexes,
+    st.sampled_from(
+        [constructions.checkerboard(), constructions.dunce_hat(), annulus_complex(3), torus_3x3()]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(differential_complexes, st.integers(0, 10), st.data())
+def test_morse_differential_ranks_give_the_betti_numbers(c, seed, data):
+    # the Morse complex has the homology of c, so over Z2
+    # #critical i-faces - b_i = rank d_i + rank d_{i+1}; part of an acyclic
+    # matching is acyclic, so dropping pairs gives nonzero differentials
+    pairs = sorted(random_discrete_morse(c, seed=seed).pairs)
+    kept = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    m = MorseMatching(c, frozenset(kept))
+    differential = morse_differential(m)
+    critical = critical_faces(m)
+    assert set(differential) == {f for f in critical if len(f) > 1}
+    index = {f: k for k, f in enumerate(critical)}
+    rank = [0] * (c.dimension + 2)
+    for i in range(1, c.dimension + 1):
+        rows = []
+        for f in critical:
+            if len(f) == i + 1:
+                assert all(len(s) == i and s in index for s in differential[f])
+                rows.append(sum(1 << index[s] for s in differential[f]))
+        rank[i] = gf2_rank(rows)
+    b = betti(c)
+    for i in range(c.dimension + 1):
+        count = sum(len(f) == i + 1 for f in critical)
+        assert count - b[i] == rank[i] + rank[i + 1], i
+
+
+def test_morse_differential_of_the_circle():
+    # one critical vertex and edge, with the two gradient paths cancelling
+    c = from_facets([(1, 2), (2, 3), (1, 3)])
+    assert morse_differential(matching(c, [((2,), (1, 2)), ((3,), (2, 3))])) == {(1, 3): set()}
+    # an edge with both ends critical has them as its boundary
+    assert morse_differential(matching(c, [((3,), (2, 3))])) == {
+        (1, 2): {(1,), (2,)},
+        (1, 3): {(1,), (2,)},
+    }
 
 
 def test_betti_invariant_under_elementary_collapse(checkerboard, annulus):

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_oracle as oracle
+import tightness_oracle
 from tightmorse import algorithms, complex_core, from_facets, morse
 from tightmorse.algorithms import sweep_perfect_morse
 from tightmorse.complex_core import cone
 from tightmorse.constructions import (
+    _kuhn_ball,
     convex_fixture,
     dunce_hat,
     furch_ball,
@@ -23,8 +25,8 @@ from tightmorse.constructions import (
     straight_path,
     suspension_realization,
 )
-from tightmorse.errors import LinkNotPlanarCollapsibleError
-from tightmorse.geometry import GeometricRealization
+from tightmorse.errors import LinkNotPlanarCollapsibleError, NotTightError
+from tightmorse.geometry import GeometricRealization, sweep_order
 
 
 def outcome(sweep, g, direction, assume_tight):
@@ -95,16 +97,26 @@ def test_suspended_octahedron_matches_oracle(direction, assume_tight):
     assert_same_as_oracle(g, direction, assume_tight)
 
 
-def test_dunce_hat_cone_apex_on_top_matches_oracle():
+@pytest.mark.parametrize(
+    "assume_tight, exc_type, start",
+    [
+        (True, LinkNotPlanarCollapsibleError, "lower link of vertex 9 is not planar-collapsible"),
+        (False, NotTightError, "5 prefix injectivity failures"),
+    ],
+    ids=["assume_tight", "scan_first"],
+)
+def test_dunce_hat_cone_apex_on_top_matches_oracle(assume_tight, exc_type, start):
     # every base vertex has a graph as lower link; the apex, swept last, has
-    # the dunce hat, which has no free edge and is no closed surface
+    # the dunce hat, which has no free edge and is no closed surface.  The
+    # oracle scans first, so without assume_tight its NotTightError wins
+    # over the stuck link, though the sweep runs into that link first.
     c = cone(dunce_hat(), 9)
     coords = {v: (v, v * v, 0) for v in range(1, 9)}
     coords[9] = (0, 0, 1)
     g = GeometricRealization(c, coords, 3)
-    exc_type, message = assert_same_as_oracle(g, (0, 0, 1), True)
-    assert exc_type is LinkNotPlanarCollapsibleError
-    assert message.startswith("lower link of vertex 9 is not planar-collapsible")
+    raised, message = assert_same_as_oracle(g, (0, 0, 1), assume_tight)
+    assert raised is exc_type
+    assert message.startswith(start)
 
 
 def test_sweep_builds_no_vertex_link(monkeypatch):
@@ -123,15 +135,20 @@ def raise_when_called(*args, **kwargs):
     raise AssertionError("a value the sweep has already proved is checked again")
 
 
-@pytest.mark.parametrize(
+TIGHT_SWEEPS = pytest.mark.parametrize(
     "make, direction",
     [
         (lambda: grid_ball(2, 2, 2), (1, 17, 289)),
         (lambda: convex_fixture("delta4_boundary"), (1, 2, 4, 8)),
         (lambda: suspension_realization(convex_fixture("octahedron_boundary").complex)[0], (0, 0, 0, 1)),
+        # a solid torus: its critical edge has a Morse boundary to cancel
+        (lambda: _kuhn_ball(3, 3, 1, frozenset({(1, 1, 0)})), (1, 17, 289)),
     ],
-    ids=["grid(2,2,2)", "delta4_boundary", "suspended_octahedron"],
+    ids=["grid(2,2,2)", "delta4_boundary", "suspended_octahedron", "frame(3,3,1)"],
 )
+
+
+@TIGHT_SWEEPS
 def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
     # a lift is valid iff its link matching is, so the final validate of the
     # whole matching is the one check; delta4 takes the puncture fallback
@@ -144,6 +161,42 @@ def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
     monkeypatch.setattr(algorithms, "validate", lambda m: calls.append(m) or validate(m))
     assert sweep_perfect_morse(g, direction).pairs == expected
     assert len(calls) == 1
+
+
+@TIGHT_SWEEPS
+def test_tight_sweep_runs_no_scan_and_no_betti(monkeypatch, make, direction):
+    # a zero Morse differential proves both prefix-tightness and perfectness
+    g = make()
+    expected = oracle.sweep_perfect_morse(g, direction).pairs
+    monkeypatch.setattr(algorithms, "is_prefix_tight", raise_when_called)
+    monkeypatch.setattr(algorithms, "betti", raise_when_called)
+    assert sweep_perfect_morse(g, direction).pairs == expected
+
+
+def test_non_tight_sweep_reports_the_oracle_scan():
+    # the nonzero differential sends the sweep to the scan for its report
+    g = furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization
+    with pytest.raises(NotTightError) as expected:
+        oracle.sweep_perfect_morse(g, (1, 17, -289))
+    with pytest.raises(NotTightError) as got:
+        sweep_perfect_morse(g, (1, 17, -289))
+    assert str(got.value) == str(expected.value)
+    assert got.value.report == expected.value.report and not got.value.report.tight
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizations(), directions)
+def test_zero_differential_iff_prefix_tight(g, direction):
+    # whenever the sweep loop gets through, its Morse differential is zero
+    # exactly when every sweep prefix injects (the scan of the oracle)
+    try:
+        pairs = algorithms._sweep_pairs(g.complex, sweep_order(g, direction))
+    except LinkNotPlanarCollapsibleError:
+        return
+    m = morse.MorseMatching(g.complex, frozenset(pairs))
+    morse.validate(m)
+    zero = not any(morse.morse_differential(m).values())
+    assert zero == tightness_oracle.is_prefix_tight(g, direction).tight
 
 
 def test_sweep_closes_no_face_family_again(monkeypatch):
