@@ -28,10 +28,9 @@ _EXPORTS = {
         "star",
         "suspension",
     ),
-    "homology_z2": ("BettiVector", "betti", "inclusion_induced_injective"),
+    "homology_z2": ("betti", "inclusion_induced_injective"),
     "morse": (
         "MorseMatching",
-        "MorseVector",
         "critical_faces",
         "from_collapse_sequence",
         "is_perfect",

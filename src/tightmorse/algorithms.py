@@ -172,7 +172,7 @@ def planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate
         raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
     b = betti(d)
     if b[0] != 1 or any(b[i] for i in range(1, len(b))):
-        raise NotAcyclicError(f"Betti vector {tuple(b)} is not (1, 0, ...)")
+        raise NotAcyclicError(f"Betti vector {b} is not (1, 0, ...)")
     return _acyclic_cert(d)
 
 
@@ -223,12 +223,12 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
     # a collapse never removes a face of d, so it reached d when only d is left
     if len(tracker) != len(forbidden):
         b_c, b_d = betti(c), betti(d)
-        iso = tuple(b_c) == tuple(b_d) + (0,) * (len(b_c) - len(b_d)) and all(
+        iso = b_c == b_d + (0,) * (len(b_c) - len(b_d)) and all(
             inclusion_induced_injective(d, c, i) for i in range(c.dimension + 1)
         )
         if not iso:
             raise NotASubcomplexError(
-                f"inclusion is not a homology isomorphism: {tuple(b_d)} vs {tuple(b_c)}"
+                f"inclusion is not a homology isomorphism: {b_d} vs {b_c}"
             )
         raise StuckBeforeTargetError(_by_dimension(tracker.remaining()))
     return CollapseSequence(c, tuple(steps), d)
@@ -332,10 +332,7 @@ def sweep_perfect_morse(
     if any(morse_differential(matching).values()):
         if not assume_tight:
             _require_prefix_tight(g, direction)
-        mv = morse_vector(matching)
-        bv = betti(c)
-        if tuple(mv) != tuple(bv):
-            raise PerfectnessAssertionFailedError(tuple(mv), tuple(bv))
+        raise PerfectnessAssertionFailedError(morse_vector(matching), betti(c))
     return matching
 
 

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,12 @@ EXIT_ASSERTION = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with a minus and a digit, such as the direction
+        # "-1,17,-289", is a value: no option here is spelt that way
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -173,10 +180,9 @@ def _cmd_betti(args) -> tuple[int, dict]:
     from . import homology_z2
 
     c = formats.read_complex(args.file)
-    b = homology_z2.betti(c)
     return EXIT_OK, {
-        "betti": list(b),
-        "euler": b.euler_characteristic,
+        "betti": list(homology_z2.betti(c)),
+        "euler": c.euler_characteristic,
         "reduced": False,
     }
 
@@ -213,7 +219,7 @@ def _cmd_morse(args) -> tuple[int, dict]:
             return EXIT_OK, result
     morse.validate(matching)
     mv = morse.morse_vector(matching)
-    return EXIT_OK, {"morse_vector": list(mv), "critical": mv.total}
+    return EXIT_OK, {"morse_vector": list(mv), "critical": sum(mv)}
 
 
 def _cmd_tight(args) -> tuple[int, dict]:

@@ -125,7 +125,7 @@ class FurchBall:
 
 def _is_two_sphere(surface: SimplicialComplex) -> bool:
     """Connected closed surface with mod-2 Betti numbers (1, 0, 1)."""
-    return is_closed_surface(surface) and tuple(betti(surface)) == (1, 0, 1)
+    return is_closed_surface(surface) and betti(surface) == (1, 0, 1)
 
 
 def furch_ball(nx: int, ny: int, nz: int, path: LatticePath) -> FurchBall:
@@ -155,8 +155,8 @@ def furch_ball(nx: int, ny: int, nz: int, path: LatticePath) -> FurchBall:
     realization = _kuhn_ball(nx, ny, nz, frozenset(cubes[:-1]))
     c = realization.complex
 
-    if tuple(betti(c)) != (1, 0, 0, 0):
-        raise NotABallError(f"drilled complex has Betti vector {tuple(betti(c))}")
+    if (b := betti(c)) != (1, 0, 0, 0):
+        raise NotABallError(f"drilled complex has Betti vector {b}")
     rim = boundary_complex(c)
     if not _is_two_sphere(rim):
         raise NotABallError("boundary of the drilled complex is not a 2-sphere")
@@ -233,7 +233,7 @@ class ConeSphere:
 
 def cone_sphere(ball: SimplicialComplex) -> ConeSphere:
     """Close a ball into a sphere by coning a fresh apex over its boundary."""
-    if ball.dimension != 3 or tuple(betti(ball)) != (1, 0, 0, 0):
+    if ball.dimension != 3 or betti(ball) != (1, 0, 0, 0):
         raise NotABallError("input is not a homology 3-ball")
     rim = boundary_complex(ball)
     if not _is_two_sphere(rim):
@@ -244,8 +244,8 @@ def cone_sphere(ball: SimplicialComplex) -> ConeSphere:
     for f in rim.faces():
         faces.append(tuple(sorted(f + (apex,))))
     sphere = from_faces(faces)
-    if tuple(betti(sphere)) != (1, 0, 0, 1):
-        raise MorseInvariantError(f"cone sphere has Betti vector {tuple(betti(sphere))}")
+    if (b := betti(sphere)) != (1, 0, 0, 1):
+        raise MorseInvariantError(f"cone sphere has Betti vector {b}")
     return ConeSphere(sphere, apex)
 
 

@@ -14,7 +14,6 @@ no i-class born in A dies in X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -23,31 +22,8 @@ from .errors import EmptyComplexError, NotASubcomplexError
 
 # -- Betti numbers ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class BettiVector:
-    """Per-dimension mod-2 Betti numbers with an explicit convention flag."""
-
-    values: tuple[int, ...]
-    reduced: bool = False
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i] if 0 <= i < len(self.values) else 0
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def euler_characteristic(self) -> int:
-        if self.reduced:
-            raise ValueError("Euler characteristic uses the non-reduced convention")
-        return sum((-1) ** i * b for i, b in enumerate(self.values))
-
-
-def betti(c: SimplicialComplex, reduced: bool = False) -> BettiVector:
-    """Betti numbers over Z2; non-reduced by default.
+def betti(c: SimplicialComplex) -> tuple[int, ...]:
+    """Non-reduced Betti numbers over Z2, one per dimension 0..dim c.
 
     ``c.faces()`` lists the faces by dimension, so it is a filtration, and
     b_i counts the i-faces that create a class that is never destroyed.
@@ -59,9 +35,7 @@ def betti(c: SimplicialComplex, reduced: bool = False) -> BettiVector:
     for k, destroyer in persistence_pairs(faces):
         if destroyer is None:
             values[len(faces[k]) - 1] += 1
-    if reduced:
-        values[0] -= 1
-    return BettiVector(tuple(values), reduced=reduced)
+    return tuple(values)
 
 
 def is_subcomplex(a: SimplicialComplex, x: SimplicialComplex) -> bool:

@@ -29,33 +29,8 @@ from .errors import (
     NotCofaceError,
     NotFreeAtStepError,
 )
-from .homology_z2 import betti
 
 Pair = tuple[Face, Face]
-
-
-@dataclass(frozen=True)
-class MorseVector:
-    """Critical face counts per dimension."""
-
-    counts: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i] if 0 <= i < len(self.counts) else 0
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    @property
-    def alternating_sum(self) -> int:
-        return sum((-1) ** i * c for i, c in enumerate(self.counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -228,17 +203,21 @@ def critical_faces(m: MorseMatching) -> list[Face]:
     return [f for f in m.complex.faces() if f not in matched]
 
 
-def morse_vector(m: MorseMatching) -> MorseVector:
+def morse_vector(m: MorseMatching) -> tuple[int, ...]:
+    """The number of critical faces per dimension 0..dim of the complex."""
     counts = [0] * (m.complex.dimension + 1)
     for f in critical_faces(m):
         counts[len(f) - 1] += 1
-    return MorseVector(tuple(counts))
+    return tuple(counts)
 
 
 def is_perfect(m: MorseMatching) -> bool:
-    """Does the critical count equal the (non-reduced) Z2 Betti vector?"""
+    """Does the critical count equal the (non-reduced) Z2 Betti vector?
+
+    Over a field that holds exactly when the Morse differential is zero.
+    """
     validate(m)
-    return tuple(morse_vector(m)) == tuple(betti(m.complex))
+    return not any(morse_differential(m).values())
 
 
 # -- collapse bookkeeping ---------------------------------------------------

@@ -18,18 +18,28 @@ random_complexes = st.builds(
 )
 
 
+def alternating_sum(values) -> int:
+    """sum_i (-1)^i values[i]: the Euler characteristic of a Betti or Morse vector."""
+    return sum((-1) ** i * v for i, v in enumerate(values))
+
+
 def assert_betti_recursion(g, direction) -> None:
     """The link/deletion Betti identity at the top vertex v of the sweep.
 
     Every sweep prefix of g must include injectively; then, in non-reduced
     mod-2 Betti numbers, with L the link of v in C = g.complex,
 
-        b_i(L) + b_{i+1}(C - v) - delta_{i0} = b_{i+1}(C).
+        b_i(L) + b_{i+1}(C - v) - delta_{i0} = b_{i+1}(C),
+
+    with each Betti vector padded by zeros up to dimension dim C + 1.
     """
     assert is_prefix_tight(g, direction).tight
     order = sweep_order(g, direction)
     c, v = g.complex, order.vertices[-1]
-    b_link, b_rest, b_c = betti(link(c, v)), betti(restrict(c, order.vertices[:-1])), betti(c)
+    b_link, b_rest, b_c = (
+        b + (0,) * (c.dimension + 2 - len(b))
+        for b in (betti(link(c, v)), betti(restrict(c, order.vertices[:-1])), betti(c))
+    )
     for i in range(c.dimension + 1):
         assert b_link[i] + b_rest[i + 1] - (i == 0) == b_c[i + 1], (v, i)
 

@@ -20,7 +20,6 @@ from typing import Sequence
 
 from tightmorse.complex_core import Face, SimplicialComplex
 from tightmorse.errors import DimensionOutOfRangeError, EmptyComplexError
-from tightmorse.homology_z2 import BettiVector
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -90,18 +89,12 @@ def _boundary_ranks(c: SimplicialComplex) -> list[int]:
     return ranks
 
 
-def betti(c: SimplicialComplex, reduced: bool = False) -> BettiVector:
-    """Betti numbers over Z2; non-reduced by default."""
+def betti(c: SimplicialComplex) -> tuple[int, ...]:
+    """Non-reduced Betti numbers over Z2, one per dimension 0..dim c."""
     if c.is_empty:
         raise EmptyComplexError("Betti numbers of the empty complex")
     ranks = _boundary_ranks(c)
-    values = [
-        len(c.face_set(i)) - ranks[i] - ranks[i + 1]
-        for i in range(c.dimension + 1)
-    ]
-    if reduced:
-        values[0] -= 1
-    return BettiVector(tuple(values), reduced=reduced)
+    return tuple(len(c.face_set(i)) - ranks[i] - ranks[i + 1] for i in range(c.dimension + 1))
 
 
 def persistence_pairs(faces: Sequence[Face]) -> list[tuple[int, int | None]]:

@@ -53,6 +53,6 @@ def sweep_perfect_morse(
     validate(matching)
     mv = morse_vector(matching)
     bv = betti(c)
-    if tuple(mv) != tuple(bv):
-        raise PerfectnessAssertionFailedError(tuple(mv), tuple(bv))
+    if mv != bv:
+        raise PerfectnessAssertionFailedError(mv, bv)
     return matching

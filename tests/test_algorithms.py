@@ -53,13 +53,13 @@ def random_tree(n, seed):
 def test_planar_triangle(triangle):
     m = planar_perfect_morse(triangle)
     validate(m)
-    assert tuple(morse_vector(m)) == (1, 0, 0)
+    assert morse_vector(m) == (1, 0, 0)
 
 
 def test_planar_e(checkerboard):
     m = planar_perfect_morse(checkerboard)
     validate(m)
-    assert tuple(morse_vector(m)) == (1, 3, 0)
+    assert morse_vector(m) == (1, 3, 0)
     assert is_perfect(m)
 
 
@@ -68,7 +68,7 @@ def test_planar_trees():
         t = random_tree(8, seed)
         m = planar_perfect_morse(t)
         validate(m)
-        assert tuple(morse_vector(m)) == (1, 0)
+        assert morse_vector(m) == (1, 0)
 
 
 def test_planar_rejects_sphere(boundary_delta3):
@@ -82,7 +82,7 @@ def test_planar_corpus_vector_equals_betti(checkerboard, annulus):
     for c in corpus:
         m = planar_perfect_morse(c)
         validate(m)
-        assert tuple(morse_vector(m)) == tuple(betti(c))
+        assert morse_vector(m) == betti(c)
 
 
 # -- non-evasive decomposition of acyclic planar complexes ------------------------
@@ -149,7 +149,7 @@ def test_relative_collapse_annulus_onto_circle(annulus):
     for s, t in seq.steps:
         faces -= {s, t}
         b = betti(from_faces(sorted(faces)))
-        assert (b[0], b[1], b[2]) == (1, 1, 0)
+        assert b + (0,) * (3 - len(b)) == (1, 1, 0)
 
 
 def test_relative_collapse_rejects_non_retract(annulus):
@@ -178,26 +178,26 @@ def test_sweep_simplex_directions():
     g = convex_fixture("simplex3")
     for a in range(1, 6):
         m = sweep_perfect_morse(g, (a, 2, 4))
-        assert tuple(morse_vector(m)) == (1, 0, 0, 0)
+        assert morse_vector(m) == (1, 0, 0, 0)
 
 
 def test_sweep_octahedron(octahedron):
     for d in ((1, 2, 4), (1, 1, 1), (0, 0, 1), (1, -1, 0), (3, 2, 1)):
         m = sweep_perfect_morse(octahedron, d)
-        assert tuple(morse_vector(m)) == (1, 0, 1)
+        assert morse_vector(m) == (1, 0, 1)
         assert is_perfect(m)
 
 
 def test_sweep_single_point():
     g = GeometricRealization(from_facets([(5,)]), {5: (0, 0, 0)}, 3)
     m = sweep_perfect_morse(g, (1, 2, 4))
-    assert tuple(morse_vector(m)) == (1,)
+    assert morse_vector(m) == (1,)
 
 
 def test_sweep_closed_3_manifold():
     g = convex_fixture("delta4_boundary")
     m = sweep_perfect_morse(g, (1, 2, 4, 8))
-    assert tuple(morse_vector(m)) == (1, 0, 0, 1)
+    assert morse_vector(m) == (1, 0, 0, 1)
 
 
 def test_sweep_rejects_untight_input():
@@ -369,7 +369,7 @@ def test_collapsible_simplex_greedy(simplex3):
     res = collapsible(simplex3, strategy="greedy", seed=0)
     assert res.status == "yes"
     m = from_collapse_sequence(simplex3, res.sequence)
-    assert tuple(morse_vector(m)) == (1, 0, 0, 0)
+    assert morse_vector(m) == (1, 0, 0, 0)
 
 
 def test_collapsible_e_betti_precheck(checkerboard):
@@ -407,7 +407,7 @@ RP2 = [
 @pytest.mark.parametrize("facets", [RP2, RP2 + [(6, 7)]], ids=["rp2", "rp2+edge"])
 def test_prechecks_reject_rp2_by_its_betti_vector(facets):
     c = from_facets(facets)
-    assert c.euler_characteristic == 1 and tuple(betti(c)) == (1, 1, 1)
+    assert c.euler_characteristic == 1 and betti(c) == (1, 1, 1)
     assert bool(free_faces(c)) == (len(facets) > len(RP2))
     for res in (collapsible(c), collapsible(c, "backtracking"), nonevasive(c)):
         assert (res.status, res.reason) == ("no", "betti")
@@ -437,7 +437,7 @@ def test_searches_reject_a_negative_budget(search, checkerboard):
 def test_dunce_hat_no_free_face():
     # acyclic, so the reason survives the Betti check of either strategy
     dh = dunce_hat()
-    assert free_faces(dh) == [] and tuple(betti(dh)) == (1, 0, 0)
+    assert free_faces(dh) == [] and betti(dh) == (1, 0, 0)
     for strategy in ("greedy", "backtracking"):
         res = collapsible(dh, strategy=strategy)
         assert res.status == "no" and res.reason == "no free face"

@@ -89,7 +89,7 @@ def test_link_in_e_is_two_disjoint_edges(checkerboard):
     for v in checkerboard.vertices:
         lk = link(checkerboard, v)
         assert lk.f_vector == (4, 2)
-        assert tuple(betti(lk)) == (2, 0)
+        assert betti(lk) == (2, 0)
 
 
 def test_link_in_sphere(boundary_delta3):
@@ -150,7 +150,7 @@ def test_suspension_of_two_points():
     two = from_facets([(1,), (2,)])
     sus, north, south = suspension(two)
     assert sus.f_vector == (4, 4)
-    assert tuple(betti(sus)) == (1, 1)  # a 4-cycle
+    assert betti(sus) == (1, 1)  # a 4-cycle
     assert {north, south} == {3, 4}
 
 
@@ -163,7 +163,7 @@ def test_closed_surface_and_two_sphere(boundary_delta3, boundary_delta2, checker
     second = from_facets([(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)])
     pinched = from_facets(boundary_delta3.face_set(2) | second.face_set(2))
     fin = from_facets(boundary_delta3.face_set(2) | {(1, 2, 9)})
-    assert tuple(betti(torus_3x3())) == (1, 2, 1)
+    assert betti(torus_3x3()) == (1, 2, 1)
     for c, closed, sphere in [
         (boundary_delta3, True, True),
         (pinched, True, False),  # two spheres sharing vertex 4
@@ -222,7 +222,7 @@ def test_sd_of_edge_is_path():
 def test_sd_preserves_euler_and_betti(checkerboard):
     sd = barycentric_subdivision(checkerboard)
     assert sd.euler_characteristic == checkerboard.euler_characteristic == -2
-    assert tuple(betti(sd)) == (1, 3, 0)
+    assert betti(sd) == (1, 3, 0)
     # vertex i is the barycenter of faces()[i]; edges join a face to a coface
     faces = checkerboard.faces()
     assert sd.vertices == tuple(range(len(faces)))
@@ -295,7 +295,7 @@ def test_star_deletion_link_decomposition(facets):
 def test_double_cone_is_acyclic(facets):
     c = from_facets(facets)
     cc = cone(cone(c, 90), 91)
-    b = tuple(betti(cc))
+    b = betti(cc)
     assert b[0] == 1 and all(x == 0 for x in b[1:])
 
 
@@ -303,7 +303,7 @@ def test_double_cone_is_acyclic(facets):
 @given(facet_lists)
 def test_sd_preserves_betti_property(facets):
     c = from_facets(facets)
-    assert tuple(betti(barycentric_subdivision(c))) == tuple(betti(c))
+    assert betti(barycentric_subdivision(c)) == betti(c)
 
 
 def test_sd_f_vector_against_direct_enumeration():

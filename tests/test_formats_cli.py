@@ -304,6 +304,23 @@ def test_cli_heights_beyond_float_range(tmp_path, capsys, args, error):
     )
 
 
+# argparse read a --pi value with a leading minus as an option and exited
+# with "expected one argument", unless it was written --pi=-1,17,-289
+@pytest.mark.parametrize(
+    "command, verdict",
+    [(["morse", "sweep"], "perfect"), (["tight", "check"], "tight")],
+    ids=["morse_sweep", "tight_check"],
+)
+def test_cli_pi_with_a_leading_minus(tmp_path, capsys, command, verdict):
+    geom = tmp_path / "g.geom"
+    geom.write_text(dump_geom(grid_ball(2, 2, 1)))
+    assert main([*command, str(geom), "--pi", "-1,17,-289"]) == 0
+    spaced = capsys.readouterr().out
+    assert main([*command, str(geom), "--pi=-1,17,-289"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert json.loads(spaced)[verdict] is True
+
+
 def test_cli_tight_check_sampled(tmp_path, capsys):
     geom = tmp_path / "s.geom"
     geom.write_text(dump_geom(convex_fixture("octahedron_boundary")))

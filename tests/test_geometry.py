@@ -216,7 +216,7 @@ def test_prefixes_of_tight_fixture_stay_tight():
 
 def test_suspension_fixture_is_tight_in_r4():
     sus, north, south = suspension_realization(dunce_hat())
-    assert tuple(betti(sus.complex)) == (1, 0, 0, 0)
+    assert betti(sus.complex) == (1, 0, 0, 0)
     direction = (0, 0, 0, 1)
     assert is_pi_tight(sus, direction).tight
     assert is_prefix_tight(sus, direction).tight

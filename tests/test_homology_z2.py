@@ -9,7 +9,9 @@ from tightmorse.errors import (
     NotASubcomplexError,
 )
 
-from conftest import annulus_complex, drilled_cone_sphere, fan_disc, random_complexes, torus_3x3
+from conftest import (
+    alternating_sum, annulus_complex, drilled_cone_sphere, fan_disc, random_complexes, torus_3x3,
+)
 from homology_oracle import betti as oracle_betti, boundary_matrix
 from tightness_oracle import gf2_kernel_basis
 
@@ -100,21 +102,17 @@ def test_kernel_basis_is_kernel():
 
 
 def test_betti_point():
-    assert tuple(betti(from_facets([(7,)]))) == (1,)
+    assert betti(from_facets([(7,)])) == (1,)
 
 
 def test_betti_e(checkerboard):
     b = betti(checkerboard)
-    assert tuple(b) == (1, 3, 0)
-    assert b.euler_characteristic == -2
+    assert b == (1, 3, 0)
+    assert alternating_sum(b) == checkerboard.euler_characteristic == -2
 
 
 def test_betti_sphere(boundary_delta3):
-    assert tuple(betti(boundary_delta3)) == (1, 0, 1)
-
-
-def test_betti_reduced_flag(checkerboard):
-    assert tuple(betti(checkerboard, reduced=True)) == (0, 3, 0)
+    assert betti(boundary_delta3) == (1, 0, 1)
 
 
 def test_betti_empty_rejected():
@@ -131,15 +129,13 @@ def test_betti_empty_rejected():
 ], ids=["grid3", "drilled_cone_sphere", "dunce_hat", "checkerboard", "torus_3x3"])
 def test_betti_matches_rank_oracle_on_fixed_cases(make, expected):
     c = make()
-    assert tuple(betti(c)) == tuple(oracle_betti(c)) == expected
-    assert betti(c, reduced=True) == oracle_betti(c, reduced=True)
+    assert betti(c) == oracle_betti(c) == expected
 
 
 @settings(max_examples=80, deadline=None)
 @given(random_complexes)
 def test_betti_matches_rank_oracle_on_random_complexes(c):
     assert betti(c) == oracle_betti(c)
-    assert betti(c, reduced=True) == oracle_betti(c, reduced=True)
 
 
 @settings(max_examples=80, deadline=None)
@@ -255,7 +251,7 @@ def test_inclusion_agrees_with_brute_force_oracle():
                 min_size=1, max_size=5))
 def test_euler_betti_property(facets):
     c = from_facets(facets)
-    assert betti(c).euler_characteristic == c.euler_characteristic
+    assert alternating_sum(betti(c)) == c.euler_characteristic
 
 
 @settings(max_examples=40, deadline=None)

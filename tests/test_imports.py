@@ -1,7 +1,8 @@
 """Start-up cost: each CLI command loads only the library modules it runs,
 and the package-level names resolve lazily to the objects their modules
-define."""
+define; no module imports a name it never uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -24,9 +25,9 @@ EXPORTS = {
         "SimplicialComplex", "barycentric_subdivision", "boundary_complex", "cone", "deletion",
         "free_faces", "from_facets", "join", "link", "restrict", "star", "suspension",
     ],
-    "homology_z2": ["BettiVector", "betti", "inclusion_induced_injective"],
+    "homology_z2": ["betti", "inclusion_induced_injective"],
     "morse": [
-        "MorseMatching", "MorseVector", "critical_faces", "from_collapse_sequence", "is_perfect",
+        "MorseMatching", "critical_faces", "from_collapse_sequence", "is_perfect",
         "lift_matching_over_cone", "morse_vector", "random_discrete_morse", "validate",
     ],
     "geometry": [
@@ -43,17 +44,26 @@ SUBMODULES = [*EXPORTS, "errors"]
 ALL = sorted([name for names in EXPORTS.values() for name in names] + SUBMODULES)
 
 
-def loaded_submodules(code: str, cwd: Path) -> set[str]:
-    """Run code in a fresh interpreter; the tightmorse submodules it loaded."""
+def loaded_modules(code: str, cwd: Path) -> set[str]:
+    """Run code in a fresh interpreter; the names of the modules it loaded."""
     src = str(Path(tightmorse.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('tightmorse.'))))"
+    probe = "import json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code + "\n" + probe],
         capture_output=True, text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    return {name.split(".", 1)[1] for name in json.loads(proc.stdout.splitlines()[-1])}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def tightmorse_submodules(modules: set[str]) -> set[str]:
+    return {name.split(".", 1)[1] for name in modules if name.startswith("tightmorse.")}
+
+
+def loaded_submodules(code: str, cwd: Path) -> set[str]:
+    """Run code in a fresh interpreter; the tightmorse submodules it loaded."""
+    return tightmorse_submodules(loaded_modules(code, cwd))
 
 
 def run_main(argv: list[str]) -> str:
@@ -69,21 +79,31 @@ def inputs(tmp_path):
     return tmp_path
 
 
+# argv, the tightmorse submodules it must not load, the other modules it
+# must not load (dataclasses costs start-up time that only a few commands need)
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, absent, absent_other",
     [
-        (["betti", "e.facets"], {"geometry", "morse", "algorithms", "constructions"}),
-        (["tight", "check", "s.geom", "--pi", "1,2,4"], {"morse", "algorithms", "constructions"}),
-        (["morse", "validate", "e.facets", "e.morse"], {"algorithms", "geometry", "constructions"}),
-        (["morse", "vector", "e.facets", "e.morse"], {"algorithms", "geometry", "constructions"}),
-        (["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"], {"algorithms"}),
+        (["betti", "e.facets"], {"geometry", "morse", "algorithms", "constructions"}, {"dataclasses"}),
+        (["tight", "check", "s.geom", "--pi", "1,2,4"], {"morse", "algorithms", "constructions"}, set()),
+        (
+            ["morse", "validate", "e.facets", "e.morse"],
+            {"homology_z2", "algorithms", "geometry", "constructions"}, set(),
+        ),
+        (
+            ["morse", "vector", "e.facets", "e.morse"],
+            {"homology_z2", "algorithms", "geometry", "constructions"}, set(),
+        ),
+        (["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"], {"algorithms"}, set()),
     ],
     ids=["betti", "tight_check", "morse_validate", "morse_vector", "build_furch"],
 )
-def test_cli_command_loads_only_what_it_runs(inputs, argv, absent):
-    loaded = loaded_submodules(run_main(argv), inputs)
+def test_cli_command_loads_only_what_it_runs(inputs, argv, absent, absent_other):
+    modules = loaded_modules(run_main(argv), inputs)
+    loaded = tightmorse_submodules(modules)
     assert "cli" in loaded
     assert not loaded & absent, sorted(loaded & absent)
+    assert not modules & absent_other, sorted(modules & absent_other)
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
@@ -96,7 +116,7 @@ def test_star_import_binds_the_same_names(tmp_path):
 
 
 def test_package_exports_resolve_to_their_module_objects():
-    assert tightmorse.__all__ == ALL and len(ALL) == 44
+    assert tightmorse.__all__ == ALL and len(ALL) == 42
     for module, names in EXPORTS.items():
         mod = importlib.import_module(f"tightmorse.{module}")
         assert getattr(tightmorse, module) is mod
@@ -122,11 +142,40 @@ def test_package_exports_are_not_cached(monkeypatch):
             assert getattr(tightmorse, name) is original, name
 
 
-@pytest.mark.parametrize("name", ["upper_subcomplex", "verify_lemma_betti_recursion"])
+@pytest.mark.parametrize(
+    "name", ["upper_subcomplex", "verify_lemma_betti_recursion", "BettiVector", "MorseVector"]
+)
 def test_removed_package_names_are_gone(name):
     assert name not in dir(tightmorse)
     with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
         getattr(tightmorse, name)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names an import in source binds that no expression reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .homology_z2 import betti as b, is_subcomplex\n"
+        "print(os.sep, is_subcomplex)\n"
+    )
+    assert unused_imports(source) == ["b (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(tightmorse.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_library_modules_import_no_unused_name(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def test_unknown_package_attribute_raises():
