@@ -279,7 +279,7 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _cmd_build(args) -> tuple[int, dict]:
-    from . import constructions, homology_z2
+    from . import constructions
 
     if args.build_command == "grid":
         nx, ny, nz = _parse_ints(args.n, 3)
@@ -293,7 +293,7 @@ def _cmd_build(args) -> tuple[int, dict]:
         formats.write_text(args.out, formats.dump_geom(ball.realization))
         return EXIT_OK, {
             "f_vector": list(ball.realization.complex.f_vector),
-            "betti": list(homology_z2.betti(ball.realization.complex)),
+            "betti": list(constructions.BALL_BETTI),
             "spanning_edge": list(ball.spanning_edge),
             "out": args.out,
         }
@@ -303,7 +303,7 @@ def _cmd_build(args) -> tuple[int, dict]:
         formats.write_text(args.out, formats.dump_facets(cs.complex))
         return EXIT_OK, {
             "f_vector": list(cs.complex.f_vector),
-            "betti": list(homology_z2.betti(cs.complex)),
+            "betti": list(constructions.SPHERE_BETTI),
             "apex": cs.apex,
             "out": args.out,
         }

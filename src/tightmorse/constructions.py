@@ -42,6 +42,10 @@ from .homology_z2 import betti
 
 Cube = tuple[int, int, int]
 
+# the mod-2 Betti vectors that furch_ball and cone_sphere certify
+BALL_BETTI = (1, 0, 0, 0)
+SPHERE_BETTI = (1, 0, 0, 1)
+
 
 # -- grid balls ---------------------------------------------------------------
 
@@ -155,7 +159,7 @@ def furch_ball(nx: int, ny: int, nz: int, path: LatticePath) -> FurchBall:
     realization = _kuhn_ball(nx, ny, nz, frozenset(cubes[:-1]))
     c = realization.complex
 
-    if (b := betti(c)) != (1, 0, 0, 0):
+    if (b := betti(c)) != BALL_BETTI:
         raise NotABallError(f"drilled complex has Betti vector {b}")
     rim = boundary_complex(c)
     if not _is_two_sphere(rim):
@@ -233,7 +237,7 @@ class ConeSphere:
 
 def cone_sphere(ball: SimplicialComplex) -> ConeSphere:
     """Close a ball into a sphere by coning a fresh apex over its boundary."""
-    if ball.dimension != 3 or betti(ball) != (1, 0, 0, 0):
+    if ball.dimension != 3 or betti(ball) != BALL_BETTI:
         raise NotABallError("input is not a homology 3-ball")
     rim = boundary_complex(ball)
     if not _is_two_sphere(rim):
@@ -244,7 +248,7 @@ def cone_sphere(ball: SimplicialComplex) -> ConeSphere:
     for f in rim.faces():
         faces.append(tuple(sorted(f + (apex,))))
     sphere = from_faces(faces)
-    if (b := betti(sphere)) != (1, 0, 0, 1):
+    if (b := betti(sphere)) != SPHERE_BETTI:
         raise MorseInvariantError(f"cone sphere has Betti vector {b}")
     return ConeSphere(sphere, apex)
 

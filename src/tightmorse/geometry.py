@@ -12,7 +12,7 @@ in general position.  Consequently the upper sets of one sweep form a
 filtration of the complex, and tightness along a direction is decided by
 one mod-2 persistence reduction of it (``homology_z2.persistence_pairs``).
 Whether the coordinates are such an embedding is checked only on request,
-by ``verify_embedding``, exactly on rationals.
+by ``verify_embedding``, exactly on rationals (in the ``embedding`` module).
 
 Two injectivity conventions appear:
 
@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complex_core import SimplicialComplex, restrict
 from .errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
@@ -252,161 +252,14 @@ def check_tightness_sampled(
 
 # -- optional exact embedding verification ----------------------------------
 
-def _exact_coords(g: GeometricRealization) -> dict[int, tuple[Fraction, ...]]:
-    out = {}
-    for v, p in g.coords.items():
-        out[v] = tuple(Fraction(x) if not isinstance(x, Fraction) else x for x in p)
-    return out
-
-
-def _affinely_independent(points: Sequence[tuple[Fraction, ...]]) -> bool:
-    if len(points) <= 1:
-        return True
-    base = points[0]
-    rows = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
-    # exact rank by fraction-free elimination
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0])
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = Fraction(rows[r][col], rows[rank][col])
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(points) - 1
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], r: int, j: int) -> None:
-    """Make column j basic in row r; the cost row is the last row."""
-    row = tableau[r]
-    p = row[j]
-    row[:] = [x / p for x in row]
-    for other in tableau:
-        f = other[j]
-        if f and other is not row:
-            other[:] = [a - f * b if b else a for a, b in zip(other, row)]
-    basis[r] = j
-
-
-def _climb(tableau: list[list[Fraction]], basis: list[int], columns: int) -> None:
-    """Pivot until no column below ``columns`` has a positive reduced cost.
-
-    Bland's rule picks the smallest improving column and, among the rows
-    with the least ratio, the one whose basic variable is smallest, so
-    degenerate pivots cannot cycle.  The feasible sets solved here are
-    bounded, so some row always limits the entering column.
-    """
-    *rows, cost = tableau
-    while True:
-        j = next((j for j in range(columns) if cost[j] > 0), None)
-        if j is None:
-            return
-        r = min(
-            (r for r, row in enumerate(rows) if row[j] > 0),
-            key=lambda r: (rows[r][-1] / rows[r][j], basis[r]),
-        )
-        _pivot(tableau, basis, r, j)
-
-
-def _simplex_max(
-    rows: list[list[Fraction]], rhs: list[Fraction], objective: list[Fraction]
-) -> Fraction | None:
-    """Maximum of objective . x over the bounded set {x >= 0 : rows . x = rhs}.
-
-    Two-phase dense tableau simplex over exact fractions; rhs must be
-    nonnegative.  Phase 1 starts from one artificial variable per row and
-    drives their sum to zero, which also handles rank-deficient rows: an
-    artificial that stays basic at zero after phase 1 sits in a row that is
-    zero on every structural column, and no later pivot changes that row.
-    Returns None when the set is empty.
-    """
-    m, n = len(rows), len(objective)
-    zero, one = Fraction(0), Fraction(1)
-    tableau = [
-        list(row) + [one if i == r else zero for i in range(m)] + [b]
-        for r, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    # phase 1 maximizes minus the sum of the artificials
-    cost = [sum(column) for column in zip(*tableau)]
-    tableau.append(cost[:n] + [zero] * m + cost[-1:])
-    basis = list(range(n, n + m))
-    _climb(tableau, basis, n + m)
-    if tableau[-1][-1] != 0:
-        return None
-    for r in range(m):
-        if basis[r] >= n:
-            j = next((j for j in range(n) if tableau[r][j]), None)
-            if j is not None:
-                _pivot(tableau, basis, r, j)
-    # phase 2: reduced costs of the objective; artificials never enter again
-    weights = list(objective) + [zero] * (m + 1)
-    tableau[-1] = [
-        weights[j] - sum(weights[basis[r]] * tableau[r][j] for r in range(m))
-        for j in range(n + m + 1)
-    ]
-    _climb(tableau, basis, n)
-    return -tableau[-1][-1]
-
-
-def _max_outside_mass(
-    pa: list[tuple[Fraction, ...]],
-    pb: list[tuple[Fraction, ...]],
-    shared_in_a: list[int],
-) -> Fraction | None:
-    """Max total barycentric mass of conv(pa) ∩ conv(pb) outside the shared face.
-
-    The contact polytope {A·l = B·m, sum l = sum m = 1, l, m >= 0} holds the
-    common points of the two hulls, and the objective is the weight l puts
-    on the vertices of pa outside the shared face.  Returns None when the
-    hulls do not intersect.
-    """
-    k = len(pa[0])
-    s, t = len(pa), len(pb)
-    zero, one = Fraction(0), Fraction(1)
-    # equality rows: coordinates, then the two affine constraints
-    rows = [[pa[i][c] for i in range(s)] + [-pb[j][c] for j in range(t)] for c in range(k)]
-    rows.append([one] * s + [zero] * t)
-    rows.append([zero] * s + [one] * t)
-    rhs = [zero] * k + [one, one]
-    objective = [zero if (i >= s or i in shared_in_a) else one for i in range(s + t)]
-    return _simplex_max(rows, rhs, objective)
-
-
 def verify_embedding(g: GeometricRealization) -> None:
     """Exact check that the coordinates give a linear embedding.
 
-    Only the facets (maximal faces) are examined, which suffices:
-
-    * every face lies in a facet, and a subset of an affinely independent
-      set is affinely independent;
-    * let faces s' of facet s and t' of facet t be given, where
-      conv s ∩ conv t = conv(s ∩ t).  Then conv s' ∩ conv t' lies in
-      conv(s' ∩ t) and in conv(t' ∩ s), since barycentric coordinates in
-      an affinely independent s or t are unique.  Both hulls lie in the
-      simplex conv(s ∩ t), so their intersection is conv(s' ∩ t').
-
-    Each facet must be affinely independent.  For every pair of facets one
-    two-phase exact simplex solve (``_simplex_max``, Bland's rule,
-    artificial variables for rank-deficient contact systems) finds the
-    largest barycentric mass a common point puts outside the shared face,
-    and the pair is rejected if it is positive.  A shared vertex is always
-    a common point, so the shared face itself is never missed.  Intended as
-    an opt-in diagnostic, not a standing invariant.
+    Raises InvalidEmbeddingError naming the first affinely dependent facet
+    or overlapping facet pair.  The check is ``embedding.verify_embedding``;
+    it lives in its own module so that only a process that verifies an
+    embedding compiles it.
     """
-    coords = _exact_coords(g)
-    facets = g.complex.facets
-    points = {f: [coords[v] for v in f] for f in facets}
-    for f in facets:
-        if not _affinely_independent(points[f]):
-            raise InvalidEmbeddingError(f"facet {f} is affinely dependent")
-    for a, fa in enumerate(facets):
-        for fb in facets[a + 1:]:
-            shared = [i for i, v in enumerate(fa) if v in fb]
-            worst = _max_outside_mass(points[fa], points[fb], shared)
-            if worst is not None and worst > 0:
-                raise InvalidEmbeddingError(f"facets {fa} and {fb} overlap outside their shared face")
+    from . import embedding
+
+    embedding.verify_embedding(g)

@@ -1,6 +1,6 @@
 """Reference embedding check: every pair of faces, every basis of the contact LP.
 
-This is the straightforward form of ``tightmorse.geometry.verify_embedding``,
+This is the straightforward form of ``tightmorse.embedding.verify_embedding``,
 kept as the oracle it is compared against.  Every face must be affinely
 independent, and every pair of faces that are not nested must meet exactly
 in their shared face.  The contact polytope of a pair,

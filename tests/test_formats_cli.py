@@ -791,6 +791,27 @@ def test_cli_build_furch(tmp_path, capsys):
     assert len(rep["spanning_edge"]) == 2
 
 
+# the build report used to reduce the certified complex a second time
+@pytest.mark.parametrize("name, reductions", [("furch3x3x3", 1), ("cone-sphere(grid2x2x2)", 2)])
+def test_cli_build_reports_the_certified_betti_vector(tmp_path, capsys, monkeypatch, name, reductions):
+    from tightmorse import constructions, homology_z2
+
+    seen = []
+
+    def counting_betti(c):
+        seen.append(c.dimension)
+        return betti(c)
+
+    betti = homology_z2.betti
+    monkeypatch.setattr(homology_z2, "betti", counting_betti)
+    monkeypatch.setattr(constructions, "betti", counting_betti)
+    args, _ = build_args(name, tmp_path)
+    code, rep = run_cli(["build", *args, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and rep["betti"] == BUILD_GOLDEN[name][0]["betti"]
+    # the construction's own checks: the ball (and the sphere), not the rim
+    assert seen.count(3) == reductions
+
+
 def test_cli_build_cone_sphere_and_wedge(tmp_path, capsys):
     ball = tmp_path / "b.facets"
     ball.write_text(dump_facets(from_facets([(1, 2, 3, 4)])))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import embedding_oracle
 
-from tightmorse import betti, from_facets
+from tightmorse import betti, embedding, from_facets
 from tightmorse.constructions import (
     checkerboard,
     convex_fixture,
@@ -285,14 +285,16 @@ def test_verify_embedding_rejects_vertex_moved_through_neighbour(dims):
 @st.composite
 def small_realizations(draw):
     """A complex on at most 7 vertices of dimension at most 3 (at most k in
-    R^k), with integer points, coincident ones too, in a box of side 2-4 in
-    R^2 or R^3."""
+    R^k), with points, coincident ones too, in a box of side 2-4 in R^2 or
+    R^3: integer points in R^2, and in R^3 points whose coordinates share a
+    denominator of 1-3."""
     k = draw(st.sampled_from([2, 3]))
     c = from_facets(draw(st.lists(
         st.lists(st.integers(0, 6), min_size=1, max_size=k + 1, unique=True), min_size=2, max_size=6
     )))
     side = draw(st.integers(2, 4))
-    point = st.tuples(*[st.integers(0, side)] * k)
+    den = draw(st.integers(1, 3)) if k == 3 else 1
+    point = st.tuples(*[st.integers(0, side * den).map(lambda n: Fraction(n, den))] * k)
     return GeometricRealization(c, {v: draw(point) for v in c.vertices}, k)
 
 
@@ -306,3 +308,57 @@ def test_verify_embedding_matches_oracle(g):
     except InvalidEmbeddingError:
         accepted = False
     assert accepted == embedding_oracle.embeds(g)
+
+
+@st.composite
+def r3_realizations(draw):
+    """A complex of dimension at most 3 on at most 8 vertices in R^3, its
+    vertices placed on at most 8 points (so often several on one) whose
+    coordinates are fractions n/d with 0 <= n <= 6 and 1 <= d <= 3."""
+    c = from_facets(draw(st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), min_size=2, max_size=8
+    )))
+    coordinate = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+    points = draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=8))
+    return GeometricRealization(c, {v: draw(st.sampled_from(points)) for v in c.vertices}, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r3_realizations())
+def test_plane_certified_pairs_have_no_outside_mass(g):
+    """A facet pair that a plane certifies has no common point outside its
+    shared face, by the oracle's all-bases LP; affinely dependent facets are
+    rejected before any pair is looked at, so they are skipped."""
+    coords = embedding._exact_coords(g)
+    ints = embedding._scaled_ints(coords)
+    facets = [f for f in g.complex.facets if embedding._affinely_independent([coords[v] for v in f])]
+    for a, fa in enumerate(facets):
+        for fb in facets[a + 1:]:
+            if embedding._plane_certifies(ints, fa, fb):
+                worst = embedding_oracle.max_outside_mass(
+                    [coords[v] for v in fa], [coords[v] for v in fb],
+                    [i for i, v in enumerate(fa) if v in fb],
+                )
+                assert worst is None or worst <= 0, (fa, fb)
+
+
+@pytest.mark.parametrize("dims", GRID_DIMS[:3], ids=lambda d: "grid(%d,%d,%d)" % d)
+def test_verify_embedding_certifies_grid_balls_without_the_lp(monkeypatch, dims):
+    def no_lp(*args):
+        raise AssertionError("the contact LP ran")
+
+    monkeypatch.setattr(embedding, "_max_outside_mass", no_lp)
+    verify_embedding(grid_ball(*dims))
+
+
+def test_verify_embedding_tells_coincident_vertices_apart():
+    # the tetrahedra share vertex 0, and vertex 4 of the second sits on
+    # vertex 3 of the first: the hulls share the segment from 0 to 3, which
+    # a comparison of coordinates would take for a shared edge
+    c = from_facets([(0, 1, 2, 3), (0, 4, 5, 6)])
+    coords = {
+        0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1),
+        4: (0, 0, 1), 5: (-1, 0, 1), 6: (0, -1, 1),
+    }
+    with pytest.raises(InvalidEmbeddingError, match=r"facets \(0, 1, 2, 3\) and \(0, 4, 5, 6\) overlap"):
+        verify_embedding(GeometricRealization(c, coords, 3))

@@ -84,17 +84,26 @@ def inputs(tmp_path):
 @pytest.mark.parametrize(
     "argv, absent, absent_other",
     [
-        (["betti", "e.facets"], {"geometry", "morse", "algorithms", "constructions"}, {"dataclasses"}),
-        (["tight", "check", "s.geom", "--pi", "1,2,4"], {"morse", "algorithms", "constructions"}, set()),
+        (
+            ["betti", "e.facets"],
+            {"geometry", "embedding", "morse", "algorithms", "constructions"}, {"dataclasses"},
+        ),
+        (
+            ["tight", "check", "s.geom", "--pi", "1,2,4"],
+            {"embedding", "morse", "algorithms", "constructions"}, set(),
+        ),
         (
             ["morse", "validate", "e.facets", "e.morse"],
-            {"homology_z2", "algorithms", "geometry", "constructions"}, set(),
+            {"homology_z2", "algorithms", "geometry", "embedding", "constructions"}, set(),
         ),
         (
             ["morse", "vector", "e.facets", "e.morse"],
-            {"homology_z2", "algorithms", "geometry", "constructions"}, set(),
+            {"homology_z2", "algorithms", "geometry", "embedding", "constructions"}, set(),
         ),
-        (["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"], {"algorithms"}, set()),
+        (
+            ["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"],
+            {"embedding", "algorithms"}, set(),
+        ),
     ],
     ids=["betti", "tight_check", "morse_validate", "morse_vector", "build_furch"],
 )
