@@ -82,12 +82,12 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _report(args, inputs: list[str], result: dict) -> dict:
+def _report(args, inputs: dict[str, str], result: dict) -> dict:
     report = {
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", 0),
-        "inputs": {p: _digest(p) for p in inputs},
+        "inputs": inputs,
     }
     report.update(result)
     if getattr(args, "timings", False):
@@ -347,11 +347,12 @@ def main(argv=None) -> int:
         "build": _cmd_build,
     }
     handler = handlers[args.command]
-    inputs = []
+    # digested before the handler runs, which may overwrite an input (--out)
+    inputs = {}
     for attr in ("file", "geom_file", "complex_file", "matching_file", "file1", "file2", "path"):
         value = getattr(args, attr, None)
         if value and Path(str(value)).is_file():
-            inputs.append(str(value))
+            inputs[str(value)] = _digest(str(value))
     try:
         code, result = handler(args)
     except PerfectnessAssertionFailedError as exc:

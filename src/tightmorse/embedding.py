@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 from typing import Sequence
 
 from .errors import InvalidEmbeddingError
@@ -155,42 +155,19 @@ def _minus(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
 
 
 def _candidate_normals(shared, only_a, only_b):
-    """Normals of the planes tried for a facet pair in R^3, by shared face.
+    """Normals of the planes tried for a facet pair (σ, τ) in R^3: the cross
+    products u × w of two edges of the pair, two of σ first, then two of τ,
+    then one of each.
 
-    No shared vertex: the facet normals of both simplices and the edge ×
+    Each facet lists its shared vertices first, so the first normal of a
+    pair that shares a triangle is the triangle's normal.  For a
+    vertex-disjoint pair the products hold the facet normals and the edge ×
     edge products, the complete separating-axis set for two tetrahedra.
-    Otherwise planes through the shared face: its normal for a triangle;
-    e × (x - p) and e × (x - y) for an edge e from p; (x - v) × (y - v) and
-    (x - v) × (y - z) for a vertex v, where x, y, z are the other vertices.
     """
-    rest = only_a + only_b
-    if not shared:
-        for simplex in (only_a, only_b):
-            for p, q, r in combinations(simplex, 3):
-                yield _cross(_minus(q, p), _minus(r, p))
-        edges_b = [_minus(q, p) for p, q in combinations(only_b, 2)]
-        for p, q in combinations(only_a, 2):
-            e = _minus(q, p)
-            for f in edges_b:
-                yield _cross(e, f)
-    elif len(shared) == 3:
-        p, q, r = shared
-        yield _cross(_minus(q, p), _minus(r, p))
-    elif len(shared) == 2:
-        p, q = shared
-        e = _minus(q, p)
-        for x in rest:
-            yield _cross(e, _minus(x, p))
-        for x, y in combinations(rest, 2):
-            yield _cross(e, _minus(x, y))
-    else:
-        (v,) = shared
-        arms = [_minus(x, v) for x in rest]
-        for u, w in combinations(arms, 2):
-            yield _cross(u, w)
-        for i, u in enumerate(arms):
-            for y, z in combinations(rest[:i] + rest[i + 1:], 2):
-                yield _cross(u, _minus(y, z))
+    ea = [_minus(q, p) for p, q in combinations(shared + only_a, 2)]
+    eb = [_minus(q, p) for p, q in combinations(shared + only_b, 2)]
+    for u, w in chain(combinations(ea, 2), combinations(eb, 2), product(ea, eb)):
+        yield _cross(u, w)
 
 
 def _plane_splits(hs: list[int], ha: list[int], hb: list[int]) -> bool:
@@ -208,12 +185,13 @@ def _plane_splits(hs: list[int], ha: list[int], hb: list[int]) -> bool:
 
 
 def _plane_certifies(ints: dict[int, tuple[int, ...]], fa: Sequence[int], fb: Sequence[int]) -> bool:
-    """True when some candidate plane proves conv fa ∩ conv fb = conv(fa ∩ fb).
+    """True when a plane whose normal is the cross product of two edges of
+    the pair proves conv fa ∩ conv fb = conv(fa ∩ fb).
 
     ``ints`` holds integer points in R^3; the shared vertices are found by
-    label.  Trying -n is ``_plane_splits`` with the facets swapped.  A zero
-    normal certifies nothing, since both facets have own vertices.  False
-    proves nothing.
+    label and listed first.  Each normal n is tried with both signs (-n is
+    ``_plane_splits`` with the facets swapped).  A zero normal certifies
+    nothing, since both facets have own vertices.  False proves nothing.
     """
     shared = [ints[v] for v in fa if v in fb]
     only_a = [ints[v] for v in fa if v not in fb]
@@ -241,19 +219,15 @@ def verify_embedding(g: GeometricRealization) -> None:
       simplex conv(s ∩ t), so their intersection is conv(s' ∩ t').
 
     Each facet must be affinely independent.  In R^3 a pair of facets is
-    first tried against a few planes (``_candidate_normals``), on the
-    coordinates scaled once to integers: a plane with one facet on each
-    side, and all the own vertices of one facet off it, proves that the
-    pair meets exactly in its shared face.  Every other pair, and every
-    pair in other dimensions, gets one two-phase exact simplex solve
-    (``_simplex_max``, Bland's rule, artificial variables for
-    rank-deficient contact systems) that finds the largest barycentric
-    mass a common point puts outside the shared face, and the pair is
-    rejected if it is positive; this solve is the only path that rejects.
-    A shared vertex is always a common point, so the shared face itself
-    is never missed.  Shared vertices are found by label, so two vertices
-    at one point are never taken for one.  Intended as an opt-in
-    diagnostic, not a standing invariant.
+    first tried against the planes normal to the cross products of two of
+    its edges (``_plane_certifies``), on the coordinates scaled once to
+    integers.  Every other pair, and every pair in other dimensions, gets
+    one exact two-phase simplex solve (``_simplex_max``) for the largest
+    barycentric mass a common point puts outside the shared face, and is
+    rejected if that is positive; the solve is the only path that rejects,
+    so the planes change no verdict.  Shared vertices are found by label,
+    so two vertices at one point are never taken for one.  Intended as an
+    opt-in diagnostic, not a standing invariant.
     """
     coords = _exact_coords(g)
     facets = g.complex.facets

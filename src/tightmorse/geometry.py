@@ -30,9 +30,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .complex_core import SimplicialComplex, restrict
+from .complex_core import SimplicialComplex
 from .errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
 from .homology_z2 import persistence_pairs
 
@@ -59,11 +58,6 @@ class GeometricRealization:
 
     def height(self, v: int, direction: Vector) -> Number:
         return sum(p * d for p, d in zip(self.coords[v], direction))
-
-    def restricted(self, vertices: Iterable[int]) -> "GeometricRealization":
-        keep = set(vertices)
-        sub = restrict(self.complex, keep)
-        return GeometricRealization(sub, {v: self.coords[v] for v in keep}, self.ambient_dim)
 
 
 @dataclass(frozen=True)

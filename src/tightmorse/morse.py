@@ -17,7 +17,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .complex_core import Face, SimplicialComplex, canonical_face, cone
 from .errors import (
@@ -39,13 +39,6 @@ class MorseMatching:
 
     complex: SimplicialComplex
     pairs: frozenset[Pair]
-
-    @staticmethod
-    def build(c: SimplicialComplex, pairs: Iterable[Sequence[Sequence[int]]]) -> "MorseMatching":
-        canon = frozenset(
-            (canonical_face(p[0]), canonical_face(p[1])) for p in pairs
-        )
-        return MorseMatching(c, canon)
 
     @property
     def matched_faces(self) -> set[Face]:

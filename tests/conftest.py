@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tightmorse import betti, constructions, from_facets
 from tightmorse.complex_core import SimplicialComplex, cone, link, restrict
-from tightmorse.geometry import is_prefix_tight, sweep_order
+from tightmorse.geometry import GeometricRealization, is_prefix_tight, sweep_order
 
 
 # facets on vertices 0..6, optionally coned from 7: at most 8 vertices and
@@ -21,6 +21,12 @@ random_complexes = st.builds(
 def alternating_sum(values) -> int:
     """sum_i (-1)^i values[i]: the Euler characteristic of a Betti or Morse vector."""
     return sum((-1) ** i * v for i, v in enumerate(values))
+
+
+def restricted(g: GeometricRealization, vertices) -> GeometricRealization:
+    """The induced subcomplex of g on the given vertices, with their coordinates."""
+    keep = set(vertices)
+    return GeometricRealization(restrict(g.complex, keep), {v: g.coords[v] for v in keep}, g.ambient_dim)
 
 
 def assert_betti_recursion(g, direction) -> None:

@@ -37,7 +37,7 @@ from tightmorse.constructions import (
 from tightmorse.geometry import GeometricRealization, sweep_order
 from tightmorse.morse import morse_vector, random_discrete_morse, validate
 
-from conftest import alternating_sum, annulus_complex, assert_betti_recursion, fan_disc
+from conftest import alternating_sum, annulus_complex, assert_betti_recursion, fan_disc, restricted
 
 
 def _passed(criterion: int, message: str) -> None:
@@ -119,13 +119,13 @@ def test_criterion_3_betti_recursion_on_all_prefixes(convex_ball_fixtures,
         for direction in _directions(g, 3, base_seed=100 + i):
             order = sweep_order(g, direction)
             for j in range(2, len(order.vertices) + 1):
-                assert_betti_recursion(g.restricted(order.vertices[:j]), direction)
+                assert_betti_recursion(restricted(g, order.vertices[:j]), direction)
                 checks += 1
     for i, (_, g) in enumerate(convex_sphere_fixtures):
         for direction in _directions(g, 5, base_seed=500 + i):
             order = sweep_order(g, direction)
             for j in range(2, len(order.vertices) + 1):
-                assert_betti_recursion(g.restricted(order.vertices[:j]), direction)
+                assert_betti_recursion(restricted(g, order.vertices[:j]), direction)
                 checks += 1
     assert checks >= 500
     _passed(3, f"Kronecker-delta Betti recursion verified at {checks} prefixes")

@@ -829,6 +829,15 @@ def test_cli_build_cone_sphere_and_wedge(tmp_path, capsys):
     assert code == 0 and rep["f_vector"][0] == 8
 
 
+def test_cli_report_digests_an_input_that_the_command_overwrites(tmp_path, capsys):
+    geom = tmp_path / "g.geom"
+    geom.write_text(dump_geom(grid_ball(1, 1, 1)))
+    digest = hashlib.sha256(geom.read_bytes()).hexdigest()[:12]
+    code, rep = run_cli(["build", "cone-sphere", str(geom), "--out", str(geom)], capsys)
+    assert code == 0 and rep["betti"] == [1, 0, 0, 1]
+    assert rep["inputs"] == {str(geom): digest}
+
+
 def test_cli_sweep_assertion_exit_code(tmp_path, capsys):
     # a roof path is not prefix-tight; forcing the sweep through with
     # --assume-tight trips the perfectness assertion (exit 3)

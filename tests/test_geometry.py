@@ -12,8 +12,10 @@ from tightmorse.constructions import (
     checkerboard,
     convex_fixture,
     dunce_hat,
+    furch_ball,
     grid_ball,
     stacked_ball,
+    straight_path,
     suspension_realization,
 )
 from tightmorse.errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
@@ -26,7 +28,7 @@ from tightmorse.geometry import (
     verify_embedding,
 )
 
-from conftest import assert_betti_recursion
+from conftest import assert_betti_recursion, restricted
 
 
 def delta3_realization():
@@ -209,7 +211,7 @@ def test_prefixes_of_tight_fixture_stay_tight():
     order = sweep_order(g, d)
     assert is_prefix_tight(g, d).tight
     for j in range(2, len(order.vertices) + 1):
-        prefix = g.restricted(order.vertices[:j])
+        prefix = restricted(g, order.vertices[:j])
         assert is_prefix_tight(prefix, d).tight
         assert is_pi_tight(prefix, tuple(-x for x in d)).tight
 
@@ -342,13 +344,24 @@ def test_plane_certified_pairs_have_no_outside_mass(g):
                 assert worst is None or worst <= 0, (fa, fb)
 
 
-@pytest.mark.parametrize("dims", GRID_DIMS[:3], ids=lambda d: "grid(%d,%d,%d)" % d)
-def test_verify_embedding_certifies_grid_balls_without_the_lp(monkeypatch, dims):
+@pytest.mark.parametrize(
+    "make",
+    [partial(grid_ball, *dims) for dims in GRID_DIMS + [(2, 2, 2)]]
+    + [
+        lambda: furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization,
+        partial(stacked_ball, 12),
+        partial(convex_fixture, "schlegel_cross4"),
+    ],
+    ids=["grid(%d,%d,%d)" % dims for dims in GRID_DIMS + [(2, 2, 2)]]
+    + ["straight-drilled(3,3,2)", "stacked(12)", "schlegel_cross4"],
+)
+def test_verify_embedding_certifies_grid_balls_without_the_lp(monkeypatch, make):
     def no_lp(*args):
         raise AssertionError("the contact LP ran")
 
+    g = make()
     monkeypatch.setattr(embedding, "_max_outside_mass", no_lp)
-    verify_embedding(grid_ball(*dims))
+    verify_embedding(g)
 
 
 def test_verify_embedding_tells_coincident_vertices_apart():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tightmorse import betti, constructions, from_facets
 from tightmorse.algorithms import sweep_perfect_morse
-from tightmorse.complex_core import cone, from_faces
+from tightmorse.complex_core import canonical_face, cone, from_faces
 from tightmorse.constructions import convex_fixture
 from tightmorse.errors import (
     DanglingFaceError,
@@ -32,7 +32,7 @@ from homology_oracle import betti as oracle_betti, gf2_rank
 
 
 def matching(c, pairs):
-    return MorseMatching.build(c, pairs)
+    return MorseMatching(c, frozenset((canonical_face(s), canonical_face(t)) for s, t in pairs))
 
 
 def has_v_cycle_brute_force(m: MorseMatching) -> bool:
