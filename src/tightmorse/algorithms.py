@@ -124,32 +124,61 @@ class NonEvasivenessCertificate:
     def is_leaf(self) -> bool:
         return self.link_cert is None and self.deletion_cert is None
 
+    def _preorder(self) -> list["NonEvasivenessCertificate"]:
+        """The nodes in pre-order: a node, its link's, then its deletion's."""
+        nodes, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if node.deletion_cert:
+                stack.append(node.deletion_cert)
+            if node.link_cert:
+                stack.append(node.link_cert)
+        return nodes
+
     def relabeled(self, mapping: dict[int, int]) -> "NonEvasivenessCertificate":
-        return NonEvasivenessCertificate(
-            mapping[self.vertex],
-            self.link_cert.relabeled(mapping) if self.link_cert else None,
-            self.deletion_cert.relabeled(mapping) if self.deletion_cert else None,
-        )
+        done: list[NonEvasivenessCertificate] = []  # relabeled subtrees, last on top
+        for node in reversed(self._preorder()):
+            link_cert = done.pop() if node.link_cert else None
+            deletion_cert = done.pop() if node.deletion_cert else None
+            done.append(NonEvasivenessCertificate(mapping[node.vertex], link_cert, deletion_cert))
+        return done[0]
 
     @property
     def size(self) -> int:
-        n = 1
-        if self.link_cert:
-            n += self.link_cert.size
-        if self.deletion_cert:
-            n += self.deletion_cert.size
-        return n
+        return len(self._preorder())
+
+
+def _drive(root):
+    """Run a recursion written as generators on an explicit stack: each
+    yields a child generator and is sent the child's return value, so depth
+    is bounded by memory, not by the interpreter's recursion limit."""
+    stack, value = [root], None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
 
 
 def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
     """Replay a certificate; True iff it proves c non-evasive."""
-    if cert.is_leaf:
-        return c.num_faces == 1 and c.vertices == (cert.vertex,)
-    if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
-        return False
-    return verify_certificate(link(c, cert.vertex), cert.link_cert) and verify_certificate(
-        deletion(c, cert.vertex), cert.deletion_cert
-    )
+
+    def replay(c: SimplicialComplex, cert: NonEvasivenessCertificate):
+        if cert.is_leaf:
+            return c.num_faces == 1 and c.vertices == (cert.vertex,)
+        if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
+            return False
+        return (yield replay(link(c, cert.vertex), cert.link_cert)) and (
+            yield replay(deletion(c, cert.vertex), cert.deletion_cert)
+        )
+
+    return _drive(replay(c, cert))
 
 
 def _is_nonempty_tree(g: SimplicialComplex) -> bool:
@@ -173,19 +202,20 @@ def planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate
     b = betti(d)
     if b[0] != 1 or any(b[i] for i in range(1, len(b))):
         raise NotAcyclicError(f"Betti vector {b} is not (1, 0, ...)")
-    return _acyclic_cert(d)
+    return _drive(_acyclic_cert(d))
 
 
-def _acyclic_cert(c: SimplicialComplex) -> NonEvasivenessCertificate:
+def _acyclic_cert(c: SimplicialComplex):
+    """Generator for ``_drive``: the certificate of ``planar_acyclic_nonevasive``."""
     if c.num_faces == 1:
         return NonEvasivenessCertificate(c.vertices[0])
     blocking: dict[int, tuple[int, ...]] = {}
     for v in c.vertices:
         lk = link(c, v)
         if _is_nonempty_tree(lk):
-            return NonEvasivenessCertificate(
-                v, _acyclic_cert(lk), _acyclic_cert(deletion(c, v))
-            )
+            link_cert = yield _acyclic_cert(lk)
+            del_cert = yield _acyclic_cert(deletion(c, v))
+            return NonEvasivenessCertificate(v, link_cert, del_cert)
         blocking[v] = lk.f_vector
     raise StuckNoDeletableVertexError(blocking)
 
@@ -460,7 +490,7 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     memo = _IsoMemo()
     tracker = _Budget(budget)
 
-    def search(cur: SimplicialComplex, acyclic: bool) -> NonEvasivenessCertificate | None:
+    def search(cur: SimplicialComplex, acyclic: bool):
         if cur.num_faces == 1:
             return NonEvasivenessCertificate(cur.vertices[0])
         tracker.tick()
@@ -483,11 +513,11 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
             lk = link(cur, v)
             if lk.is_empty:
                 continue
-            link_cert = search(lk, False)
+            link_cert = yield search(lk, False)
             if link_cert is None:
                 continue
             # Mayer–Vietoris on cur = del(v) ∪ st(v) with intersection lk(v): del(v) is acyclic
-            del_cert = search(deletion(cur, v), True)
+            del_cert = yield search(deletion(cur, v), True)
             if del_cert is None:
                 continue
             result = NonEvasivenessCertificate(v, link_cert, del_cert)
@@ -498,7 +528,7 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     if not _acyclic_betti(c):
         return NonEvasiveResult("no", reason="betti")
     try:
-        cert = search(c, True)
+        cert = _drive(search(c, True))
     except _BudgetExhausted:
         return NonEvasiveResult("budget")
     if cert is None:
@@ -533,7 +563,8 @@ def collapsible(
     the first attempt fails, and it takes precedence over "no free face".
     backtracking: exhaustive over free-pair choices with memoized dead
     states, keyed by ``canonical_form`` only when an f-vector repeats
-    (``_IsoMemo``); exact within the node budget.
+    (``_IsoMemo``); exact within the node budget.  Both searches run on
+    ``_drive``'s stack.
     """
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -571,7 +602,7 @@ def collapsible(
     tracker = _Budget(budget)
     dead = _IsoMemo()
 
-    def search(faces: frozenset[Face]) -> list[Pair] | None:
+    def search(faces: frozenset[Face]):
         if len(faces) == 1:
             return []
         tracker.tick()
@@ -580,14 +611,14 @@ def collapsible(
         if hit is not None:
             return None
         for s, t in free_faces(cur):
-            rest = search(faces - {s, t})
+            rest = yield search(faces - {s, t})
             if rest is not None:
                 return [(s, t)] + rest
         dead.store(cur, None, form)
         return None
 
     try:
-        steps = search(frozenset(c.faces()))
+        steps = _drive(search(frozenset(c.faces())))
     except _BudgetExhausted:
         return CollapsibleResult("budget")
     if steps is None:

@@ -166,14 +166,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cert_to_json(cert):
-    if cert is None:
-        return None
-    return {
-        "vertex": cert.vertex,
-        "link": _cert_to_json(cert.link_cert),
-        "deletion": _cert_to_json(cert.deletion_cert),
-    }
+def _cert_json(cert) -> str:
+    """The text ``json.dumps`` gives a certificate as nested objects with
+    keys vertex, link and deletion, written from an explicit stack."""
+    parts, stack = [], [cert]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        else:
+            parts.append(f'{{"vertex": {node.vertex}, "link": ')
+            stack += ["}", node.deletion_cert or "null", ', "deletion": ', node.link_cert or "null"]
+    return "".join(parts)
 
 
 def _cmd_betti(args) -> tuple[int, dict]:
@@ -273,7 +277,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     if res.certificate is not None:
         result["certificate_size"] = res.certificate.size
         if args.out:
-            Path(args.out).write_text(json.dumps(_cert_to_json(res.certificate)))
+            Path(args.out).write_text(_cert_json(res.certificate))
             result["out"] = args.out
     return (EXIT_BUDGET if res.status == "budget" else EXIT_OK), result
 

@@ -8,6 +8,7 @@ import search_oracle as oracle
 
 from tightmorse import algorithms, betti, complex_core, free_faces, from_facets
 from tightmorse.algorithms import (
+    NonEvasivenessCertificate,
     _IsoMemo,
     collapsible,
     canonical_form,
@@ -256,11 +257,47 @@ def test_nonevasive_budget():
     assert res.status == "budget"
 
 
-# the search recurses once per deleted vertex, so a path of 1,000 edges
-# outruns the interpreter's recursion limit (900 edges answer "yes")
-@pytest.mark.xfail(raises=RecursionError, strict=True)
+# The searches and the certificate walks go one level deeper per deleted
+# vertex or collapsed pair.  They run on an explicit stack, so a path of
+# 1,000 edges, beyond the interpreter's default recursion limit, is decided.
+# Deep certificates are compared by walking them, never by ``==`` or
+# ``repr``, which the dataclass still implements by recursion.
+
+def path(edges):
+    return from_facets([(i, i + 1) for i in range(edges)])
+
+
 def test_nonevasive_long_path():
-    assert nonevasive(from_facets([(i, i + 1) for i in range(1000)])).status == "yes"
+    c = path(1000)
+    res = nonevasive(c)
+    assert res.status == "yes" and res.certificate.size == 2001
+    assert verify_certificate(c, res.certificate)
+
+
+def test_backtracking_long_path():
+    res = collapsible(path(1000), strategy="backtracking")
+    assert res.status == "yes" and len(res.sequence) == 1000
+
+
+def test_planar_acyclic_nonevasive_long_path():
+    c = path(1000)
+    cert = planar_acyclic_nonevasive(c)
+    assert cert.size == 2001 and verify_certificate(c, cert)
+
+
+def test_deep_certificate_replays_and_relabels():
+    # delete 0, 1, ... in turn: each link is the next vertex, 1,200 levels
+    cert = NonEvasivenessCertificate(1200)
+    for v in reversed(range(1200)):
+        cert = NonEvasivenessCertificate(v, NonEvasivenessCertificate(v + 1), cert)
+    c = path(1200)
+    assert cert.size == 2401 and verify_certificate(c, cert)
+    assert not verify_certificate(path(1201), cert)
+    shifted = cert.relabeled({v: v + 5000 for v in c.vertices})
+    assert verify_certificate(from_facets([(i + 5000, i + 5001) for i in range(1200)]), shifted)
+    back = shifted.relabeled({v + 5000: v for v in c.vertices})
+    shape = [(n.vertex, n.is_leaf) for n in cert._preorder()]
+    assert [(n.vertex, n.is_leaf) for n in back._preorder()] == shape
 
 
 def test_nonevasive_implies_collapsible(simplex3):

@@ -502,6 +502,19 @@ def test_cli_check_nonevasive_reject(tmp_path, capsys):
     assert rep["result"] == "no" and rep["reason"] == "betti"
 
 
+def test_cli_check_nonevasive_long_path(tmp_path, capsys):
+    # the search and the certificate writer go 1,000 levels deep
+    f = tmp_path / "path.facets"
+    f.write_text(dump_facets(from_facets([(i, i + 1) for i in range(1000)])))
+    out = tmp_path / "cert.json"
+    code, rep = run_cli(["check", "nonevasive", str(f), "--out", str(out)], capsys)
+    assert code == 0
+    assert (rep["result"], rep["certificate_size"]) == ("yes", 2001)
+    text = out.read_text()
+    assert text.startswith('{"vertex": 0, "link": {"vertex": 1, "link": null, "deletion": null}')
+    assert text.count('"vertex"') == 2001
+
+
 # (certificate_size, bytes and sha256 of the --out file), recorded before
 # the search got integer colour palettes and its lazy memo
 NONEVASIVE_GOLDEN = {
