@@ -108,12 +108,13 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
     return MorseMatching(d, frozenset(pairs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonEvasivenessCertificate:
     """Recursive witness: delete ``vertex``, certify its link and deletion.
 
     A leaf (link_cert and deletion_cert both None) asserts the complex is
-    the single point ``vertex``.
+    the single point ``vertex``.  ``==`` and ``hash`` read the pre-order
+    walk, so they need no recursion however deep the certificate is.
     """
 
     vertex: int
@@ -135,6 +136,18 @@ class NonEvasivenessCertificate:
             if node.link_cert:
                 stack.append(node.link_cert)
         return nodes
+
+    def _key(self) -> list[tuple[int, bool, bool]]:
+        """The pre-order of (vertex, has link, has deletion): it determines the tree."""
+        return [(n.vertex, n.link_cert is not None, n.deletion_cert is not None) for n in self._preorder()]
+
+    def __eq__(self, other):
+        if not isinstance(other, NonEvasivenessCertificate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(tuple(self._key()))
 
     def relabeled(self, mapping: dict[int, int]) -> "NonEvasivenessCertificate":
         done: list[NonEvasivenessCertificate] = []  # relabeled subtrees, last on top

@@ -298,6 +298,10 @@ def test_deep_certificate_replays_and_relabels():
     back = shifted.relabeled({v + 5000: v for v in c.vertices})
     shape = [(n.vertex, n.is_leaf) for n in cert._preorder()]
     assert [(n.vertex, n.is_leaf) for n in back._preorder()] == shape
+    # == and hash walked one level per call frame and raised RecursionError
+    assert back == cert and hash(back) == hash(cert)
+    assert shifted != cert and back != back.relabeled({0: 1, 1: 0} | {v: v for v in range(2, 1201)})
+    assert {cert, back, shifted} == {cert, shifted}
 
 
 def test_nonevasive_implies_collapsible(simplex3):

@@ -2,13 +2,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import constructions_oracle
 from tightmorse import betti, free_faces, from_facets
 from tightmorse.algorithms import collapsible, nonevasive, verify_certificate
-from tightmorse.complex_core import boundary_complex, deletion, link
+from tightmorse.complex_core import boundary_complex, deletion, from_faces, link
 from tightmorse.constructions import (
     LatticePath,
     _cube_tets,
+    _hull_triangles,
     _is_two_sphere,
     checkerboard,
     cone_sphere,
@@ -34,6 +37,7 @@ from tightmorse.errors import (
     PathTouchesWallError,
     UnknownFixtureError,
 )
+from tightmorse.geometry import GeometricRealization
 
 
 # -- grid balls -----------------------------------------------------------------
@@ -260,6 +264,86 @@ def test_stacked_ball_golden():
         (1, 2, 3, 5), (1, 2, 5, 7), (1, 3, 5, 9), (2, 3, 5, 8),
     ]
     assert verify_convex_position(g)
+
+
+@pytest.mark.parametrize("k", [20, 24])
+def test_unseeded_stacked_ball_past_nineteen_stackings(k):
+    # raised MorseInvariantError: stacking always on the first rim triangle
+    # needed an eps below the 64 halvings that were tried
+    g = stacked_ball(k)
+    assert len(g.complex.facets) == k + 1
+    assert verify_convex_position(g)
+    assert betti(g.complex) == (1, 0, 0, 0)
+
+
+# -- the support test and the exact stacking rule against the oracle -------------------
+
+coordinates = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+points3 = st.tuples(coordinates, coordinates, coordinates)
+
+
+def _along(p, d, ts):
+    return [tuple(a + t * b for a, b in zip(p, d)) for t in ts]
+
+
+def _tetrahedron_and_centroid(ps):
+    return ps + [tuple(sum(axis) / 4 for axis in zip(*ps[:4]))]
+
+
+# 4 to 7 points: general, collinear, coplanar, and a tetrahedron with its
+# centroid (never in convex position)
+point_sets = st.one_of(
+    st.lists(points3, min_size=4, max_size=7),
+    st.builds(_along, points3, points3, st.lists(coordinates, min_size=4, max_size=6)),
+    st.builds(
+        lambda a, b, c, xys: [(x, y, a * x + b * y + c) for x, y in xys],
+        coordinates, coordinates, coordinates,
+        st.lists(st.tuples(coordinates, coordinates), min_size=4, max_size=6),
+    ),
+    st.lists(points3, min_size=4, max_size=5).map(_tetrahedron_and_centroid),
+).map(lambda ps: dict(enumerate(ps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets, st.data())
+def test_support_test_matches_centroid_oracle(points, data):
+    hull = _hull_triangles(points)
+    assert hull == constructions_oracle._hull_triangles(points)
+    size = data.draw(st.sampled_from((3, 4)), label="facet size")
+    facets = data.draw(st.lists(
+        st.lists(st.sampled_from(sorted(points)), min_size=size, max_size=size, unique=True),
+        min_size=1, max_size=6,
+    ), label="facets")
+    # every point is a vertex, so each triangle has another point to support
+    vertices = [(v,) for v in points]
+    for faces in (facets, hull):
+        g = GeometricRealization(from_faces(vertices + [tuple(sorted(f)) for f in faces]), points, 3)
+        assert verify_convex_position(g) == constructions_oracle.verify_convex_position(g)
+
+
+@pytest.mark.parametrize("g, convex", [
+    (grid_ball(1, 1, 1), False),
+    (grid_ball(2, 2, 1), False),
+    (convex_fixture("icosahedron_boundary"), True),
+    (convex_fixture("octahedron_boundary"), True),
+    (stacked_ball(6, seed=2), True),
+], ids=["grid111", "grid221", "icosahedron", "octahedron", "stacked6s2"])
+def test_convex_position_matches_centroid_oracle_on_fixtures(g, convex):
+    assert verify_convex_position(g) == constructions_oracle.verify_convex_position(g) == convex
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(0, 19), st.none()),
+    st.tuples(st.integers(0, 14), st.integers(0, 2**32)),
+))
+def test_stacked_ball_matches_halving_oracle(k_seed):
+    # the exact eps rule picks what the halving loop picked wherever that
+    # loop succeeds: unseeded up to 19 stackings, and seeded well beyond
+    g = stacked_ball(*k_seed)
+    oracle = constructions_oracle.stacked_ball(*k_seed)
+    assert g.coords == oracle.coords
+    assert g.complex == oracle.complex
 
 
 def test_unknown_fixture():

@@ -496,6 +496,15 @@ def test_cli_build_malformed_stacked_fixture_is_an_input_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_build_unseeded_stacked_twenty(tmp_path, capsys):
+    # exited 1 with "MorseInvariantError: could not place a stacked vertex convexly"
+    out = tmp_path / "s.geom"
+    code, rep = run_cli(["build", "fixture", "stacked(20)", "--out", str(out)], capsys)
+    assert code == 0
+    assert rep["f_vector"][3] == 21
+    assert parse_geom(out.read_text()).complex.f_vector == tuple(rep["f_vector"])
+
+
 def test_cli_check_nonevasive_reject(tmp_path, capsys):
     code, rep = run_cli(["check", "nonevasive", write_e(tmp_path)], capsys)
     assert code == 0
