@@ -113,8 +113,9 @@ class NonEvasivenessCertificate:
     """Recursive witness: delete ``vertex``, certify its link and deletion.
 
     A leaf (link_cert and deletion_cert both None) asserts the complex is
-    the single point ``vertex``.  ``==`` and ``hash`` read the pre-order
-    walk, so they need no recursion however deep the certificate is.
+    the single point ``vertex``.  ``==``, ``hash`` and ``repr`` walk the
+    tree on an explicit stack, so they need no recursion however deep the
+    certificate is; ``repr`` gives the dataclass's text.
     """
 
     vertex: int
@@ -148,6 +149,18 @@ class NonEvasivenessCertificate:
 
     def __hash__(self):
         return hash(tuple(self._key()))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list = [self]  # nodes, None for a missing child, and text
+        while stack:
+            item = stack.pop()
+            if isinstance(item, NonEvasivenessCertificate):
+                parts.append(f"{type(item).__qualname__}(vertex={item.vertex!r}, link_cert=")
+                stack += [")", item.deletion_cert, ", deletion_cert=", item.link_cert]
+            else:
+                parts.append(item if isinstance(item, str) else "None")
+        return "".join(parts)
 
     def relabeled(self, mapping: dict[int, int]) -> "NonEvasivenessCertificate":
         done: list[NonEvasivenessCertificate] = []  # relabeled subtrees, last on top

@@ -5,18 +5,22 @@ labels.  A complex stores its full downward closure, grouped by dimension,
 so every operator has cheap access to the whole face poset.  The empty face
 is implicit and never stored.
 
-Every complex is built by ``_by_dimension`` from a downward-closed family:
-``from_facets`` and ``from_faces`` close their input first (``_close``); the
-other operators, and ``algorithms`` on face sets closed by construction,
-pass it directly.  ``free_faces`` maps each face to its one immediate coface
-in a single pass; the collapse engine (``morse.FaceSetCollapser``) numbers
-the faces and keeps its own coface counts instead.
+``from_facets`` and ``from_faces`` close their input with ``_close``: top
+down, the faces of each size are the given ones and the subsets of the faces
+one size up, each level one frozenset built by ``itertools`` iteration with
+no Python loop per face.  The other operators, and ``algorithms`` on face
+sets closed by construction, group a downward-closed family by dimension
+with ``_by_dimension``.  ``free_faces`` maps each face to its one immediate
+coface in a single pass; the collapse engine (``morse.FaceSetCollapser``)
+numbers the faces and keeps its own coface counts instead.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import cached_property
+from itertools import chain, combinations, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,7 +35,7 @@ Face = tuple[int, ...]
 
 def canonical_face(vertices: Iterable[int]) -> Face:
     """Sorted tuple form of a face; rejects duplicate labels."""
-    face = tuple(sorted(int(v) for v in vertices))
+    face = tuple(sorted(map(int, vertices)))
     if len(set(face)) != len(face):
         raise MalformedFacetError(f"repeated vertex in face {face}")
     if face and face[0] < 0:
@@ -158,15 +162,23 @@ def _by_dimension(faces: Iterable[Face]) -> SimplicialComplex:
 
 
 def _close(faces: Iterable[Face]) -> SimplicialComplex:
-    """Downward closure of a set of canonical faces."""
-    seen: set[Face] = set()
-    # largest first: a face inside one already closed costs one lookup
-    for face in sorted(faces, key=len, reverse=True):
-        if face not in seen:
-            seen.add(face)
-            for k in range(1, len(face)):
-                seen.update(itertools.combinations(face, k))
-    return _by_dimension(seen)
+    """Downward closure of a set of canonical faces; the empty face is dropped.
+
+    Top down, each level is the given faces of its size and the subfaces of
+    the level above, so every face of the closure is generated by the faces
+    one dimension up only: the work is linear in the closure even when the
+    input lists faces that others contain.
+    """
+    faces = sorted(faces, key=len)
+    end = len(faces)
+    levels: list[frozenset[Face]] = []
+    above: frozenset[Face] = frozenset()
+    for k in range(len(faces[-1]) if faces else 0, 0, -1):
+        start = bisect_left(faces, k, 0, end, key=len)
+        above = frozenset(chain(faces[start:end], chain.from_iterable(map(combinations, above, repeat(k)))))
+        levels.append(above)
+        end = start
+    return SimplicialComplex(levels[::-1])
 
 
 def from_facets(facets: Iterable[Iterable[int]]) -> SimplicialComplex:

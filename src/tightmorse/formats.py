@@ -64,18 +64,20 @@ def format_number(x: Number) -> str:
 
 
 def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return list(filter(None, map(str.strip, lines)))
 
 
 # -- facets v1 ---------------------------------------------------------------
 
 def parse_facets(text: str) -> SimplicialComplex:
-    lines = _content_lines(text)
+    return _parse_facet_lines(_content_lines(text))
+
+
+def _parse_facet_lines(lines: list[str]) -> SimplicialComplex:
+    """The complex of a facets section given as its content lines."""
     if not lines or not lines[0].startswith("facets"):
         raise FormatError("expected 'facets <n>' header")
     try:
@@ -85,7 +87,12 @@ def parse_facets(text: str) -> SimplicialComplex:
     body = lines[1:]
     if len(body) != count:
         raise FormatError(f"header says {count} facets, found {len(body)}")
-    return from_facets([parse_int(tok) for tok in line.split()] for line in body)
+    try:
+        # canonical_face reads each label with int, row by row
+        return from_facets(map(str.split, body))
+    except ValueError:
+        # again with parse_int, which names the first token int rejected
+        return from_facets([parse_int(tok) for tok in line.split()] for line in body)
 
 
 def dump_facets(c: SimplicialComplex) -> str:
@@ -118,7 +125,7 @@ def parse_geom(text: str) -> GeometricRealization:
             raise FormatError(f"vertex {label} has two coordinate lines")
         coords[label] = tuple(parse_number(tok) for tok in parts[2:])
         idx += 1
-    complex_ = parse_facets("\n".join(lines[idx:]))
+    complex_ = _parse_facet_lines(lines[idx:])
     return GeometricRealization(complex_, coords, k)
 
 

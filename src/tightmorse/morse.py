@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Callable
 
 from .complex_core import Face, SimplicialComplex, canonical_face, cone
@@ -234,11 +234,17 @@ class FaceSetCollapser:
     """
 
     def __init__(self, c: SimplicialComplex):
-        face = sorted(f for d in range(c.dimension + 1) for f in c.face_set(d))
-        index = {f: i for i, f in enumerate(face)}
+        levels = [c.face_set(d) for d in range(c.dimension + 1)]
+        face = sorted(chain.from_iterable(levels))
         n = len(face)
+        index = dict(zip(face, range(n)))
         get = index.__getitem__
-        subs_of = [tuple(map(get, combinations(f, len(f) - 1))) if len(f) > 1 else () for f in face]
+        subs_of: list[tuple[int, ...]] = [()] * n
+        for d in range(1, len(levels)):
+            # the ids of the d-subsets of every face, d + 1 at a time
+            flat = map(get, chain.from_iterable(map(combinations, levels[d], repeat(d))))
+            for i, subs in zip(map(get, levels[d]), zip(*[flat] * (d + 1))):
+                subs_of[i] = subs
         count = [0] * n
         total = [0] * n
         for i, subs in enumerate(subs_of):

@@ -260,8 +260,7 @@ def test_nonevasive_budget():
 # The searches and the certificate walks go one level deeper per deleted
 # vertex or collapsed pair.  They run on an explicit stack, so a path of
 # 1,000 edges, beyond the interpreter's default recursion limit, is decided.
-# Deep certificates are compared by walking them, never by ``==`` or
-# ``repr``, which the dataclass still implements by recursion.
+# ``==``, ``hash`` and ``repr`` of a certificate walk it on a stack too.
 
 def path(edges):
     return from_facets([(i, i + 1) for i in range(edges)])
@@ -302,6 +301,29 @@ def test_deep_certificate_replays_and_relabels():
     assert back == cert and hash(back) == hash(cert)
     assert shifted != cert and back != back.relabeled({0: 1, 1: 0} | {v: v for v in range(2, 1201)})
     assert {cert, back, shifted} == {cert, shifted}
+
+
+def leaf_text(v):
+    return f"NonEvasivenessCertificate(vertex={v}, link_cert=None, deletion_cert=None)"
+
+
+def test_certificate_repr_is_the_dataclass_text():
+    assert repr(NonEvasivenessCertificate(1)) == leaf_text(1)
+    N = NonEvasivenessCertificate
+    cert = N(1, N(2), N(3, None, N(4)))
+    assert repr(cert) == (
+        f"NonEvasivenessCertificate(vertex=1, link_cert={leaf_text(2)}, deletion_cert="
+        f"NonEvasivenessCertificate(vertex=3, link_cert=None, deletion_cert={leaf_text(4)}))"
+    )
+
+
+def test_deep_certificate_repr():
+    # the dataclass's repr recursed once per level and raised RecursionError
+    cert, text = NonEvasivenessCertificate(1200), leaf_text(1200)
+    for v in reversed(range(1200)):
+        cert = NonEvasivenessCertificate(v, NonEvasivenessCertificate(v + 1), cert)
+        text = f"NonEvasivenessCertificate(vertex={v}, link_cert={leaf_text(v + 1)}, deletion_cert={text})"
+    assert repr(cert) == text
 
 
 def test_nonevasive_implies_collapsible(simplex3):

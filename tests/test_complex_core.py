@@ -360,6 +360,31 @@ def test_operators_match_oracle_on_random_complexes(c, rnd):
     assert_matches_oracle(c, c.facets, rnd)
 
 
+@st.composite
+def overlapping_facets(draw):
+    """Facets of up to 5 vertices, shuffled among repeats of some of them (in
+    any vertex order) and faces nested inside them."""
+    facets = draw(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True), min_size=1, max_size=6))
+    extra = []
+    for f in draw(st.lists(st.sampled_from(facets), max_size=4)):
+        extra.append(draw(st.permutations(f)))
+        extra.append(draw(st.lists(st.sampled_from(f), min_size=1, max_size=len(f), unique=True)))
+    return draw(st.permutations(facets + extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlapping_facets())
+def test_closure_matches_oracle_on_overlapping_facets(facets):
+    closed = oracle.close([canonical_face(f) for f in facets])
+    assert from_facets(facets) == closed
+    assert from_faces(facets + [()]) == closed
+    assert from_faces(reversed(closed.faces())) == closed
+
+
+def test_empty_face_closes_to_the_empty_complex():
+    assert from_faces([()]) == from_faces([(), ()]) == oracle.close([()]) == EMPTY_COMPLEX
+
+
 def test_operators_on_the_empty_complex_match_oracle():
     assert from_faces([]) == oracle.close([]) == EMPTY_COMPLEX
     assert cone(EMPTY_COMPLEX, 3) == oracle.cone(EMPTY_COMPLEX, 3)

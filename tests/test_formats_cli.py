@@ -14,7 +14,7 @@ from tightmorse import __version__, from_facets
 from tightmorse.cli import main
 from tightmorse.geometry import GeometricRealization
 from tightmorse.constructions import checkerboard, convex_fixture, furch_ball, grid_ball, straight_path
-from tightmorse.errors import FormatError
+from tightmorse.errors import FormatError, MalformedFacetError
 from tightmorse.formats import (
     dump_facets,
     dump_geom,
@@ -61,6 +61,24 @@ def test_facets_comments_and_errors():
         parse_facets("1 2 3\n")
     with pytest.raises(FormatError):
         parse_facets("facets 2\n1 2 3\n")
+
+
+# the rows are read in order: the first bad row names the error
+@pytest.mark.parametrize(
+    "read, text, error, message",
+    [
+        (parse_facets, "facets 1\n1 2 x\n", FormatError, "expected an integer, got 'x'"),
+        (parse_geom, "geom 3\nv 1 0 0 0\nv 2 1 0 0\nfacets 1\n1 2.0\n", FormatError, "expected an integer, got '2.0'"),
+        (parse_geom, "geom 3\nv 1 0 0 0\nv 2 1 0 0\nfacets 2\n1 2\n", FormatError, "header says 2 facets, found 1"),
+        (parse_facets, "facets 2\n1 x\n1 1 2\n", FormatError, "expected an integer, got 'x'"),
+        (parse_facets, "facets 2\n1 1 2\n1 x\n", MalformedFacetError, "repeated vertex in face (1, 1, 2)"),
+    ],
+    ids=["facets_token", "geom_token", "geom_count", "token_then_repeat", "repeat_then_token"],
+)
+def test_facet_parser_error_messages(read, text, error, message):
+    with pytest.raises(error) as err:
+        read(text)
+    assert str(err.value) == message
 
 
 def test_geom_round_trip():
