@@ -7,7 +7,9 @@ non-evasiveness under explicit budgets.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 from typing import Optional
 
 from .complex_core import (
@@ -397,8 +399,11 @@ def sweep_perfect_morse(
 def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int]]:
     """Relabel vertices by a degree-refined ordering; returns (facets, map).
 
-    Two refinement rounds rank the distinct (colour, neighbour colours)
-    signatures to small integers; vertices are ordered by (colour, label).
+    A vertex's first colour is its profile, the number of faces of each
+    dimension that contain it.  Two refinement rounds rank the distinct
+    (colour, neighbour colours) signatures to small integers; vertices are
+    ordered by (colour, label).  The key is the set of maximal faces, those
+    outside the codimension-one faces of the level above, relabeled.
 
     The key is a sound over-approximation of isomorphism: equal keys imply
     isomorphic complexes (both equal the relabeled complex), while
@@ -406,23 +411,33 @@ def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int
     memo.
     """
     verts = c.vertices
-    profile: dict[int, list[int]] = {v: [0] * (c.dimension + 1) for v in verts}
-    for dim in range(c.dimension + 1):
-        for f in c.face_set(dim):
-            for v in f:
-                profile[v][dim] += 1
-    color: dict[int, object] = {v: tuple(profile[v]) for v in verts}
+    by_dim = c._by_dim
+    counts = [Counter(chain.from_iterable(level)) for level in by_dim]
+    color: dict[int, object] = dict(zip(verts, zip(*(map(n.__getitem__, verts) for n in counts))))
     adjacency: dict[int, list[int]] = {v: [] for v in verts}
     for a, b in c.face_set(1):
         adjacency[a].append(b)
         adjacency[b].append(a)
+    classes = len(set(color.values()))
     for _ in range(2):
-        signature = {v: (color[v], tuple(sorted(color[u] for u in adjacency[v]))) for v in verts}
-        palette = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-        color = {v: palette[signature[v]] for v in verts}
-    order = sorted(verts, key=lambda v: (color[v], v))
-    relabel = {v: i for i, v in enumerate(order)}
-    key = frozenset(tuple(sorted(relabel[u] for u in f)) for f in c.facets)
+        # a round keeps the order of the colour classes and only splits them,
+        # so once they are singletons or a round splits none, rounds change no order
+        if classes == len(verts):
+            break
+        signature = [(color[v], tuple(sorted(map(color.__getitem__, adjacency[v])))) for v in verts]
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        color = dict(zip(verts, map(palette.__getitem__, signature)))
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+    # verts is sorted and the sort is stable, so ties go by label
+    relabel = {v: i for i, v in enumerate(sorted(verts, key=color.__getitem__))}
+    below = set()
+    for k, level in enumerate(by_dim[1:], 1):
+        below.update(chain.from_iterable(map(combinations, level, repeat(k))))
+    key = frozenset(
+        tuple(sorted(map(relabel.__getitem__, f))) for level in by_dim for f in level.difference(below)
+    )
     return key, relabel
 
 
@@ -434,6 +449,9 @@ class _IsoMemo:
     bucket is nonempty, and on a stored complex only when a later complex
     lands in its bucket; it then keeps its key and relabel.  Equal keys imply
     equal f-vectors, so the hits are those of a memo keyed on every lookup.
+    A hit is a complex isomorphic to a stored one, so it shares every
+    isomorphism invariant of it: ``nonevasive`` looks a link up before its
+    Betti reduction, since every complex it stores is acyclic.
     """
 
     def __init__(self) -> None:
@@ -501,13 +519,17 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     Fast rejection: a non-evasive complex is collapsible hence mod-2
     acyclic, so a nontrivial Betti vector answers "no" immediately, and an
     Euler characteristic other than 1 answers before any reduction.  The
-    Betti vector is computed only at the root and on links: a deletion is
-    searched only after its link was certified, and an acyclic complex minus
-    a vertex with acyclic link is acyclic (Mayer–Vietoris).  Each search
-    node costs one budget tick.  The memo is keyed by ``canonical_form`` and
-    stores a certificate with its map to canonical labels; a hit relabels
-    it once onto the complex at hand.  Keys are computed only when an
-    f-vector repeats (``_IsoMemo``).
+    Betti vector is computed only at the root and on links that miss the
+    memo: a deletion is searched only after its link was certified, and an
+    acyclic complex minus a vertex with acyclic link is acyclic
+    (Mayer–Vietoris).  Each search node costs one budget tick.  The memo is
+    consulted before the reduction, which is sound because it stores only
+    acyclic complexes (those that passed the reduction, and deletions) and
+    equal keys imply isomorphism.  It is keyed by ``canonical_form`` and
+    stores a certificate with its map to canonical labels; a hit relabels it
+    once onto the complex at hand.  Keys are computed only when an f-vector
+    repeats (``_IsoMemo``).  Vertices are tried by ascending star size, ties
+    by label.
     """
     if budget < 0:
         raise ValueError("the budget must not be negative")
@@ -520,7 +542,7 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
         if cur.num_faces == 1:
             return NonEvasivenessCertificate(cur.vertices[0])
         tracker.tick()
-        if not acyclic and not _acyclic_betti(cur):
+        if not acyclic and cur.euler_characteristic != 1:
             return None
         hit, form = memo.lookup(cur)
         if hit is not None:
@@ -529,13 +551,12 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
                 return None
             back = {i: v for v, i in form[1].items()}
             return cert.relabeled({u: back[i] for u, i in stored.items()})
+        if not acyclic and not _acyclic_betti(cur):
+            return None
         result: NonEvasivenessCertificate | None = None
-        star_size = {v: 0 for v in cur.vertices}
-        for dim in range(cur.dimension + 1):
-            for f in cur.face_set(dim):
-                for v in f:
-                    star_size[v] += 1
-        for v in sorted(cur.vertices, key=lambda u: (star_size[u], u)):
+        star_size = Counter(chain.from_iterable(chain.from_iterable(cur._by_dim)))
+        # the vertices are sorted and the sort is stable, so ties go by label
+        for v in sorted(cur.vertices, key=star_size.__getitem__):
             lk = link(cur, v)
             if lk.is_empty:
                 continue
@@ -629,6 +650,7 @@ def collapsible(
     dead = _IsoMemo()
 
     def search(faces: frozenset[Face]):
+        """The steps from faces to a vertex, last step first, or None."""
         if len(faces) == 1:
             return []
         tracker.tick()
@@ -639,7 +661,8 @@ def collapsible(
         for s, t in free_faces(cur):
             rest = yield search(faces - {s, t})
             if rest is not None:
-                return [(s, t)] + rest
+                rest.append((s, t))
+                return rest
         dead.store(cur, None, form)
         return None
 
@@ -649,6 +672,7 @@ def collapsible(
         return CollapsibleResult("budget")
     if steps is None:
         return CollapsibleResult("no", reason="exhausted")
+    steps.reverse()
     remaining = set(c.faces())
     for s, t in steps:
         remaining -= {s, t}

@@ -10,9 +10,12 @@ down, the faces of each size are the given ones and the subsets of the faces
 one size up, each level one frozenset built by ``itertools`` iteration with
 no Python loop per face.  The other operators, and ``algorithms`` on face
 sets closed by construction, group a downward-closed family by dimension
-with ``_by_dimension``.  ``free_faces`` maps each face to its one immediate
-coface in a single pass; the collapse engine (``morse.FaceSetCollapser``)
-numbers the faces and keeps its own coface counts instead.
+with ``_by_dimension``.  ``link`` and ``deletion``, which the
+non-evasiveness search runs at every node, cut each stored level into one
+frozenset instead; a link face is a face with the vertex sliced out.
+``free_faces`` maps each face to its one immediate coface in a single pass;
+the collapse engine (``morse.FaceSetCollapser``) numbers the faces and
+keeps its own coface counts instead.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class SimplicialComplex:
         while by_dim and not by_dim[-1]:
             by_dim = by_dim[:-1]
         self._by_dim = by_dim
+        self.f_vector: tuple[int, ...] = tuple(map(len, by_dim))
 
     # -- basic queries ----------------------------------------------------
 
@@ -66,10 +70,6 @@ class SimplicialComplex:
     @property
     def is_empty(self) -> bool:
         return not self._by_dim
-
-    @cached_property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self._by_dim)
 
     @property
     def num_faces(self) -> int:
@@ -83,7 +83,7 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         if self.is_empty:
             return ()
-        return tuple(sorted(v for (v,) in self._by_dim[0]))
+        return tuple(sorted(chain.from_iterable(self._by_dim[0])))
 
     @property
     def vertex_count(self) -> int:
@@ -210,20 +210,19 @@ def _require_vertex(c: SimplicialComplex, v: int) -> None:
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces s with s + v in c and v not in s.  May be empty."""
     _require_vertex(c, v)
-    return _by_dimension(
-        tuple(u for u in face if u != v)
-        for d in range(1, c.dimension + 1)
-        for face in c.face_set(d)
-        if v in face
-    )
+    levels = []
+    for level in c._by_dim[1:]:
+        faces = frozenset(f[:(i := f.index(v))] + f[i + 1:] for f in level if v in f)
+        if not faces:  # then no larger face of the closed family contains v
+            break
+        levels.append(faces)
+    return SimplicialComplex(levels)
 
 
 def deletion(c: SimplicialComplex, v: int) -> SimplicialComplex:
     """All faces of c that do not contain v.  May be empty."""
     _require_vertex(c, v)
-    return SimplicialComplex(
-        tuple(frozenset(f for f in c.face_set(d) if v not in f) for d in range(c.dimension + 1))
-    )
+    return SimplicialComplex([frozenset(f for f in level if v not in f) for level in c._by_dim])
 
 
 def star(c: SimplicialComplex, v: int) -> SimplicialComplex:

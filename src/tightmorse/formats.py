@@ -123,7 +123,10 @@ def parse_geom(text: str) -> GeometricRealization:
         label = parse_int(parts[1])
         if label in coords:
             raise FormatError(f"vertex {label} has two coordinate lines")
-        coords[label] = tuple(parse_number(tok) for tok in parts[2:])
+        try:
+            coords[label] = tuple(map(int, parts[2:]))
+        except ValueError:  # parse_number reads ints the same way, and names a bad token
+            coords[label] = tuple(parse_number(tok) for tok in parts[2:])
         idx += 1
     complex_ = _parse_facet_lines(lines[idx:])
     return GeometricRealization(complex_, coords, k)

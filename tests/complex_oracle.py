@@ -55,6 +55,11 @@ def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     return SimplicialComplex(tuple(frozenset(levels.get(d, ())) for d in range(top + 1)))
 
 
+def deletion(c: SimplicialComplex, v: int) -> SimplicialComplex:
+    _require_vertex(c, v)
+    return close([f for f in c.faces() if v not in f])
+
+
 def star(c: SimplicialComplex, v: int) -> SimplicialComplex:
     _require_vertex(c, v)
     return close([f for d in range(c.dimension + 1) for f in c.face_set(d) if v in f])

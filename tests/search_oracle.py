@@ -2,8 +2,12 @@
 
 ``canonical_form`` sorts the vertices by ``repr`` of nested colour tuples,
 and ``nonevasive`` checks the Betti vector at every search node and
-relabels every certificate it stores in the memo.  ``backtracking`` is
-``collapsible(c, "backtracking", budget)`` with its dead set keyed by the
+relabels every certificate it stores in the memo.  ``refined_canonical_form``
+is the library's form before it counted faces per level and skipped rounds
+that cannot reorder: it fills the profiles face by face, always refines
+twice and reads the key off the sorted ``facets``.  The library's
+``canonical_form`` must return the same key and relabel.  ``backtracking``
+is ``collapsible(c, "backtracking", budget)`` with its dead set keyed by the
 library's ``canonical_form`` at every node.  The library must give the same
 statuses, reasons, certificates, collapse steps and node counts.
 """
@@ -42,6 +46,28 @@ def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int
             for v in verts
         }
     order = sorted(verts, key=lambda v: (repr(color[v]), v))
+    relabel = {v: i for i, v in enumerate(order)}
+    key = frozenset(tuple(sorted(relabel[u] for u in f)) for f in c.facets)
+    return key, relabel
+
+
+def refined_canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int]]:
+    verts = c.vertices
+    profile: dict[int, list[int]] = {v: [0] * (c.dimension + 1) for v in verts}
+    for dim in range(c.dimension + 1):
+        for f in c.face_set(dim):
+            for v in f:
+                profile[v][dim] += 1
+    color: dict[int, object] = {v: tuple(profile[v]) for v in verts}
+    adjacency: dict[int, list[int]] = {v: [] for v in verts}
+    for a, b in c.face_set(1):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    for _ in range(2):
+        signature = {v: (color[v], tuple(sorted(color[u] for u in adjacency[v]))) for v in verts}
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+        color = {v: palette[signature[v]] for v in verts}
+    order = sorted(verts, key=lambda v: (color[v], v))
     relabel = {v: i for i, v in enumerate(order)}
     key = frozenset(tuple(sorted(relabel[u] for u in f)) for f in c.facets)
     return key, relabel

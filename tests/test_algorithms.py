@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,8 +275,18 @@ def test_nonevasive_long_path():
 
 
 def test_backtracking_long_path():
-    res = collapsible(path(1000), strategy="backtracking")
+    c = path(1000)
+    res = collapsible(c, strategy="backtracking")
     assert res.status == "yes" and len(res.sequence) == 1000
+    # the steps are appended on the way up and reversed once; the oracle
+    # prepends them at every level and recurses once per collapsed pair
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        ref = oracle.backtracking(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.sequence.steps == ref.sequence.steps
 
 
 def test_planar_acyclic_nonevasive_long_path():
@@ -401,6 +412,39 @@ def test_nonevasive_keys_fewer_complexes_than_oracle(monkeypatch, make):
     res, ref = nonevasive(c), oracle.nonevasive(c)
     assert res.status == "yes" and res.certificate == ref.certificate
     assert 0 < len(lib_calls) < len(oracle_calls)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grid_ball(2, 1, 1).complex, lambda: furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization.complex],
+    ids=["grid(2,1,1)", "drilled3x3x2"],
+)
+def test_nonevasive_reduces_no_complex_that_hits_the_memo(monkeypatch, make):
+    # the memo stores only acyclic complexes and equal keys imply isomorphism,
+    # so a link is looked up first and reduced only on a miss; the Betti
+    # check ran first, and most of its reductions were on links that then hit
+    c = make()
+    ref = oracle.nonevasive(c)
+    assert search_nodes(nonevasive, c) == search_nodes(oracle.nonevasive, c)
+    reduced, hits = [], []
+    betti, lookup = algorithms.betti, _IsoMemo.lookup
+
+    def betti_spy(k):
+        reduced.append(k)
+        return betti(k)
+
+    def lookup_spy(memo, k):
+        out = lookup(memo, k)
+        if out[0] is not None:
+            hits.append(k)
+        return out
+
+    monkeypatch.setattr(algorithms, "betti", betti_spy)
+    monkeypatch.setattr(_IsoMemo, "lookup", lookup_spy)
+    res = nonevasive(c)
+    assert (res.status, res.certificate) == (ref.status, ref.certificate)
+    assert hits and reduced
+    assert not {id(k) for k in hits} & {id(k) for k in reduced}
 
 
 def test_iso_memo_keys_lazily_and_separates_equal_f_vectors(monkeypatch):
@@ -630,3 +674,33 @@ def test_canonical_form_contract(c, rnd):
     moved_key, moved_relabel = canonical_form(from_facets([[shift[u] for u in f] for f in c.facets]))
     assert moved_key == key
     assert moved_relabel == {shift[v]: i for v, i in relabel.items()}
+
+
+# canonical_form counts faces per level, skips refinement rounds that cannot
+# reorder and keys the maximal faces without sorting them: the same key and
+# relabel as the form before it, kept as the oracle
+wide_complexes = st.lists(
+    st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True), min_size=1, max_size=7
+).map(from_facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_complexes, wide_complexes))
+def test_canonical_form_matches_refined_oracle(c):
+    assert canonical_form(c) == oracle.refined_canonical_form(c)
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [(5,)],
+        [(3,), (1,), (4,)],
+        [(0, 1, 2), (2, 3), (4,)],
+        [(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,)],
+        [(0, 1), (1, 2), (2, 3), (3, 0)],
+    ],
+    ids=["single_vertex", "edge_free", "non_pure", "non_pure_3d", "square"],
+)
+def test_canonical_form_matches_refined_oracle_on_corner_cases(facets):
+    c = from_facets(facets)
+    assert canonical_form(c) == oracle.refined_canonical_form(c)

@@ -360,6 +360,15 @@ def test_operators_match_oracle_on_random_complexes(c, rnd):
     assert_matches_oracle(c, c.facets, rnd)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(facet_lists.map(from_facets), random_complexes))
+def test_link_and_deletion_match_oracle_at_every_vertex(c):
+    # link and deletion cut the stored levels; the oracle closes its faces again
+    for v in c.vertices:
+        for got, want in ((link(c, v), oracle.link(c, v)), (deletion(c, v), oracle.deletion(c, v))):
+            assert got == want and got.f_vector == want.f_vector
+
+
 @st.composite
 def overlapping_facets(draw):
     """Facets of up to 5 vertices, shuffled among repeats of some of them (in

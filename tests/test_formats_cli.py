@@ -89,6 +89,34 @@ def test_geom_round_trip():
     assert back.coords == {v: tuple(Fraction(x) for x in p) for v, p in g.coords.items()}
 
 
+def geom_point(coords: str):
+    return parse_geom(f"geom 3\nv 1 {coords}\nfacets 1\n1\n").coords[1]
+
+
+def test_parse_geom_reads_integer_and_exact_coordinates():
+    # an all-integer line is read by int alone; any other token sends the
+    # whole line through parse_number, which keeps integers as int
+    assert geom_point("3 -2 0") == (3, -2, 0)
+    point = geom_point("3 1/2 0.25")
+    assert point == (3, Fraction(1, 2), Fraction(1, 4))
+    assert [type(x) for x in point] == [int, Fraction, Fraction]
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ("0 0 x", "cannot parse number 'x'"),
+        ("1e4301 0 0", "exponent of '1e4301' exceeds 4300 in absolute value"),
+        ("0 1/0 0", "cannot parse number '1/0'"),
+    ],
+    ids=["bad_token", "huge_exponent", "zero_denominator"],
+)
+def test_parse_geom_names_the_bad_coordinate(coords, message):
+    with pytest.raises(FormatError) as err:
+        geom_point(coords)
+    assert str(err.value) == message
+
+
 def test_morse_round_trip(checkerboard):
     m = random_discrete_morse(checkerboard, seed=4)
     text = dump_morse(m)
