@@ -7,6 +7,7 @@ non-evasiveness under explicit budgets.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
@@ -40,11 +41,10 @@ from .morse import (
     FaceSetCollapser,
     MorseMatching,
     Pair,
-    _lift_pairs,
+    _check_structure,
     morse_differential,
     morse_vector,
     random_pick,
-    validate,
 )
 
 
@@ -72,7 +72,8 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
     each non-root vertex with its spanning-forest edge.  Critical faces:
     one vertex per component, the non-forest edges, and no triangles.
     Raises StuckNoFreeEdgeError when triangles survive with no free edge,
-    the signature of a non-planar input.
+    the signature of a non-planar input.  The sweep runs the same two
+    steps on all its lower links at once (``_sweep_pairs``).
     """
     if d.is_empty:
         raise EmptyComplexError("planar routine needs a nonempty complex")
@@ -80,34 +81,65 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
         raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
 
     tracker = FaceSetCollapser(d)
-    # a free edge lies in a triangle, so this stops once no triangle has one
-    pairs = tracker.collapse(lambda free, face: next((i for i in free if len(face[i]) == 2), None))
+    pairs = _collapse_free_edges(tracker, [0, len(tracker.face)])
     left = tracker.remaining()
     triangles = sum(len(f) == 3 for f in left)
     if triangles:
         raise StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
+    return MorseMatching(d, frozenset(pairs + _spanning_forest(left)))
 
-    # spanning forest on what is left (a graph)
-    vertices = sorted(f[0] for f in left if len(f) == 1)
-    adjacency: dict[int, list[int]] = {v: [] for v in vertices}
+
+def _collapse_free_edges(tracker: FaceSetCollapser, starts: list[int]) -> list[Pair]:
+    """The planar collapse on disjoint complexes held by one collapser.
+
+    Complex k has the ids from ``starts[k]`` up to ``starts[k + 1]``.  The
+    complexes take turns in order: each collapses its smallest free edge
+    until it has none, which stops it for good, since a collapse frees no
+    face of another complex.  A free edge lies in a triangle, so a complex
+    stops once no triangle of it has one.
+    """
+    k = 0
+
+    def pick(free: list[int], face: list[Face]) -> int | None:
+        nonlocal k
+        while k + 1 < len(starts):
+            end = starts[k + 1]
+            for j in range(bisect_left(free, starts[k]), len(free)):
+                i = free[j]
+                if i >= end:
+                    break
+                if len(face[i]) == 2:
+                    return i
+            k += 1
+        return None
+
+    return tracker.collapse(pick)
+
+
+def _spanning_forest(left: list[Face]) -> list[Pair]:
+    """Breadth-first spanning forest of the graph of vertices and edges in
+    ``left``, given in lexicographic order: each vertex but the smallest of
+    its component is matched with the edge it is reached by."""
+    adjacency: dict[int, list[int]] = {f[0]: [] for f in left if len(f) == 1}
     for f in left:
         if len(f) == 2:
             adjacency[f[0]].append(f[1])
             adjacency[f[1]].append(f[0])
+    # the edges come in lexicographic order, so each neighbour list ascends
+    pairs: list[Pair] = []
     seen: set[int] = set()
-    for root in vertices:
+    for root in adjacency:  # ascending
         if root in seen:
             continue
         seen.add(root)
         queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in sorted(adjacency[u]):
+        for u in queue:
+            for w in adjacency[u]:
                 if w not in seen:
                     seen.add(w)
-                    pairs.append(((w,), tuple(sorted((u, w)))))
+                    pairs.append(((w,), (u, w) if u < w else (w, u)))
                     queue.append(w)
-    return MorseMatching(d, frozenset(pairs))
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,33 +345,59 @@ def _perfect_on_link(lower_link: SimplicialComplex) -> MorseMatching:
         return MorseMatching(lower_link, inner.pairs)
 
 
-def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> set[Pair]:
+def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> list[Pair]:
     """The pairs of the sweep along ``order``, unchecked.
 
     The lower links come from one pass over the faces: a face lies in the
-    lower link of exactly one vertex, its last vertex in the sweep order,
-    and is filed there without that vertex.  A vertex with empty lower link
-    stays critical; otherwise the lower link gets a perfect matching which
-    is lifted over the cone at the vertex.  Every pair lies in the lower
-    star of one vertex.  Raises LinkNotPlanarCollapsibleError when a lower
-    link has no such matching.
+    lower link of exactly one vertex, its last vertex v in the sweep order,
+    and is filed there without v.  A link vertex u of the k-th vertex v is
+    relabelled ``k * span + u``, so the links are disjoint, each keeps its
+    lexicographic order and takes a contiguous range of face ids, and one
+    ``FaceSetCollapser`` holds them all.  The planar routine
+    (``planar_perfect_morse``) runs on all of them at once.  Every link
+    pair lifts to the star faces of its faces, a dict lookup each, and v is
+    matched with the edge to the smallest vertex of its link, a root of the
+    spanning forest, so critical in the link's matching.  A vertex with
+    empty lower link stays critical.
+
+    A link with a face above dimension 2, or with triangles left, goes
+    through ``_perfect_on_link``, in sweep order, so the first one it fails
+    names its vertex: LinkNotPlanarCollapsibleError when a lower link is
+    stuck and no closed surface.
     """
-    position = {v: i for i, v in enumerate(order.vertices)}
-    # lower link faces of each vertex, by dimension (a closed family)
-    lower_levels = {v: [set() for _ in range(c.dimension)] for v in order.vertices}
+    span = max(order.vertices, default=0) + 1
+    offset = {v: i * span for i, v in enumerate(order.vertices)}  # ascends along the sweep
+    # the relabelled lower link faces, by dimension, and the star face of each
+    levels: list[list[Face]] = [[] for _ in range(c.dimension)]
+    star: dict[Face, Face] = {}
     for d in range(1, c.dimension + 1):
+        level = levels[d - 1]
         for face in c.face_set(d):
-            last = max(face, key=position.__getitem__)
-            lower_levels[last][d - 1].add(tuple(u for u in face if u != last))
-    pairs: set[Pair] = set()
-    for v in order.vertices:
-        lower = SimplicialComplex(lower_levels[v])
-        if not lower.is_empty:
+            last = max(face, key=offset.__getitem__)
+            shift = offset[last]
+            f = tuple([u + shift for u in face if u != last])
+            star[f] = face
+            level.append(f)
+    tracker = FaceSetCollapser(SimplicialComplex(levels))
+    face = tracker.face
+    starts = [bisect_left(face, (k * span,)) for k in range(len(order.vertices) + 1)]
+    link_pairs = _collapse_free_edges(tracker, starts)
+    left = tracker.remaining()
+    slow = sorted({f[0] // span for f in left if len(f) > 2})
+    if slow:
+        link_pairs = [p for p in link_pairs if p[0][0] // span not in slow]
+        left = [f for f in left if f[0] // span not in slow]
+        for k in slow:
+            v, shift = order.vertices[k], k * span
+            lower = _by_dimension(tuple(u - shift for u in f) for f in face[starts[k]:starts[k + 1]])
             try:
                 m_link = _perfect_on_link(lower)
             except StuckNoFreeEdgeError as exc:
                 raise LinkNotPlanarCollapsibleError(v, exc) from exc
-            pairs |= _lift_pairs(v, lower, m_link)
+            link_pairs += [(tuple(u + shift for u in s), tuple(u + shift for u in t)) for s, t in m_link.pairs]
+    link_pairs += _spanning_forest(left)
+    pairs = [(star[s], star[t]) for s, t in link_pairs]
+    pairs += [((v,), star[face[i]]) for v, i, end in zip(order.vertices, starts, starts[1:]) if i < end]
     return pairs
 
 
@@ -361,7 +419,9 @@ def sweep_perfect_morse(
     Processes vertices in sweep order (ascending height, ties broken as in
     ``sweep_order``), matching each lower link and lifting it over the cone
     at its vertex (``_sweep_pairs``).  A lift is valid iff its link matching
-    is, so the one ``validate`` of the result checks every lift.
+    is, so one check of the result checks every lift: the structural checks
+    of ``validate``, then ``morse_differential``, whose pass along the
+    V-paths raises MatchingCycleError on a V-cycle.
 
     The sweep certifies itself.  Every pair lies in the lower star of one
     vertex, so the matching is a gradient that respects the filtration by
@@ -382,12 +442,13 @@ def sweep_perfect_morse(
     c = g.complex
     try:
         matching = MorseMatching(c, frozenset(_sweep_pairs(c, order)))
-        validate(matching)
+        _check_structure(matching)
+        nonzero = any(morse_differential(matching).values())
     except TightMorseError:
         if not assume_tight:
             _require_prefix_tight(g, direction)
         raise
-    if any(morse_differential(matching).values()):
+    if nonzero:
         if not assume_tight:
             _require_prefix_tight(g, direction)
         raise PerfectnessAssertionFailedError(morse_vector(matching), betti(c))

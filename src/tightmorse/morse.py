@@ -4,7 +4,8 @@ A matching pairs faces with cofaces of one dimension higher; unmatched
 faces are critical.  Acyclicity is checked layer by layer with Kahn-style
 topological sorting, returning an explicit alternating V-cycle on failure.
 The same V-path order carries the mod-2 Morse differential
-(``morse_differential``).  A zero differential certifies a perfect
+(``morse_differential``), which so rejects a V-cycle as ``validate`` does,
+with the same witness.  A zero differential certifies a perfect
 matching.  For a gradient that respects a filtration, such as the height
 sweep's, whose pairs each lie in the lower star of one vertex, a zero
 differential also certifies that every sublevel set injects in homology
@@ -42,11 +43,7 @@ class MorseMatching:
 
     @property
     def matched_faces(self) -> set[Face]:
-        out: set[Face] = set()
-        for s, t in self.pairs:
-            out.add(s)
-            out.add(t)
-        return out
+        return set(chain.from_iterable(self.pairs))
 
     def __repr__(self) -> str:
         return f"MorseMatching({len(self.pairs)} pairs on {self.complex!r})"
@@ -57,13 +54,36 @@ def validate(m: MorseMatching) -> None:
 
     Raises DanglingFaceError, NotCofaceError, NotAMatchingError, or
     MatchingCycleError (with a witness V-cycle); returns None when valid.
-    The pairs are checked in sorted order, so the error reported does not
-    depend on the order the matching was built in.
+    The structure is checked first (``_check_structure``), then the layers
+    in ascending dimension.  The error reported does not depend on the
+    order the matching was built in.
+    """
+    _check_structure(m)
+    for layer in _up_layers(m):
+        _check_layer_acyclic(layer)
+
+
+def _check_structure(m: MorseMatching) -> None:
+    """Raise the first structural defect of m in sorted pair order.
+
+    Pairs of canonical faces of the complex, each a face and a coface one
+    dimension up, no face twice, pass in one unsorted pass.  Only when that
+    pass finds something wrong are the pairs sorted and checked one by one,
+    so the defect reported does not depend on the order the matching was
+    built in.
     """
     c = m.complex
-    pairs = sorted(m.pairs)
+    levels = c._by_dim
+    for s, t in m.pairs:
+        k = len(s)
+        if not (0 < k < len(levels) and len(t) == k + 1 and s in levels[k - 1]
+                and t in levels[k] and set(s).issubset(t)):
+            break
+    else:
+        if len(m.matched_faces) == 2 * len(m.pairs):
+            return
     seen: set[Face] = set()
-    for s, t in pairs:
+    for s, t in sorted(m.pairs):
         for f in (s, t):
             if f not in c:
                 raise DanglingFaceError(f"face {f} not in complex")
@@ -74,12 +94,14 @@ def validate(m: MorseMatching) -> None:
                 raise NotAMatchingError(f"face {f} matched twice")
             seen.add(f)
 
-    # V-cycles live inside a single (i, i+1) layer, so check layers separately.
-    by_dim: dict[int, dict[Face, Face]] = {}
-    for s, t in pairs:
-        by_dim.setdefault(len(s) - 1, {})[s] = t
-    for dim, layer in sorted(by_dim.items()):
-        _check_layer_acyclic(layer)
+
+def _up_layers(m: MorseMatching) -> list[dict[Face, Face]]:
+    """Layer i maps each up-matched i-face to its partner, i < dim; m must
+    pass ``_check_structure``.  V-cycles live inside one layer."""
+    up: list[dict[Face, Face]] = [{} for _ in range(m.complex.dimension)]
+    for s, t in m.pairs:
+        up[len(s) - 1][s] = t
+    return up
 
 
 def _layer_order(layer: dict[Face, Face]) -> tuple[list[Face], dict[Face, list[Face]]]:
@@ -92,33 +114,28 @@ def _layer_order(layer: dict[Face, Face]) -> tuple[list[Face], dict[Face, list[F
     faces on or behind a V-cycle, so it is short iff the layer has one.
     """
     succ: dict[Face, list[Face]] = {}
-    indeg: dict[Face, int] = {s: 0 for s in layer}
+    indeg: dict[Face, int] = dict.fromkeys(layer, 0)
     for s, t in layer.items():
-        nexts = []
-        for k in range(len(t)):
-            s2 = t[:k] + t[k + 1:]
-            if s2 != s and s2 in layer:
-                nexts.append(s2)
+        nexts = [s2 for s2 in combinations(t, len(s)) if s2 in indeg and s2 != s]
         succ[s] = nexts
         for s2 in nexts:
             indeg[s2] += 1
-    queue = [s for s, d in indeg.items() if d == 0]
-    order: list[Face] = []
-    while queue:
-        s = queue.pop()
-        order.append(s)
+    order = [s for s, d in indeg.items() if not d]
+    for s in order:  # the faces appended while it runs are visited too
         for s2 in succ[s]:
             indeg[s2] -= 1
-            if indeg[s2] == 0:
-                queue.append(s2)
+            if not indeg[s2]:
+                order.append(s2)
     return order, succ
 
 
-def _check_layer_acyclic(layer: dict[Face, Face]) -> None:
-    """Raise MatchingCycleError with a witness V-cycle if the layer has one."""
+def _check_layer_acyclic(layer: dict[Face, Face]) -> list[Face]:
+    """The V-path order of the layer (``_layer_order``); raises
+    MatchingCycleError with a witness V-cycle if the layer has one.  The
+    witness depends only on the layer, not on its order."""
     order, succ = _layer_order(layer)
     if len(order) == len(layer):
-        return
+        return order
     remaining = set(layer).difference(order)
     # every remaining node has an in-edge from remaining; walk until repeat
     start = min(remaining)
@@ -141,27 +158,30 @@ def _check_layer_acyclic(layer: dict[Face, Face]) -> None:
 def morse_differential(m: MorseMatching) -> dict[Face, set[Face]]:
     """The mod-2 Morse boundary of each critical face of positive dimension.
 
-    ``m`` must be valid (see ``validate``).  The Morse boundary of a
-    critical (i+1)-face counts, mod 2, the gradient paths from its boundary
-    to each critical i-face: a path steps from an up-matched i-face s to the
-    other faces of its partner.  One pass per layer: each i-face holds a
-    bitmask over the critical (i+1)-faces whose boundary reaches it, seeded
-    by their boundaries, and the up-matched i-faces, taken in V-path order
-    (``_layer_order``), push their masks on along their partners.  The
-    masks the critical i-faces end with give the differential.
+    ``m`` must pass ``validate``'s structural checks; a V-cycle raises
+    MatchingCycleError with ``validate``'s witness, since each layer's
+    V-path order comes from ``_check_layer_acyclic``, lowest layer first.
+    So the checks and the differential take one Kahn sort per layer.
+
+    The Morse boundary of a critical (i+1)-face counts, mod 2, the gradient
+    paths from its boundary to each critical i-face: a path steps from an
+    up-matched i-face s to the other faces of its partner.  One pass per
+    layer: each i-face holds a bitmask over the critical (i+1)-faces whose
+    boundary reaches it, seeded by their boundaries, and the up-matched
+    i-faces, taken in V-path order, push their masks on along their
+    partners.  The masks the critical i-faces end with give the
+    differential.
 
     The Morse complex has the homology of the complex, so a zero
     differential means the matching is perfect; over a field the converse
     holds too.
     """
     c = m.complex
-    up: list[dict[Face, Face]] = [{} for _ in range(c.dimension + 1)]
-    for s, t in m.pairs:
-        up[len(s) - 1][s] = t
     matched = m.matched_faces
     critical = [list(c.face_set(d).difference(matched)) for d in range(c.dimension + 1)]
     differential: dict[Face, set[Face]] = {}
-    for i in range(c.dimension):
+    for i, layer in enumerate(_up_layers(m)):
+        order = _check_layer_acyclic(layer)
         cofaces = critical[i + 1]
         boundaries: list[set[Face]] = [set() for _ in cofaces]
         differential.update(zip(cofaces, boundaries))
@@ -170,16 +190,12 @@ def morse_differential(m: MorseMatching) -> dict[Face, set[Face]]:
         mask: dict[Face, int] = {}
         for b, f in enumerate(cofaces):
             bit = 1 << b
-            for k in range(len(f)):
-                s = f[:k] + f[k + 1:]
+            for s in combinations(f, i + 1):
                 mask[s] = mask.get(s, 0) ^ bit
-        layer = up[i]
-        for s in _layer_order(layer)[0]:
+        for s in order:
             bits = mask.get(s)
             if bits:
-                t = layer[s]
-                for k in range(len(t)):
-                    s2 = t[:k] + t[k + 1:]
+                for s2 in combinations(layer[s], i + 1):
                     if s2 != s:
                         mask[s2] = mask.get(s2, 0) ^ bits
         for f in critical[i]:
@@ -208,8 +224,9 @@ def is_perfect(m: MorseMatching) -> bool:
     """Does the critical count equal the (non-reduced) Z2 Betti vector?
 
     Over a field that holds exactly when the Morse differential is zero.
+    Raises as ``validate`` does on an invalid matching.
     """
-    validate(m)
+    _check_structure(m)
     return not any(morse_differential(m).values())
 
 
@@ -340,28 +357,20 @@ def lift_matching_over_cone(v: int, link_complex: SimplicialComplex, m_link: Mor
     Each pair (s, t) lifts to (v*s, v*t); the apex v is matched with v*w
     for the smallest-label critical vertex w.  Critical faces of the lift
     are v*u for the remaining critical faces u.  The lift is valid iff
-    ``m_link`` is, which is checked here.  Raises EmptyLinkError if the link
-    is empty (the caller marks v critical instead).
+    ``m_link`` is, which is checked here: it adds only (v, v*w), its one
+    vertex-edge pair, and w is critical in ``m_link``.  Raises
+    EmptyLinkError if the link is empty (the caller marks v critical
+    instead).
     """
     if link_complex.is_empty:
         raise EmptyLinkError(f"link of {v} is empty")
     validate(m_link)
-    return MorseMatching(cone(link_complex, v), frozenset(_lift_pairs(v, link_complex, m_link)))
-
-
-def _lift_pairs(v: int, link_complex: SimplicialComplex, m_link: MorseMatching) -> set[Pair]:
-    """The pairs of ``lift_matching_over_cone``, with ``m_link`` unchecked.
-
-    A defect of ``m_link`` is one of the lift: the lift adds only (v, v*w),
-    its one vertex-edge pair, and w is critical in ``m_link``.
-    """
     matched = m_link.matched_faces
-    critical_vertices = [u for (u,) in link_complex.face_set(0) if (u,) not in matched]
-    if not critical_vertices:
-        raise MorseInvariantError("valid matching on a nonempty complex has a critical vertex")
+    # a valid matching leaves a vertex critical: a V-path among vertices ends
+    w = min(u for (u,) in link_complex.face_set(0) if (u,) not in matched)
     pairs = {(tuple(sorted(s + (v,))), tuple(sorted(t + (v,)))) for s, t in m_link.pairs}
-    pairs.add(((v,), tuple(sorted((v, min(critical_vertices))))))
-    return pairs
+    pairs.add(((v,), tuple(sorted((v, w)))))
+    return MorseMatching(cone(link_complex, v), frozenset(pairs))
 
 
 def random_pick(rng: random.Random) -> Callable[[list[int], list[Face]], int | None]:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tightmorse import betti, constructions, from_facets
 from tightmorse.algorithms import sweep_perfect_morse
@@ -16,7 +16,6 @@ from tightmorse.errors import (
 )
 from tightmorse.morse import (
     MorseMatching,
-    _lift_pairs,
     critical_faces,
     from_collapse_sequence,
     is_perfect,
@@ -28,6 +27,7 @@ from tightmorse.morse import (
 )
 
 from conftest import alternating_sum, annulus_complex, fan_disc, random_complexes, torus_3x3
+import morse_oracle
 from homology_oracle import betti as oracle_betti, gf2_rank
 
 
@@ -261,6 +261,17 @@ def raises(call) -> bool:
     return False
 
 
+def cone_pairs(apex, lk, m):
+    """The lift rule, unchecked: every pair joined with the apex, and the
+    apex with the edge to the smallest vertex m leaves unmatched (if any)."""
+    matched = {f for pair in m.pairs for f in pair}
+    pairs = {(tuple(sorted({*s, apex})), tuple(sorted({*t, apex}))) for s, t in m.pairs}
+    critical = [u for (u,) in lk.faces(0) if (u,) not in matched]
+    if critical:
+        pairs.add(((apex,), tuple(sorted((apex, critical[0])))))
+    return frozenset(pairs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(link_matchings())
 def test_lift_is_valid_iff_the_link_matching_is(case):
@@ -268,11 +279,74 @@ def test_lift_is_valid_iff_the_link_matching_is(case):
     lk, m = case
     apex = 9
     invalid = raises(lambda: validate(m))
-    lifted = lambda: MorseMatching(cone(lk, apex), frozenset(_lift_pairs(apex, lk, m)))
-    assert raises(lambda: validate(lifted())) == invalid
+    lifted = MorseMatching(cone(lk, apex), cone_pairs(apex, lk, m))
+    assert raises(lambda: validate(lifted)) == invalid
     assert raises(lambda: lift_matching_over_cone(apex, lk, m)) == invalid
     if not invalid:
-        assert lift_matching_over_cone(apex, lk, m).pairs == _lift_pairs(apex, lk, m)
+        assert lift_matching_over_cone(apex, lk, m).pairs == lifted.pairs
+
+
+def outcome(check, m):
+    """None, or the type, message and witness of the error check(m) raises."""
+    try:
+        check(m)
+    except TightMorseError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+@st.composite
+def defective_matchings(draw):
+    """``link_matchings`` plus two to four pairs meant as defects: a face
+    with a face outside the complex, with a face that need not be a coface
+    one dimension up, or a second face for the partner of a pair."""
+    c, m = draw(link_matchings())
+    faces = c.faces()
+    pairs = set(m.pairs)
+    for _ in range(draw(st.integers(2, 4))):
+        s = draw(st.sampled_from(faces))
+        kind = draw(st.sampled_from(["dangling", "not a coface", "twice"]))
+        if kind == "dangling":
+            pairs.add((s, tuple(sorted({*s, 9}))))
+        elif kind == "not a coface":
+            pairs.add((s, draw(st.sampled_from(faces))))
+        elif pairs:
+            _, t = draw(st.sampled_from(sorted(pairs)))
+            k = draw(st.integers(0, len(t) - 1))
+            pairs.add((t[:k] + t[k + 1:], t))
+    return MorseMatching(c, frozenset(pairs))
+
+
+def defects(m) -> int:
+    """Pairs that leave the complex or are no face-coface pair, plus repeats."""
+    c = m.complex
+    faces = [f for pair in m.pairs for f in pair]
+    bad = sum(s not in c or t not in c or len(t) != len(s) + 1 or not set(s) < set(t) for s, t in m.pairs)
+    return bad + len(faces) - len(set(faces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(defective_matchings())
+def test_validate_reports_the_first_defect_in_sorted_order(m):
+    # the unsorted structural pass hands any defect to the sorted pass
+    assume(defects(m) >= 2)
+    assert outcome(validate, m) == outcome(morse_oracle.validate, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_matchings())
+def test_validate_matches_the_sorted_oracle(case):
+    _, m = case
+    assert outcome(validate, m) == outcome(morse_oracle.validate, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_matchings())
+def test_morse_differential_raises_the_cycle_validate_finds(case):
+    _, m = case
+    expected = outcome(validate, m)
+    if expected is None or expected[0] is MatchingCycleError:
+        assert outcome(morse_differential, m) == expected
 
 
 # -- random discrete morse ----------------------------------------------------------
@@ -368,6 +442,18 @@ def test_morse_differential_of_the_circle():
         (1, 2): {(1,), (2,)},
         (1, 3): {(1,), (2,)},
     }
+
+
+def test_morse_differential_rejects_a_cyclic_matching():
+    # the V-cycle (1) (1,2) (2) (2,3) (3) (1,3) (1); the differential used to
+    # come out as {(3, 4): {(4,)}} instead of an error
+    c = from_facets([(1, 2), (2, 3), (1, 3), (3, 4)])
+    m = matching(c, [((1,), (1, 2)), ((2,), (2, 3)), ((3,), (1, 3))])
+    expected = outcome(validate, m)
+    assert expected[0] is MatchingCycleError
+    assert expected[2] == [(1,), (1, 2), (2,), (2, 3), (3,), (1, 3), (1,)]
+    assert outcome(morse_differential, m) == expected
+    assert outcome(is_perfect, m) == expected
 
 
 def test_betti_invariant_under_elementary_collapse(checkerboard, annulus):

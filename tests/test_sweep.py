@@ -1,9 +1,11 @@
 """The one-pass sweep against the per-vertex oracle.
 
 ``sweep_oracle`` builds each lower link from the vertex's full link, cut down
-to the vertices already swept, as the library did before it filed every face
-under its last vertex in one pass.  Both must return the same pairs, or raise
-the same exception with the same message.
+to the vertices already swept, and matches it with the reference planar
+routine of ``collapse_oracle``, one link at a time.  The library files every
+face under its last vertex in one pass and runs all lower links on one
+collapser.  Both must return the same pairs, or raise the same exception with
+the same message.
 """
 
 import itertools
@@ -70,6 +72,23 @@ def test_sweep_matches_oracle(g, direction, assume_tight):
     assert_same_as_oracle(g, direction, assume_tight)
 
 
+@st.composite
+def realizations_4d(draw):
+    """A complex on at most 9 vertices of dimension at most 4, at distinct
+    integer points in [0, 2]^4: lower links of dimension 3 are rejected."""
+    c = from_facets(draw(st.lists(
+        st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True), min_size=1, max_size=6
+    )))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=9, max_size=9, unique=True))
+    return GeometricRealization(c, {v: points[v] for v in c.vertices}, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizations_4d(), st.tuples(*[st.integers(-2, 2)] * 4).filter(any), st.booleans())
+def test_sweep_matches_oracle_in_dimension_4(g, direction, assume_tight):
+    assert_same_as_oracle(g, direction, assume_tight)
+
+
 def test_grid_signed_permutations_match_oracle():
     g = grid_ball(2, 2, 2)
     for perm in itertools.permutations((1, 17, 289)):
@@ -119,6 +138,29 @@ def test_dunce_hat_cone_apex_on_top_matches_oracle(assume_tight, exc_type, start
     assert message.startswith(start)
 
 
+def two_coned_dunce_hats(height_of_9):
+    """Disjoint cones over two dunce hats, apices 9 and 19 at heights 1 and
+    2 above both bases: both apex lower links are stuck and no closed
+    surface."""
+    hat = dunce_hat()
+    other = from_facets([tuple(u + 10 for u in f) for f in hat.facets])
+    c = from_facets([*cone(hat, 9).facets, *cone(other, 19).facets])
+    coords = {v: (v, v * v, 0) for v in range(1, 9)}
+    coords.update({v + 10: (-v, v * v, 0) for v in range(1, 9)})
+    coords[9] = (0, 0, height_of_9)
+    coords[19] = (0, 1, 3 - height_of_9)
+    return GeometricRealization(c, coords, 3)
+
+
+@pytest.mark.parametrize("height_of_9, named", [(1, 9), (2, 19)])
+def test_first_stuck_link_in_sweep_order_is_named(height_of_9, named):
+    # both apices have stuck lower links; the one swept first is reported
+    g = two_coned_dunce_hats(height_of_9)
+    raised, message = assert_same_as_oracle(g, (0, 0, 1), True)
+    assert raised is LinkNotPlanarCollapsibleError
+    assert message.startswith(f"lower link of vertex {named} is not planar-collapsible")
+
+
 def test_sweep_builds_no_vertex_link(monkeypatch):
     # the lower links come from one pass over the faces, not from link()
     g = grid_ball(2, 2, 1)
@@ -148,19 +190,43 @@ TIGHT_SWEEPS = pytest.mark.parametrize(
 )
 
 
+def closed_lower_links(g, direction) -> int:
+    """How many lower links are closed surfaces, from the full links."""
+    order = sweep_order(g, direction).vertices
+    return sum(
+        oracle.is_closed_surface(complex_core.restrict(complex_core.link(g.complex, v), order[:i]))
+        for i, v in enumerate(order)
+    )
+
+
 @TIGHT_SWEEPS
 def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
-    # a lift is valid iff its link matching is, so the final validate of the
-    # whole matching is the one check; delta4 takes the puncture fallback
+    # one certification pass: a lift is valid iff its link matching is, so
+    # the structural checks and the differential's V-path pass, once each on
+    # the whole matching, are the one check.  All lower links share one
+    # collapser and no per-vertex matching is built, except where a closed
+    # surface takes the puncture fallback (the last vertex of delta4 and of
+    # the suspension).
     g = make()
     expected = oracle.sweep_perfect_morse(g, direction).pairs
+    closed = closed_lower_links(g, direction)
     monkeypatch.setattr(morse, "validate", raise_when_called)
     monkeypatch.setattr(morse, "cone", raise_when_called)
     calls = []
-    validate = algorithms.validate
-    monkeypatch.setattr(algorithms, "validate", lambda m: calls.append(m) or validate(m))
+
+    def count(name):
+        fn = getattr(algorithms, name)
+        monkeypatch.setattr(algorithms, name, lambda *a: calls.append(name) or fn(*a))
+
+    for name in ("FaceSetCollapser", "MorseMatching", "_perfect_on_link", "_check_structure", "morse_differential"):
+        count(name)
     assert sweep_perfect_morse(g, direction).pairs == expected
-    assert len(calls) == 1
+    assert calls.count("_perfect_on_link") == closed
+    # per fallback: the link, stuck again on its own, and the punctured link
+    assert calls.count("FaceSetCollapser") == 1 + 2 * closed
+    # the result, and per fallback the punctured link's pairs, then on the whole link
+    assert calls.count("MorseMatching") == 1 + 2 * closed
+    assert calls.count("_check_structure") == calls.count("morse_differential") == 1
 
 
 @TIGHT_SWEEPS
