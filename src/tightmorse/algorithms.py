@@ -75,11 +75,7 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
     the signature of a non-planar input.  The sweep runs the same two
     steps on all its lower links at once (``_sweep_pairs``).
     """
-    if d.is_empty:
-        raise EmptyComplexError("planar routine needs a nonempty complex")
-    if d.dimension > 2:
-        raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
-
+    _require_planar_input(d)
     tracker = FaceSetCollapser(d)
     pairs = _collapse_free_edges(tracker, [0, len(tracker.face)])
     left = tracker.remaining()
@@ -87,6 +83,13 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
     if triangles:
         raise StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
     return MorseMatching(d, frozenset(pairs + _spanning_forest(left)))
+
+
+def _require_planar_input(d: SimplicialComplex) -> None:
+    if d.is_empty:
+        raise EmptyComplexError("planar routine needs a nonempty complex")
+    if d.dimension > 2:
+        raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
 
 
 def _collapse_free_edges(tracker: FaceSetCollapser, starts: list[int]) -> list[Pair]:
@@ -326,23 +329,26 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
 
 # -- the sweep construction ---------------------------------------------------
 
-def _perfect_on_link(lower_link: SimplicialComplex) -> MorseMatching:
-    """Perfect matching on a sweep lower link.
+def _perfect_on_stuck_link(lower_link: SimplicialComplex, triangles: int) -> frozenset[Pair]:
+    """Pairs of a perfect matching on a sweep lower link of dimension at
+    most 2 on which the planar collapse got stuck with ``triangles`` triangles
+    left.
 
-    Planar construction, with a fallback for the one legitimate non-planar
-    case: the full link of the final vertex of a closed surface or
-    3-manifold is a closed surface, handled by removing one triangle as an
-    extra critical face and running the planar routine on the rest.
+    The one legitimate stuck case: the full link of the final vertex of a
+    closed surface or 3-manifold is a closed surface, handled by removing
+    one triangle as an extra critical face and running the planar routine
+    on the rest.  Otherwise raises StuckNoFreeEdgeError as
+    ``planar_perfect_morse`` on the link does.
     """
-    try:
-        return planar_perfect_morse(lower_link)
-    except StuckNoFreeEdgeError:
-        if not is_closed_surface(lower_link):
-            raise
-        top = min(lower_link.face_set(2))
-        punctured = _by_dimension(f for f in lower_link.faces() if f != top)
-        inner = planar_perfect_morse(punctured)
-        return MorseMatching(lower_link, inner.pairs)
+    if not is_closed_surface(lower_link):
+        raise StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
+    top = min(lower_link.face_set(2))
+    return planar_perfect_morse(_by_dimension(f for f in lower_link.faces() if f != top)).pairs
+
+
+# Links per collapser: the collapser keeps one sorted list of free faces, so
+# each removal costs time in the free faces of all its links.
+_LINKS_PER_COLLAPSER = 64
 
 
 def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> list[Pair]:
@@ -353,51 +359,59 @@ def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> list[Pair]:
     and is filed there without v.  A link vertex u of the k-th vertex v is
     relabelled ``k * span + u``, so the links are disjoint, each keeps its
     lexicographic order and takes a contiguous range of face ids, and one
-    ``FaceSetCollapser`` holds them all.  The planar routine
-    (``planar_perfect_morse``) runs on all of them at once.  Every link
-    pair lifts to the star faces of its faces, a dict lookup each, and v is
-    matched with the edge to the smallest vertex of its link, a root of the
-    spanning forest, so critical in the link's matching.  A vertex with
-    empty lower link stays critical.
+    ``FaceSetCollapser`` holds up to ``_LINKS_PER_COLLAPSER`` of them,
+    consecutive in the sweep.  The planar routine
+    (``planar_perfect_morse``) runs on all links of a collapser at once.
+    Every link pair lifts to the star faces of its faces, a dict lookup
+    each, and v is matched with the edge to the smallest vertex of its
+    link, a root of the spanning forest, so critical in the link's
+    matching.  A vertex with empty lower link stays critical.
 
-    A link with a face above dimension 2, or with triangles left, goes
-    through ``_perfect_on_link``, in sweep order, so the first one it fails
-    names its vertex: LinkNotPlanarCollapsibleError when a lower link is
-    stuck and no closed surface.
+    A link with a face above dimension 2 raises DimensionOutOfRangeError,
+    and one with triangles left goes through ``_perfect_on_stuck_link``, in
+    sweep order, so the first one that fails names its vertex:
+    LinkNotPlanarCollapsibleError when a lower link is stuck and no closed
+    surface.
     """
-    span = max(order.vertices, default=0) + 1
-    offset = {v: i * span for i, v in enumerate(order.vertices)}  # ascends along the sweep
-    # the relabelled lower link faces, by dimension, and the star face of each
-    levels: list[list[Face]] = [[] for _ in range(c.dimension)]
+    vertices = order.vertices
+    span = max(vertices, default=0) + 1
+    offset = {v: i * span for i, v in enumerate(vertices)}  # ascends along the sweep
+    # per collapser, the relabelled lower link faces by dimension; the star face of each
+    batches = [[[] for _ in range(c.dimension)] for _ in range(0, len(vertices), _LINKS_PER_COLLAPSER)]
     star: dict[Face, Face] = {}
     for d in range(1, c.dimension + 1):
-        level = levels[d - 1]
+        home = {v: batches[i // _LINKS_PER_COLLAPSER][d - 1] for i, v in enumerate(vertices)}
         for face in c.face_set(d):
             last = max(face, key=offset.__getitem__)
             shift = offset[last]
             f = tuple([u + shift for u in face if u != last])
             star[f] = face
-            level.append(f)
-    tracker = FaceSetCollapser(SimplicialComplex(levels))
-    face = tracker.face
-    starts = [bisect_left(face, (k * span,)) for k in range(len(order.vertices) + 1)]
-    link_pairs = _collapse_free_edges(tracker, starts)
-    left = tracker.remaining()
-    slow = sorted({f[0] // span for f in left if len(f) > 2})
-    if slow:
-        link_pairs = [p for p in link_pairs if p[0][0] // span not in slow]
-        left = [f for f in left if f[0] // span not in slow]
-        for k in slow:
-            v, shift = order.vertices[k], k * span
-            lower = _by_dimension(tuple(u - shift for u in f) for f in face[starts[k]:starts[k + 1]])
-            try:
-                m_link = _perfect_on_link(lower)
-            except StuckNoFreeEdgeError as exc:
-                raise LinkNotPlanarCollapsibleError(v, exc) from exc
-            link_pairs += [(tuple(u + shift for u in s), tuple(u + shift for u in t)) for s, t in m_link.pairs]
-    link_pairs += _spanning_forest(left)
-    pairs = [(star[s], star[t]) for s, t in link_pairs]
-    pairs += [((v,), star[face[i]]) for v, i, end in zip(order.vertices, starts, starts[1:]) if i < end]
+            home[last].append(f)
+    pairs: list[Pair] = []
+    for first, levels in zip(range(0, len(vertices), _LINKS_PER_COLLAPSER), batches):
+        tracker = FaceSetCollapser(SimplicialComplex(levels))
+        face = tracker.face
+        links = vertices[first:first + _LINKS_PER_COLLAPSER]
+        starts = [bisect_left(face, ((first + k) * span,)) for k in range(len(links) + 1)]
+        link_pairs = _collapse_free_edges(tracker, starts)
+        left = tracker.remaining()
+        # the triangles left in each stuck link, k-th of this collapser
+        stuck = Counter(f[0] // span - first for f in left if len(f) > 2)
+        if stuck:
+            link_pairs = [p for p in link_pairs if p[0][0] // span - first not in stuck]
+            left = [f for f in left if f[0] // span - first not in stuck]
+            for k in sorted(stuck):
+                shift = (first + k) * span
+                lower = _by_dimension(tuple(u - shift for u in f) for f in face[starts[k]:starts[k + 1]])
+                _require_planar_input(lower)
+                try:
+                    inner = _perfect_on_stuck_link(lower, stuck[k])
+                except StuckNoFreeEdgeError as exc:
+                    raise LinkNotPlanarCollapsibleError(links[k], exc) from exc
+                link_pairs += [(tuple(u + shift for u in s), tuple(u + shift for u in t)) for s, t in inner]
+        link_pairs += _spanning_forest(left)
+        pairs += [(star[s], star[t]) for s, t in link_pairs]
+        pairs += [((v,), star[face[i]]) for v, i, end in zip(links, starts, starts[1:]) if i < end]
     return pairs
 
 

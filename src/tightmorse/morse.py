@@ -43,7 +43,11 @@ class MorseMatching:
 
     @property
     def matched_faces(self) -> set[Face]:
-        return set(chain.from_iterable(self.pairs))
+        out: set[Face] = set()
+        for s, t in self.pairs:
+            out.add(s)
+            out.add(t)
+        return out
 
     def __repr__(self) -> str:
         return f"MorseMatching({len(self.pairs)} pairs on {self.complex!r})"
@@ -114,18 +118,21 @@ def _layer_order(layer: dict[Face, Face]) -> tuple[list[Face], dict[Face, list[F
     faces on or behind a V-cycle, so it is short iff the layer has one.
     """
     succ: dict[Face, list[Face]] = {}
-    indeg: dict[Face, int] = dict.fromkeys(layer, 0)
+    indeg: dict[Face, int] = {s: 0 for s in layer}
     for s, t in layer.items():
-        nexts = [s2 for s2 in combinations(t, len(s)) if s2 in indeg and s2 != s]
+        nexts = [s2 for s2 in combinations(t, len(s)) if s2 != s and s2 in layer]
         succ[s] = nexts
         for s2 in nexts:
             indeg[s2] += 1
-    order = [s for s, d in indeg.items() if not d]
-    for s in order:  # the faces appended while it runs are visited too
+    queue = [s for s, d in indeg.items() if d == 0]
+    order: list[Face] = []
+    while queue:
+        s = queue.pop()
+        order.append(s)
         for s2 in succ[s]:
             indeg[s2] -= 1
-            if not indeg[s2]:
-                order.append(s2)
+            if indeg[s2] == 0:
+                queue.append(s2)
     return order, succ
 
 

@@ -3,8 +3,8 @@
 ``sweep_oracle`` builds each lower link from the vertex's full link, cut down
 to the vertices already swept, and matches it with the reference planar
 routine of ``collapse_oracle``, one link at a time.  The library files every
-face under its last vertex in one pass and runs all lower links on one
-collapser.  Both must return the same pairs, or raise the same exception with
+face under its last vertex in one pass and runs up to 64 consecutive lower
+links on one collapser.  Both must return the same pairs, or raise the same exception with
 the same message.
 """
 
@@ -204,9 +204,9 @@ def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
     # one certification pass: a lift is valid iff its link matching is, so
     # the structural checks and the differential's V-path pass, once each on
     # the whole matching, are the one check.  All lower links share one
-    # collapser and no per-vertex matching is built, except where a closed
-    # surface takes the puncture fallback (the last vertex of delta4 and of
-    # the suspension).
+    # collapser (these sweeps have at most 64 vertices) and no per-vertex
+    # matching is built, except where a closed surface takes the puncture
+    # fallback (the last vertex of delta4 and of the suspension).
     g = make()
     expected = oracle.sweep_perfect_morse(g, direction).pairs
     closed = closed_lower_links(g, direction)
@@ -218,15 +218,47 @@ def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
         fn = getattr(algorithms, name)
         monkeypatch.setattr(algorithms, name, lambda *a: calls.append(name) or fn(*a))
 
-    for name in ("FaceSetCollapser", "MorseMatching", "_perfect_on_link", "_check_structure", "morse_differential"):
+    for name in ("FaceSetCollapser", "MorseMatching", "_perfect_on_stuck_link", "_check_structure",
+                 "morse_differential"):
         count(name)
     assert sweep_perfect_morse(g, direction).pairs == expected
-    assert calls.count("_perfect_on_link") == closed
-    # per fallback: the link, stuck again on its own, and the punctured link
-    assert calls.count("FaceSetCollapser") == 1 + 2 * closed
-    # the result, and per fallback the punctured link's pairs, then on the whole link
-    assert calls.count("MorseMatching") == 1 + 2 * closed
+    assert calls.count("_perfect_on_stuck_link") == closed
+    # per fallback, the punctured link's collapser and matching
+    assert calls.count("FaceSetCollapser") == calls.count("MorseMatching") == 1 + closed
     assert calls.count("_check_structure") == calls.count("morse_differential") == 1
+
+
+def test_sweep_runs_one_collapser_per_64_links(monkeypatch):
+    g = grid_ball(4, 4, 3)  # 100 vertices
+    expected = oracle.sweep_perfect_morse(g, (1, 17, 289)).pairs
+    calls = []
+    collapser = algorithms.FaceSetCollapser
+    monkeypatch.setattr(algorithms, "FaceSetCollapser", lambda c: calls.append(c) or collapser(c))
+    assert sweep_perfect_morse(g, (1, 17, 289)).pairs == expected
+    assert len(calls) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizations(), directions, st.booleans(), st.integers(1, 4))
+def test_sweep_on_several_collapsers_matches_oracle(g, direction, assume_tight, links):
+    # the links of a sweep split into runs of a few consecutive links, one
+    # collapser each
+    default = algorithms._LINKS_PER_COLLAPSER
+    algorithms._LINKS_PER_COLLAPSER = links
+    try:
+        assert_same_as_oracle(g, direction, assume_tight)
+    finally:
+        algorithms._LINKS_PER_COLLAPSER = default
+
+
+@pytest.mark.parametrize("links", [1, 2, 5])
+@pytest.mark.parametrize("height_of_9", [1, 2])
+def test_stuck_links_on_several_collapsers_match_oracle(monkeypatch, links, height_of_9):
+    # the two stuck apices, and delta4's closed last link, on a collapser
+    # of their own or shared
+    monkeypatch.setattr(algorithms, "_LINKS_PER_COLLAPSER", links)
+    assert_same_as_oracle(two_coned_dunce_hats(height_of_9), (0, 0, 1), True)
+    assert_same_as_oracle(convex_fixture("delta4_boundary"), (1, 2, 4, 8), False)
 
 
 @TIGHT_SWEEPS
