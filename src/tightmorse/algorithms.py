@@ -35,14 +35,13 @@ from .errors import (
     StuckNoFreeEdgeError,
     TightMorseError,
 )
-from .geometry import GeometricRealization, SweepOrder, is_prefix_tight, sweep_order
+from .geometry import GeometricRealization, is_prefix_tight, sweep_order
 from .homology_z2 import betti, inclusion_induced_injective, is_subcomplex
 from .morse import (
     FaceSetCollapser,
     MorseMatching,
     Pair,
-    _check_structure,
-    morse_differential,
+    is_perfect,
     morse_vector,
     random_pick,
 )
@@ -290,7 +289,8 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
     (equal Betti vectors plus injectivity in every dimension).  A collapse
     onto d is a homotopy equivalence, so homology is checked only when the
     greedy run stops short of d: NotASubcomplexError if the inclusion is not
-    an isomorphism, else StuckBeforeTargetError with the residual complex.
+    an isomorphism (as for an empty d), else StuckBeforeTargetError with the
+    residual complex.
     """
     if c.dimension > 2:
         raise DimensionOutOfRangeError("relative collapse limited to dimension <= 2")
@@ -315,7 +315,7 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
     steps = tracker.collapse(pick)
     # a collapse never removes a face of d, so it reached d when only d is left
     if len(tracker) != len(forbidden):
-        b_c, b_d = betti(c), betti(d)
+        b_c, b_d = betti(c), () if d.is_empty else betti(d)  # c is not empty here
         iso = b_c == b_d + (0,) * (len(b_c) - len(b_d)) and all(
             inclusion_induced_injective(d, c, i) for i in range(c.dimension + 1)
         )
@@ -329,51 +329,36 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
 
 # -- the sweep construction ---------------------------------------------------
 
-def _perfect_on_stuck_link(lower_link: SimplicialComplex, triangles: int) -> frozenset[Pair]:
-    """Pairs of a perfect matching on a sweep lower link of dimension at
-    most 2 on which the planar collapse got stuck with ``triangles`` triangles
-    left.
-
-    The one legitimate stuck case: the full link of the final vertex of a
-    closed surface or 3-manifold is a closed surface, handled by removing
-    one triangle as an extra critical face and running the planar routine
-    on the rest.  Otherwise raises StuckNoFreeEdgeError as
-    ``planar_perfect_morse`` on the link does.
-    """
-    if not is_closed_surface(lower_link):
-        raise StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
-    top = min(lower_link.face_set(2))
-    return planar_perfect_morse(_by_dimension(f for f in lower_link.faces() if f != top)).pairs
-
-
 # Links per collapser: the collapser keeps one sorted list of free faces, so
 # each removal costs time in the free faces of all its links.
 _LINKS_PER_COLLAPSER = 64
 
 
-def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> list[Pair]:
-    """The pairs of the sweep along ``order``, unchecked.
+def _sweep_pairs(c: SimplicialComplex, vertices: tuple[int, ...]) -> list[Pair]:
+    """The pairs of the sweep along the vertex order ``vertices``, unchecked.
 
     The lower links come from one pass over the faces: a face lies in the
-    lower link of exactly one vertex, its last vertex v in the sweep order,
-    and is filed there without v.  A link vertex u of the k-th vertex v is
+    lower link of exactly one vertex, its last vertex v in the order, and
+    is filed there without v.  A link vertex u of the k-th vertex v is
     relabelled ``k * span + u``, so the links are disjoint, each keeps its
     lexicographic order and takes a contiguous range of face ids, and one
     ``FaceSetCollapser`` holds up to ``_LINKS_PER_COLLAPSER`` of them,
-    consecutive in the sweep.  The planar routine
+    consecutive in the order.  The planar routine
     (``planar_perfect_morse``) runs on all links of a collapser at once.
     Every link pair lifts to the star faces of its faces, a dict lookup
     each, and v is matched with the edge to the smallest vertex of its
     link, a root of the spanning forest, so critical in the link's
     matching.  A vertex with empty lower link stays critical.
 
-    A link with a face above dimension 2 raises DimensionOutOfRangeError,
-    and one with triangles left goes through ``_perfect_on_stuck_link``, in
-    sweep order, so the first one that fails names its vertex:
-    LinkNotPlanarCollapsibleError when a lower link is stuck and no closed
-    surface.
+    The links left with triangles are then taken in order, on the same
+    collapser.  A closed surface, the whole link of a vertex swept last,
+    has no free edge, so nothing of it has collapsed: it loses its
+    smallest triangle, which stays critical, and collapses again.  A link
+    with a face above dimension 2 raises DimensionOutOfRangeError, and any
+    other stuck link, or a punctured one still stuck,
+    LinkNotPlanarCollapsibleError, so the first one that fails names its
+    vertex.
     """
-    vertices = order.vertices
     span = max(vertices, default=0) + 1
     offset = {v: i * span for i, v in enumerate(vertices)}  # ascends along the sweep
     # per collapser, the relabelled lower link faces by dimension; the star face of each
@@ -397,18 +382,20 @@ def _sweep_pairs(c: SimplicialComplex, order: SweepOrder) -> list[Pair]:
         left = tracker.remaining()
         # the triangles left in each stuck link, k-th of this collapser
         stuck = Counter(f[0] // span - first for f in left if len(f) > 2)
-        if stuck:
-            link_pairs = [p for p in link_pairs if p[0][0] // span - first not in stuck]
-            left = [f for f in left if f[0] // span - first not in stuck]
-            for k in sorted(stuck):
-                shift = (first + k) * span
-                lower = _by_dimension(tuple(u - shift for u in f) for f in face[starts[k]:starts[k + 1]])
-                _require_planar_input(lower)
-                try:
-                    inner = _perfect_on_stuck_link(lower, stuck[k])
-                except StuckNoFreeEdgeError as exc:
-                    raise LinkNotPlanarCollapsibleError(links[k], exc) from exc
-                link_pairs += [(tuple(u + shift for u in s), tuple(u + shift for u in t)) for s, t in inner]
+        for k in sorted(stuck):
+            lower = _by_dimension(face[starts[k]:starts[k + 1]])
+            _require_planar_input(lower)
+            triangles = stuck[k]
+            if is_closed_surface(lower):
+                tracker.remove_facet(tracker.index[min(lower.face_set(2))])
+                punctured = _collapse_free_edges(tracker, starts[k:k + 2])
+                link_pairs += punctured
+                triangles -= 1 + len(punctured)  # each pair takes one triangle
+                left = tracker.remaining()
+            if triangles:
+                raise LinkNotPlanarCollapsibleError(
+                    links[k], StuckNoFreeEdgeError(f"{triangles} triangles left with no free edge")
+                )
         link_pairs += _spanning_forest(left)
         pairs += [(star[s], star[t]) for s, t in link_pairs]
         pairs += [((v,), star[face[i]]) for v, i, end in zip(links, starts, starts[1:]) if i < end]
@@ -433,40 +420,38 @@ def sweep_perfect_morse(
     Processes vertices in sweep order (ascending height, ties broken as in
     ``sweep_order``), matching each lower link and lifting it over the cone
     at its vertex (``_sweep_pairs``).  A lift is valid iff its link matching
-    is, so one check of the result checks every lift: the structural checks
-    of ``validate``, then ``morse_differential``, whose pass along the
-    V-paths raises MatchingCycleError on a V-cycle.
+    is, so one check of the result checks every lift: ``is_perfect``, which
+    runs the structural checks of ``validate``, then ``morse_differential``,
+    whose pass along the V-paths raises MatchingCycleError on a V-cycle.
 
     The sweep certifies itself.  Every pair lies in the lower star of one
     vertex, so the matching is a gradient that respects the filtration by
     sweep prefixes, and its Morse complex has the persistence of that
     filtration (Mischaikow–Nanda 2013).  A zero mod-2 Morse differential
-    (``morse_differential``) therefore proves both that every prefix
-    injects in homology (prefix-tightness) and that the matching is
-    perfect, and the matching is returned with no further check.
+    therefore proves both that every prefix injects in homology
+    (prefix-tightness) and that the matching is perfect, and the matching
+    is returned with no further check.
 
     The tightness scan and the Betti numbers run only to explain a failure,
     with the precedence of checking tightness first.  Unless
-    ``assume_tight``, a sweep that raises or ends with a nonzero
-    differential runs ``is_prefix_tight`` and raises NotTightError if a
-    prefix fails to inject.  Otherwise a nonzero differential raises
-    PerfectnessAssertionFailedError with the Morse and Betti vectors.
+    ``assume_tight``, a sweep that raises or is not perfect runs
+    ``is_prefix_tight`` and raises NotTightError if a prefix fails to
+    inject.  Otherwise the sweep's error is raised, or, for a nonzero
+    differential, PerfectnessAssertionFailedError with the Morse and Betti
+    vectors.
     """
-    order = sweep_order(g, direction)
+    vertices = sweep_order(g, direction).vertices
     c = g.complex
+    failure = None
     try:
-        matching = MorseMatching(c, frozenset(_sweep_pairs(c, order)))
-        _check_structure(matching)
-        nonzero = any(morse_differential(matching).values())
-    except TightMorseError:
-        if not assume_tight:
-            _require_prefix_tight(g, direction)
-        raise
-    if nonzero:
-        if not assume_tight:
-            _require_prefix_tight(g, direction)
-        raise PerfectnessAssertionFailedError(morse_vector(matching), betti(c))
-    return matching
+        matching = MorseMatching(c, frozenset(_sweep_pairs(c, vertices)))
+        if is_perfect(matching):
+            return matching
+    except TightMorseError as exc:
+        failure = exc
+    if not assume_tight:
+        _require_prefix_tight(g, direction)
+    raise failure or PerfectnessAssertionFailedError(morse_vector(matching), betti(c))
 
 
 # -- canonical forms for memoization ------------------------------------------

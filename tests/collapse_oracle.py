@@ -178,7 +178,7 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
         raise DimensionOutOfRangeError("relative collapse limited to dimension <= 2")
     if not is_subcomplex(d, c):
         raise NotASubcomplexError("target is not a subcomplex")
-    b_c, b_d = betti(c), betti(d)
+    b_c, b_d = (() if x.is_empty else betti(x) for x in (c, d))
     iso = tuple(b_c) == tuple(b_d) + (0,) * (len(b_c) - len(b_d)) and all(
         inclusion_induced_injective(d, c, i) for i in range(c.dimension + 1)
     )

@@ -17,7 +17,7 @@ import collapse_oracle as oracle
 import complex_oracle
 from tightmorse import algorithms
 from tightmorse.algorithms import collapsible, planar_perfect_morse, relative_collapse
-from tightmorse.complex_core import boundary_complex, from_faces
+from tightmorse.complex_core import EMPTY_COMPLEX, boundary_complex, from_faces
 from tightmorse.constructions import (
     checkerboard,
     cone_sphere,
@@ -179,6 +179,19 @@ def test_relative_collapse_onto_a_non_isomorphic_target_keeps_its_error():
     error = ("NotASubcomplexError", "inclusion is not a homology isomorphism: (2,) vs (1, 0, 0)")
     assert outcome(lambda: relative_collapse(disk, two_points)) == error
     assert outcome(lambda: oracle.relative_collapse(disk, two_points)) == error
+
+
+@pytest.mark.parametrize(
+    "c, b_c",
+    [(from_faces([(0, 1, 2)]), "(1, 0, 0)"), (from_faces([(0, 1), (0, 2), (1, 2)]), "(1, 1)")],
+    ids=["triangle", "triangle_boundary"],
+)
+def test_relative_collapse_onto_the_empty_complex_is_no_homology_isomorphism(c, b_c):
+    # the inclusion of the empty complex misses every class of c; the
+    # Betti numbers of the empty target must not be asked for
+    error = ("NotASubcomplexError", f"inclusion is not a homology isomorphism: () vs {b_c}")
+    assert outcome(lambda: relative_collapse(c, EMPTY_COMPLEX)) == error
+    assert outcome(lambda: oracle.relative_collapse(c, EMPTY_COMPLEX)) == error
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from tightmorse.constructions import (
     straight_path,
     suspension_realization,
 )
-from tightmorse.errors import LinkNotPlanarCollapsibleError, NotTightError
+from tightmorse.errors import LinkNotPlanarCollapsibleError, NotTightError, PerfectnessAssertionFailedError
 from tightmorse.geometry import GeometricRealization, sweep_order
 
 
@@ -190,41 +190,31 @@ TIGHT_SWEEPS = pytest.mark.parametrize(
 )
 
 
-def closed_lower_links(g, direction) -> int:
-    """How many lower links are closed surfaces, from the full links."""
-    order = sweep_order(g, direction).vertices
-    return sum(
-        oracle.is_closed_surface(complex_core.restrict(complex_core.link(g.complex, v), order[:i]))
-        for i, v in enumerate(order)
-    )
-
-
 @TIGHT_SWEEPS
 def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
     # one certification pass: a lift is valid iff its link matching is, so
     # the structural checks and the differential's V-path pass, once each on
     # the whole matching, are the one check.  All lower links share one
-    # collapser (these sweeps have at most 64 vertices) and no per-vertex
-    # matching is built, except where a closed surface takes the puncture
-    # fallback (the last vertex of delta4 and of the suspension).
+    # collapser (these sweeps have at most 64 vertices), a closed last link
+    # (delta4, the suspension) is punctured on it, and no per-vertex
+    # matching or second planar run is built.
     g = make()
     expected = oracle.sweep_perfect_morse(g, direction).pairs
-    closed = closed_lower_links(g, direction)
     monkeypatch.setattr(morse, "validate", raise_when_called)
     monkeypatch.setattr(morse, "cone", raise_when_called)
+    monkeypatch.setattr(algorithms, "planar_perfect_morse", raise_when_called)
     calls = []
 
-    def count(name):
-        fn = getattr(algorithms, name)
-        monkeypatch.setattr(algorithms, name, lambda *a: calls.append(name) or fn(*a))
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
 
-    for name in ("FaceSetCollapser", "MorseMatching", "_perfect_on_stuck_link", "_check_structure",
-                 "morse_differential"):
-        count(name)
+    count(algorithms, "FaceSetCollapser")
+    count(algorithms, "MorseMatching")
+    count(morse, "_check_structure")
+    count(morse, "morse_differential")
     assert sweep_perfect_morse(g, direction).pairs == expected
-    assert calls.count("_perfect_on_stuck_link") == closed
-    # per fallback, the punctured link's collapser and matching
-    assert calls.count("FaceSetCollapser") == calls.count("MorseMatching") == 1 + closed
+    assert calls.count("FaceSetCollapser") == calls.count("MorseMatching") == 1
     assert calls.count("_check_structure") == calls.count("morse_differential") == 1
 
 
@@ -261,6 +251,50 @@ def test_stuck_links_on_several_collapsers_match_oracle(monkeypatch, links, heig
     assert_same_as_oracle(convex_fixture("delta4_boundary"), (1, 2, 4, 8), False)
 
 
+def seven_vertex_torus():
+    return from_facets([f for i in range(7) for f in (
+        sorted({i, (i + 1) % 7, (i + 3) % 7}), sorted({i, (i + 2) % 7, (i + 3) % 7})
+    )])
+
+
+def two_octahedra():
+    octahedron = convex_fixture("octahedron_boundary").complex
+    return from_facets([*octahedron.facets, *[tuple(u + 10 for u in f) for f in octahedron.facets]])
+
+
+def apex_on_top(base, apex):
+    """The cone over base with its apex above the plane of the base, so
+    swept last along (0, 0, 1): its lower link is all of base."""
+    coords = {v: (v, v * v, 0) for v in base.vertices}
+    coords[apex] = (0, 0, 1)
+    return GeometricRealization(cone(base, apex), coords, 3)
+
+
+@pytest.mark.parametrize("assume_tight", [False, True])
+@pytest.mark.parametrize("links", [1, 2, 64])
+@pytest.mark.parametrize(
+    "base, stuck",
+    [(seven_vertex_torus, None), (two_octahedra, "8 triangles left with no free edge")],
+    ids=["torus", "two_octahedra"],
+)
+def test_closed_last_link_punctured_on_the_collapser_matches_oracle(
+    monkeypatch, base, stuck, links, assume_tight
+):
+    # the apex's lower link is a closed surface.  The torus, punctured,
+    # collapses to a graph; two octahedra, punctured in the first, leave the
+    # second stuck, so the apex is named with the triangles left after the
+    # puncture
+    monkeypatch.setattr(algorithms, "_LINKS_PER_COLLAPSER", links)
+    raised, message = assert_same_as_oracle(apex_on_top(base(), 30), (0, 0, 1), assume_tight)
+    if not assume_tight:
+        assert raised is NotTightError  # the cone kills the base's homology
+    elif stuck:
+        assert raised is LinkNotPlanarCollapsibleError
+        assert message == f"lower link of vertex 30 is not planar-collapsible: {stuck}"
+    else:
+        assert raised is PerfectnessAssertionFailedError
+
+
 @TIGHT_SWEEPS
 def test_tight_sweep_runs_no_scan_and_no_betti(monkeypatch, make, direction):
     # a zero Morse differential proves both prefix-tightness and perfectness
@@ -288,7 +322,7 @@ def test_zero_differential_iff_prefix_tight(g, direction):
     # whenever the sweep loop gets through, its Morse differential is zero
     # exactly when every sweep prefix injects (the scan of the oracle)
     try:
-        pairs = algorithms._sweep_pairs(g.complex, sweep_order(g, direction))
+        pairs = algorithms._sweep_pairs(g.complex, sweep_order(g, direction).vertices)
     except LinkNotPlanarCollapsibleError:
         return
     m = morse.MorseMatching(g.complex, frozenset(pairs))
