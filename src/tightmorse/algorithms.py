@@ -9,12 +9,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from typing import Optional
 
 from .complex_core import (
     Face,
+    Record,
     SimplicialComplex,
     _by_dimension,
     deletion,
@@ -49,13 +49,15 @@ from .morse import (
 
 # -- collapse sequences ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollapseSequence:
+class CollapseSequence(Record):
     """Ordered elementary collapses from source down to target."""
 
-    source: SimplicialComplex
-    steps: tuple[Pair, ...]
-    target: SimplicialComplex
+    __match_args__ = ("source", "steps", "target")
+
+    def __init__(self, source: SimplicialComplex, steps: tuple[Pair, ...], target: SimplicialComplex):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "target", target)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -144,19 +146,26 @@ def _spanning_forest(left: list[Face]) -> list[Pair]:
     return pairs
 
 
-@dataclass(frozen=True, eq=False)
-class NonEvasivenessCertificate:
+class NonEvasivenessCertificate(Record):
     """Recursive witness: delete ``vertex``, certify its link and deletion.
 
     A leaf (link_cert and deletion_cert both None) asserts the complex is
     the single point ``vertex``.  ``==``, ``hash`` and ``repr`` walk the
     tree on an explicit stack, so they need no recursion however deep the
-    certificate is; ``repr`` gives the dataclass's text.
+    certificate is; ``repr`` gives the text of ``Record.__repr__``.
     """
 
-    vertex: int
-    link_cert: Optional["NonEvasivenessCertificate"] = None
-    deletion_cert: Optional["NonEvasivenessCertificate"] = None
+    __match_args__ = ("vertex", "link_cert", "deletion_cert")
+
+    def __init__(
+        self,
+        vertex: int,
+        link_cert: Optional[NonEvasivenessCertificate] = None,
+        deletion_cert: Optional[NonEvasivenessCertificate] = None,
+    ):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "link_cert", link_cert)
+        object.__setattr__(self, "deletion_cert", deletion_cert)
 
     @property
     def is_leaf(self) -> bool:
@@ -543,11 +552,18 @@ class _IsoMemo:
 
 # -- non-evasiveness ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonEvasiveResult:
-    status: str  # "yes" | "no" | "budget"
-    certificate: Optional[NonEvasivenessCertificate] = None
-    reason: Optional[str] = None
+class NonEvasiveResult(Record):
+    __match_args__ = ("status", "certificate", "reason")
+
+    def __init__(
+        self,
+        status: str,  # "yes" | "no" | "budget"
+        certificate: Optional[NonEvasivenessCertificate] = None,
+        reason: Optional[str] = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "reason", reason)
 
 
 class _BudgetExhausted(Exception):
@@ -645,11 +661,18 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
 
 # -- collapsibility -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollapsibleResult:
-    status: str  # "yes" | "no" | "budget"
-    sequence: Optional[CollapseSequence] = None
-    reason: Optional[str] = None
+class CollapsibleResult(Record):
+    __match_args__ = ("status", "sequence", "reason")
+
+    def __init__(
+        self,
+        status: str,  # "yes" | "no" | "budget"
+        sequence: Optional[CollapseSequence] = None,
+        reason: Optional[str] = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "reason", reason)
 
 
 def collapsible(

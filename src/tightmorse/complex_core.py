@@ -149,6 +149,42 @@ class SimplicialComplex:
 EMPTY_COMPLEX = SimplicialComplex(())
 
 
+class Record:
+    """Base of the library's immutable result types.
+
+    A subclass names its fields, in order, in ``__match_args__`` and sets
+    them in its own ``__init__`` with ``object.__setattr__``.  Two records
+    are equal when they are of one class and their field tuples are equal;
+    the hash is the hash of the field tuple, and ``repr`` reads
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    AttributeError.  These are a frozen dataclass's semantics, without the
+    generated code that makes creating one cost start-up time.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _by_dimension(faces: Iterable[Face]) -> SimplicialComplex:
     """Complex of a downward-closed family of canonical faces.
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex_core import (
     Face,
+    Record,
     SimplicialComplex,
     boundary_complex,
     deletion,
@@ -97,19 +97,19 @@ def grid_ball(nx: int, ny: int, nz: int) -> GeometricRealization:
 
 # -- drilled balls ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Record):
     """Cube path with axis-parallel unit steps, addressed by minimal corners."""
 
-    cubes: tuple[Cube, ...]
+    __match_args__ = ("cubes",)
 
-    def __post_init__(self):
+    def __init__(self, cubes: tuple[Cube, ...]):
+        object.__setattr__(self, "cubes", cubes)
         seen = set()
-        for cube in self.cubes:
+        for cube in cubes:
             if cube in seen:
                 raise PathSelfIntersectsError(f"cube {cube} repeated")
             seen.add(cube)
-        for a, b in zip(self.cubes, self.cubes[1:]):
+        for a, b in zip(cubes, cubes[1:]):
             if sum(abs(p - q) for p, q in zip(a, b)) != 1:
                 raise FormatError(f"cubes {a} and {b} are not face-adjacent")
 
@@ -117,14 +117,22 @@ class LatticePath:
         return len(self.cubes)
 
 
-@dataclass(frozen=True)
-class FurchBall:
+class FurchBall(Record):
     """Drilled grid ball with its designated spanning edge."""
 
-    realization: GeometricRealization
-    spanning_edge: tuple[int, int]
-    box: tuple[int, int, int]
-    path: LatticePath
+    __match_args__ = ("realization", "spanning_edge", "box", "path")
+
+    def __init__(
+        self,
+        realization: GeometricRealization,
+        spanning_edge: tuple[int, int],
+        box: tuple[int, int, int],
+        path: LatticePath,
+    ):
+        object.__setattr__(self, "realization", realization)
+        object.__setattr__(self, "spanning_edge", spanning_edge)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "path", path)
 
 
 def _is_two_sphere(surface: SimplicialComplex) -> bool:
@@ -229,10 +237,12 @@ def trefoil_path() -> tuple[LatticePath, tuple[int, int, int]]:
 
 # -- cone spheres --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeSphere:
-    complex: SimplicialComplex
-    apex: int
+class ConeSphere(Record):
+    __match_args__ = ("complex", "apex")
+
+    def __init__(self, complex: SimplicialComplex, apex: int):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "apex", apex)
 
 
 def cone_sphere(ball: SimplicialComplex) -> ConeSphere:
@@ -263,13 +273,22 @@ def remove_facet(c: SimplicialComplex, facet) -> SimplicialComplex:
 
 # -- wedge thickening -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class WedgeThickening:
-    complex: SimplicialComplex
-    apex: int           # the stellar vertex of the pyramid
-    wedge_point: int    # the identified vertex of the two balls
-    wedge: SimplicialComplex
-    side_walls: tuple[Face, Face]  # pyramid walls exposed after deleting apex
+class WedgeThickening(Record):
+    __match_args__ = ("complex", "apex", "wedge_point", "wedge", "side_walls")
+
+    def __init__(
+        self,
+        complex: SimplicialComplex,
+        apex: int,  # the stellar vertex of the pyramid
+        wedge_point: int,  # the identified vertex of the two balls
+        wedge: SimplicialComplex,
+        side_walls: tuple[Face, Face],  # pyramid walls exposed after deleting apex
+    ):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "wedge_point", wedge_point)
+        object.__setattr__(self, "wedge", wedge)
+        object.__setattr__(self, "side_walls", side_walls)
 
 
 def wedge_thicken(ball1: SimplicialComplex, ball2: SimplicialComplex,

@@ -12,10 +12,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .complex_core import Face, SimplicialComplex, from_facets
-from .errors import FormatError
+from .errors import FormatError, InvalidEmbeddingError
 
 # geometry, morse and constructions are imported where they are used, so
-# that reading a facets file loads none of them
+# that reading a complex, from a facets or a geom file, loads none of them
 if TYPE_CHECKING:
     from .constructions import LatticePath
     from .geometry import GeometricRealization
@@ -107,6 +107,11 @@ def dump_facets(c: SimplicialComplex) -> str:
 def parse_geom(text: str) -> GeometricRealization:
     from .geometry import GeometricRealization
 
+    return GeometricRealization(*_parse_geom_text(text))
+
+
+def _parse_geom_text(text: str) -> tuple[SimplicialComplex, dict[int, tuple[Number, ...]], int]:
+    """The complex, coordinates and ambient dimension of a geom file."""
     lines = _content_lines(text)
     if not lines or not lines[0].startswith("geom"):
         raise FormatError("expected 'geom <k>' header")
@@ -128,8 +133,7 @@ def parse_geom(text: str) -> GeometricRealization:
         except ValueError:  # parse_number reads ints the same way, and names a bad token
             coords[label] = tuple(parse_number(tok) for tok in parts[2:])
         idx += 1
-    complex_ = _parse_facet_lines(lines[idx:])
-    return GeometricRealization(complex_, coords, k)
+    return _parse_facet_lines(lines[idx:]), coords, k
 
 
 def dump_geom(g: GeometricRealization) -> str:
@@ -211,11 +215,21 @@ def dump_path(path: LatticePath) -> str:
 # -- file helpers ----------------------------------------------------------------
 
 def read_complex(path: str | Path) -> SimplicialComplex:
-    """Read a facets file, or the facets section of a geom file."""
+    """Read a facets file, or the facets section of a geom file.
+
+    A geom file is checked as ``read_geom`` checks it, without importing
+    ``geometry``: its coordinate lines are parsed, and the smallest vertex
+    of the complex without one raises InvalidEmbeddingError.  (The parser
+    has already rejected a line of the wrong length.)
+    """
     text = Path(path).read_text()
-    if text.lstrip().startswith("geom"):
-        return parse_geom(text).complex
-    return parse_facets(text)
+    if not text.lstrip().startswith("geom"):
+        return parse_facets(text)
+    complex_, coords, _ = _parse_geom_text(text)
+    for v in complex_.vertices:
+        if v not in coords:
+            raise InvalidEmbeddingError(f"vertex {v} has no coordinates")
+    return complex_
 
 
 def read_geom(path: str | Path) -> GeometricRealization:

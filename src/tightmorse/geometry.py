@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex_core import SimplicialComplex
+from .complex_core import Record, SimplicialComplex
 from .errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
 from .homology_z2 import persistence_pairs
 
@@ -39,38 +38,43 @@ Number = int | float | Fraction
 Vector = tuple[Number, ...]
 
 
-@dataclass(frozen=True)
-class GeometricRealization:
-    """A complex plus vertex coordinates in R^k."""
+class GeometricRealization(Record):
+    """A complex plus vertex coordinates in R^k.
 
-    complex: SimplicialComplex
-    coords: dict[int, Vector]
-    ambient_dim: int
+    Unhashable, since ``coords`` is a dict.
+    """
 
-    def __post_init__(self):
-        for v in self.complex.vertices:
-            if v not in self.coords:
+    __match_args__ = ("complex", "coords", "ambient_dim")
+
+    def __init__(self, complex: SimplicialComplex, coords: dict[int, Vector], ambient_dim: int):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        for v in complex.vertices:
+            if v not in coords:
                 raise InvalidEmbeddingError(f"vertex {v} has no coordinates")
-            if len(self.coords[v]) != self.ambient_dim:
+            if len(coords[v]) != ambient_dim:
                 raise InvalidEmbeddingError(
-                    f"vertex {v} has {len(self.coords[v])} coordinates, expected {self.ambient_dim}"
+                    f"vertex {v} has {len(coords[v])} coordinates, expected {ambient_dim}"
                 )
 
     def height(self, v: int, direction: Vector) -> Number:
         return sum(p * d for p, d in zip(self.coords[v], direction))
 
 
-@dataclass(frozen=True)
-class SweepOrder:
+class SweepOrder(Record):
     """Vertices in sweep order along a direction, with their heights.
 
     Heights ascend weakly; vertices of equal height appear in their
     symbolic tie-break order (see ``sweep_order``).
     """
 
-    direction: Vector
-    vertices: tuple[int, ...]
-    heights: tuple[Number, ...]
+    __match_args__ = ("direction", "vertices", "heights")
+
+    def __init__(self, direction: Vector, vertices: tuple[int, ...], heights: tuple[Number, ...]):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "heights", heights)
 
 
 def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
@@ -98,8 +102,7 @@ def sweep_order(g: GeometricRealization, direction: Vector) -> SweepOrder:
 
 # -- tightness -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TightnessFailure:
+class TightnessFailure(Record):
     """One failing level and dimension of a tightness scan.
 
     ``threshold`` is the midpoint of the two heights the level separates;
@@ -107,18 +110,23 @@ class TightnessFailure:
     it is infinite, with the midpoint's sign, beyond float range.
     """
 
-    threshold: float
-    dim: int
-    betti_sub: int
-    image_rank: int
+    __match_args__ = ("threshold", "dim", "betti_sub", "image_rank")
+
+    def __init__(self, threshold: float, dim: int, betti_sub: int, image_rank: int):
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "betti_sub", betti_sub)
+        object.__setattr__(self, "image_rank", image_rank)
 
 
-@dataclass(frozen=True)
-class TightnessReport:
-    tight: bool
-    direction: Vector
-    checks: int
-    failures: tuple[TightnessFailure, ...]
+class TightnessReport(Record):
+    __match_args__ = ("tight", "direction", "checks", "failures")
+
+    def __init__(self, tight: bool, direction: Vector, checks: int, failures: tuple[TightnessFailure, ...]):
+        object.__setattr__(self, "tight", tight)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "failures", failures)
 
     def __bool__(self) -> bool:
         return self.tight
@@ -208,11 +216,13 @@ def is_prefix_tight(g: GeometricRealization, direction: Vector) -> TightnessRepo
     return _injectivity_scan(g, reversed_order)
 
 
-@dataclass(frozen=True)
-class SampledTightnessReport:
-    samples: int
-    passed: int
-    failures: tuple[tuple[int, Vector, TightnessReport], ...]
+class SampledTightnessReport(Record):
+    __match_args__ = ("samples", "passed", "failures")
+
+    def __init__(self, samples: int, passed: int, failures: tuple[tuple[int, Vector, TightnessReport], ...]):
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def fraction(self) -> float:

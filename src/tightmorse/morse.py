@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from typing import Callable
 
-from .complex_core import Face, SimplicialComplex, canonical_face, cone
+from .complex_core import Face, Record, SimplicialComplex, canonical_face, cone
 from .errors import (
     DanglingFaceError,
     EmptyLinkError,
@@ -34,12 +33,14 @@ from .errors import (
 Pair = tuple[Face, Face]
 
 
-@dataclass(frozen=True)
-class MorseMatching:
+class MorseMatching(Record):
     """Partial matching on the face poset of a fixed complex."""
 
-    complex: SimplicialComplex
-    pairs: frozenset[Pair]
+    __match_args__ = ("complex", "pairs")
+
+    def __init__(self, complex: SimplicialComplex, pairs: frozenset[Pair]):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def matched_faces(self) -> set[Face]:

@@ -14,7 +14,7 @@ from tightmorse import __version__, from_facets
 from tightmorse.cli import main
 from tightmorse.geometry import GeometricRealization
 from tightmorse.constructions import checkerboard, convex_fixture, furch_ball, grid_ball, straight_path
-from tightmorse.errors import FormatError, MalformedFacetError
+from tightmorse.errors import FormatError, InvalidEmbeddingError, MalformedFacetError
 from tightmorse.formats import (
     dump_facets,
     dump_geom,
@@ -26,6 +26,7 @@ from tightmorse.formats import (
     parse_number,
     parse_path,
     read_complex,
+    read_geom,
 )
 from tightmorse.morse import random_discrete_morse
 
@@ -115,6 +116,43 @@ def test_parse_geom_names_the_bad_coordinate(coords, message):
     with pytest.raises(FormatError) as err:
         geom_point(coords)
     assert str(err.value) == message
+
+
+# read_complex checks a geom file's coordinates without building the
+# realization; it owes the errors read_geom raises, in the same order
+MALFORMED_GEOM = {
+    "missing_vertex": ("geom 2\nv 1 0 0\nv 4 1 1\nfacets 2\n1 2 3\n3 4\n", InvalidEmbeddingError,
+                       "vertex 2 has no coordinates"),
+    "no_vertex_lines": ("geom 3\nfacets 1\n5 7\n", InvalidEmbeddingError, "vertex 5 has no coordinates"),
+    "header": ("geom x\nfacets 1\n1\n", FormatError, "malformed geom header"),
+    "no_header": ("geometry\n", FormatError, "malformed geom header"),
+    "arity": ("geom 3\nv 1 0 0\nfacets 1\n1\n", FormatError, "vertex line has wrong arity: 'v 1 0 0'"),
+    "label": ("geom 1\nv a 0\nfacets 1\n1\n", FormatError, "expected an integer, got 'a'"),
+    "repeated_label": ("geom 1\nv 1 0\nv 1 1\nfacets 1\n1\n", FormatError,
+                       "vertex 1 has two coordinate lines"),
+    "bad_number": ("geom 1\nv 1 1/0\nfacets 1\n1\n", FormatError, "cannot parse number '1/0'"),
+    "bad_number_before_missing": ("geom 1\nv 3 x\nfacets 1\n1 2\n", FormatError, "cannot parse number 'x'"),
+    "facets_count": ("geom 1\nv 1 0\nfacets 2\n1\n", FormatError, "header says 2 facets, found 1"),
+    "facets_token": ("geom 1\nv 1 0\nfacets 1\n1 b\n", FormatError, "expected an integer, got 'b'"),
+    "repeated_facet_vertex": ("geom 1\nv 1 0\nfacets 1\n1 1\n", MalformedFacetError,
+                              "repeated vertex in face (1, 1)"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_GEOM.values(), ids=MALFORMED_GEOM)
+def test_read_complex_raises_the_errors_of_read_geom(tmp_path, text, error, message):
+    path = tmp_path / "bad.geom"
+    path.write_text(text)
+    for read in (read_complex, read_geom):
+        with pytest.raises(error) as err:
+            read(path)
+        assert type(err.value) is error and str(err.value) == message, read.__name__
+
+
+def test_read_complex_of_a_geom_file_is_its_complex(tmp_path):
+    path = tmp_path / "g.geom"
+    path.write_text("geom 1\nv 9 5\nv 1 0\nv 2 1/2\nfacets 1\n1 2\n")
+    assert read_complex(path) == read_geom(path).complex == from_facets([(1, 2)])
 
 
 def test_morse_round_trip(checkerboard):
