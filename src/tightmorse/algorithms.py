@@ -10,7 +10,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, combinations, repeat
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .complex_core import (
     Face,
@@ -35,7 +35,6 @@ from .errors import (
     StuckNoFreeEdgeError,
     TightMorseError,
 )
-from .geometry import GeometricRealization, is_prefix_tight, sweep_order
 from .homology_z2 import betti, inclusion_induced_injective, is_subcomplex
 from .morse import (
     FaceSetCollapser,
@@ -45,6 +44,9 @@ from .morse import (
     morse_vector,
     random_pick,
 )
+
+if TYPE_CHECKING:
+    from .geometry import GeometricRealization
 
 
 # -- collapse sequences ------------------------------------------------------
@@ -223,7 +225,8 @@ class NonEvasivenessCertificate(Record):
 def _drive(root):
     """Run a recursion written as generators on an explicit stack: each
     yields a child generator and is sent the child's return value, so depth
-    is bounded by memory, not by the interpreter's recursion limit."""
+    is bounded by memory, not by the interpreter's recursion limit.  Only
+    the searches, which come back to a node after its deletion, need it."""
     stack, value = [root], None
     while stack:
         try:
@@ -238,18 +241,16 @@ def _drive(root):
 
 
 def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
-    """Replay a certificate; True iff it proves c non-evasive."""
-
-    def replay(c: SimplicialComplex, cert: NonEvasivenessCertificate):
-        if cert.is_leaf:
-            return c.num_faces == 1 and c.vertices == (cert.vertex,)
+    """Replay a certificate; True iff it proves c non-evasive.  The deletions
+    are a loop; a link, one dimension lower, is replayed first by a call, so
+    the calls nest at most dim c + 2 deep."""
+    while not cert.is_leaf:
         if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
             return False
-        return (yield replay(link(c, cert.vertex), cert.link_cert)) and (
-            yield replay(deletion(c, cert.vertex), cert.deletion_cert)
-        )
-
-    return _drive(replay(c, cert))
+        if not verify_certificate(link(c, cert.vertex), cert.link_cert):
+            return False
+        c, cert = deletion(c, cert.vertex), cert.deletion_cert
+    return c.num_faces == 1 and c.vertices == (cert.vertex,)
 
 
 def _is_nonempty_tree(g: SimplicialComplex) -> bool:
@@ -273,22 +274,29 @@ def planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate
     b = betti(d)
     if b[0] != 1 or any(b[i] for i in range(1, len(b))):
         raise NotAcyclicError(f"Betti vector {b} is not (1, 0, ...)")
-    return _drive(_acyclic_cert(d))
+    return _acyclic_cert(d)
 
 
-def _acyclic_cert(c: SimplicialComplex):
-    """Generator for ``_drive``: the certificate of ``planar_acyclic_nonevasive``."""
-    if c.num_faces == 1:
-        return NonEvasivenessCertificate(c.vertices[0])
-    blocking: dict[int, tuple[int, ...]] = {}
-    for v in c.vertices:
-        lk = link(c, v)
-        if _is_nonempty_tree(lk):
-            link_cert = yield _acyclic_cert(lk)
-            del_cert = yield _acyclic_cert(deletion(c, v))
-            return NonEvasivenessCertificate(v, link_cert, del_cert)
-        blocking[v] = lk.f_vector
-    raise StuckNoDeletableVertexError(blocking)
+def _acyclic_cert(c: SimplicialComplex) -> NonEvasivenessCertificate:
+    """The certificate of ``planar_acyclic_nonevasive``: the deletions are a
+    loop that pairs each vertex with its tree link's certificate (three
+    calls deep at most), and the pairs are folded into nodes at the end."""
+    steps: list[tuple[int, NonEvasivenessCertificate]] = []
+    while c.num_faces != 1:
+        blocking: dict[int, tuple[int, ...]] = {}
+        for v in c.vertices:
+            lk = link(c, v)
+            if _is_nonempty_tree(lk):
+                break
+            blocking[v] = lk.f_vector
+        else:
+            raise StuckNoDeletableVertexError(blocking)
+        steps.append((v, _acyclic_cert(lk)))
+        c = deletion(c, v)
+    cert = NonEvasivenessCertificate(c.vertices[0])
+    for v, link_cert in reversed(steps):
+        cert = NonEvasivenessCertificate(v, link_cert, cert)
+    return cert
 
 
 def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSequence:
@@ -411,13 +419,6 @@ def _sweep_pairs(c: SimplicialComplex, vertices: tuple[int, ...]) -> list[Pair]:
     return pairs
 
 
-def _require_prefix_tight(g: GeometricRealization, direction) -> None:
-    """Raise NotTightError with the scan's report unless every prefix injects."""
-    report = is_prefix_tight(g, direction)
-    if not report.tight:
-        raise NotTightError(f"{len(report.failures)} prefix injectivity failures", report)
-
-
 def sweep_perfect_morse(
     g: GeometricRealization,
     direction,
@@ -449,6 +450,8 @@ def sweep_perfect_morse(
     differential, PerfectnessAssertionFailedError with the Morse and Betti
     vectors.
     """
+    from .geometry import is_prefix_tight, sweep_order
+
     vertices = sweep_order(g, direction).vertices
     c = g.complex
     failure = None
@@ -458,8 +461,8 @@ def sweep_perfect_morse(
             return matching
     except TightMorseError as exc:
         failure = exc
-    if not assume_tight:
-        _require_prefix_tight(g, direction)
+    if not assume_tight and not (report := is_prefix_tight(g, direction)).tight:
+        raise NotTightError(f"{len(report.failures)} prefix injectivity failures", report)
     raise failure or PerfectnessAssertionFailedError(morse_vector(matching), betti(c))
 
 
@@ -633,10 +636,7 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
         star_size = Counter(chain.from_iterable(chain.from_iterable(cur._by_dim)))
         # the vertices are sorted and the sort is stable, so ties go by label
         for v in sorted(cur.vertices, key=star_size.__getitem__):
-            lk = link(cur, v)
-            if lk.is_empty:
-                continue
-            link_cert = yield search(lk, False)
+            link_cert = yield search(link(cur, v), False)
             if link_cert is None:
                 continue
             # Mayer–Vietoris on cur = del(v) ∪ st(v) with intersection lk(v): del(v) is acyclic
@@ -693,8 +693,9 @@ def collapsible(
     the first attempt fails, and it takes precedence over "no free face".
     backtracking: exhaustive over free-pair choices with memoized dead
     states, keyed by ``canonical_form`` only when an f-vector repeats
-    (``_IsoMemo``); exact within the node budget.  Both searches run on
-    ``_drive``'s stack.
+    (``_IsoMemo``); exact within the node budget.  It runs on ``_drive``'s
+    stack, one complex per node: a child is its parent's levels less the
+    collapsed pair.
     """
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -732,17 +733,16 @@ def collapsible(
     tracker = _Budget(budget)
     dead = _IsoMemo()
 
-    def search(faces: frozenset[Face]):
-        """The steps from faces to a vertex, last step first, or None."""
-        if len(faces) == 1:
+    def search(cur: SimplicialComplex):
+        """The steps from cur to a vertex, last step first, or None."""
+        if cur.num_faces == 1:
             return []
         tracker.tick()
-        cur = _by_dimension(faces)
         hit, form = dead.lookup(cur)
         if hit is not None:
             return None
         for s, t in free_faces(cur):
-            rest = yield search(faces - {s, t})
+            rest = yield search(SimplicialComplex([level - {s, t} for level in cur._by_dim]))
             if rest is not None:
                 rest.append((s, t))
                 return rest
@@ -750,13 +750,12 @@ def collapsible(
         return None
 
     try:
-        steps = _drive(search(frozenset(c.faces())))
+        steps = _drive(search(c))
     except _BudgetExhausted:
         return CollapsibleResult("budget")
     if steps is None:
         return CollapsibleResult("no", reason="exhausted")
     steps.reverse()
-    remaining = set(c.faces())
-    for s, t in steps:
-        remaining -= {s, t}
-    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), _by_dimension(remaining)))
+    # the target is the one vertex that no step removes
+    target = SimplicialComplex([{(v,) for v in c.vertices}.difference(s for s, _ in steps)])
+    return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))

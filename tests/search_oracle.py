@@ -10,6 +10,11 @@ twice and reads the key off the sorted ``facets``.  The library's
 is ``collapsible(c, "backtracking", budget)`` with its dead set keyed by the
 library's ``canonical_form`` at every node.  The library must give the same
 statuses, reasons, certificates, collapse steps and node counts.
+
+``verify_certificate`` and ``acyclic_cert`` are the certificate walks as
+generators on ``_drive``'s stack, which holds every complex of the deletion
+chain at once; the library walks the chain as a loop and must give the same
+verdicts and certificates.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ from tightmorse.algorithms import (
     _acyclic_betti,
     _Budget,
     _BudgetExhausted,
+    _drive,
+    _is_nonempty_tree,
 )
 from tightmorse.complex_core import Face, SimplicialComplex, deletion, free_faces, from_faces, link
+from tightmorse.errors import StuckNoDeletableVertexError
 from tightmorse.morse import Pair
 
 
@@ -162,3 +170,36 @@ def backtracking(c: SimplicialComplex, budget: int = 10**6) -> CollapsibleResult
     for s, t in steps:
         remaining -= {s, t}
     return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), from_faces(remaining)))
+
+
+def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
+    def replay(c: SimplicialComplex, cert: NonEvasivenessCertificate):
+        if cert.is_leaf:
+            return c.num_faces == 1 and c.vertices == (cert.vertex,)
+        if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
+            return False
+        return (yield replay(link(c, cert.vertex), cert.link_cert)) and (
+            yield replay(deletion(c, cert.vertex), cert.deletion_cert)
+        )
+
+    return _drive(replay(c, cert))
+
+
+def acyclic_cert(c: SimplicialComplex) -> NonEvasivenessCertificate:
+    """The certificate ``planar_acyclic_nonevasive`` gives a connected
+    acyclic complex of dimension at most 2."""
+
+    def search(c: SimplicialComplex):
+        if c.num_faces == 1:
+            return NonEvasivenessCertificate(c.vertices[0])
+        blocking: dict[int, tuple[int, ...]] = {}
+        for v in c.vertices:
+            lk = link(c, v)
+            if _is_nonempty_tree(lk):
+                link_cert = yield search(lk)
+                del_cert = yield search(deletion(c, v))
+                return NonEvasivenessCertificate(v, link_cert, del_cert)
+            blocking[v] = lk.f_vector
+        raise StuckNoDeletableVertexError(blocking)
+
+    return _drive(search(c))

@@ -1,5 +1,6 @@
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from tightmorse import algorithms, betti, complex_core, free_faces, from_facets
 from tightmorse.algorithms import (
     NonEvasivenessCertificate,
     _IsoMemo,
+    _acyclic_betti,
     collapsible,
     canonical_form,
     nonevasive,
@@ -258,10 +260,12 @@ def test_nonevasive_budget():
     assert res.status == "budget"
 
 
-# The searches and the certificate walks go one level deeper per deleted
-# vertex or collapsed pair.  They run on an explicit stack, so a path of
-# 1,000 edges, beyond the interpreter's default recursion limit, is decided.
-# ``==``, ``hash`` and ``repr`` of a certificate walk it on a stack too.
+# The searches go one level deeper per deleted vertex or collapsed pair.
+# They run on an explicit stack, so a path of 1,000 edges, beyond the
+# interpreter's default recursion limit, is decided.  The certificate walks
+# loop along the deletions and call themselves only on links, which are of
+# lower dimension.  ``==``, ``hash`` and ``repr`` of a certificate walk it
+# on a stack.
 
 def path(edges):
     return from_facets([(i, i + 1) for i in range(edges)])
@@ -295,14 +299,34 @@ def test_planar_acyclic_nonevasive_long_path():
     assert cert.size == 2001 and verify_certificate(c, cert)
 
 
-def test_deep_certificate_replays_and_relabels():
-    # delete 0, 1, ... in turn: each link is the next vertex, 1,200 levels
-    cert = NonEvasivenessCertificate(1200)
-    for v in reversed(range(1200)):
+def path_certificate(edges):
+    """Delete 0, 1, ... in turn: each link is the next vertex."""
+    cert = NonEvasivenessCertificate(edges)
+    for v in reversed(range(edges)):
         cert = NonEvasivenessCertificate(v, NonEvasivenessCertificate(v + 1), cert)
+    return cert
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_certificate_replays_and_relabels():
+    cert = path_certificate(1200)
     c = path(1200)
-    assert cert.size == 2401 and verify_certificate(c, cert)
-    assert not verify_certificate(path(1201), cert)
+    assert cert.size == 2401
+    # the replay nests one call per link, and a link is of lower dimension
+    expected = [oracle.verify_certificate(path(n), cert) for n in (1200, 1201)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        verdicts = [verify_certificate(path(n), cert) for n in (1200, 1201)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == expected == [True, False]
     shifted = cert.relabeled({v: v + 5000 for v in c.vertices})
     assert verify_certificate(from_facets([(i + 5000, i + 5001) for i in range(1200)]), shifted)
     back = shifted.relabeled({v + 5000: v for v in c.vertices})
@@ -312,6 +336,94 @@ def test_deep_certificate_replays_and_relabels():
     assert back == cert and hash(back) == hash(cert)
     assert shifted != cert and back != back.relabeled({0: 1, 1: 0} | {v: v for v in range(2, 1201)})
     assert {cert, back, shifted} == {cert, shifted}
+
+
+def deletions_alive(monkeypatch):
+    """Wrap algorithms.deletion; returns the list to which each call appends
+    the number of complexes that earlier calls returned and are still alive."""
+    made, alive = [], []
+    original = algorithms.deletion
+
+    def spy(c, v):
+        alive.append(sum(ref() is not None for ref in made))
+        out = original(c, v)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(algorithms, "deletion", spy)
+    return alive
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda: verify_certificate(path(300), path_certificate(300)), lambda: planar_acyclic_nonevasive(path(300))],
+    ids=["replay", "planar_acyclic_nonevasive"],
+)
+def test_certificate_walks_hold_one_deletion_at_a_time(monkeypatch, walk):
+    # on the explicit stack every complex of the chain stayed alive until
+    # the walk returned: 299 at the last deletion of a 300-edge path
+    alive = deletions_alive(monkeypatch)
+    assert walk()
+    assert len(alive) == 300 and max(alive) <= 1
+
+
+MUTATIONS = ["relabel", "drop_link", "drop_deletion", "swap", "grow"]
+
+
+def mutated(cert, index, kind, label):
+    """cert with its index-th node in pre-order relabelled, a child dropped,
+    its children swapped, or a missing child grown as the leaf ``label``."""
+    done = []  # mutated subtrees, last on top
+    nodes = cert._preorder()
+    for i in reversed(range(len(nodes))):
+        node = nodes[i]
+        vertex = node.vertex
+        link_cert = done.pop() if node.link_cert else None
+        deletion_cert = done.pop() if node.deletion_cert else None
+        if i == index:
+            if kind == "relabel":
+                vertex = label
+            elif kind == "drop_link":
+                link_cert = None
+            elif kind == "drop_deletion":
+                deletion_cert = None
+            elif kind == "swap":
+                link_cert, deletion_cert = deletion_cert, link_cert
+            else:
+                link_cert = link_cert or NonEvasivenessCertificate(label)
+                deletion_cert = deletion_cert or NonEvasivenessCertificate(label)
+        done.append(NonEvasivenessCertificate(vertex, link_cert, deletion_cert))
+    return done[0]
+
+
+def acyclic_cert_outcome(make, c):
+    """The certificate, or the blocking links of StuckNoDeletableVertexError."""
+    try:
+        return make(c)
+    except StuckNoDeletableVertexError as exc:
+        return exc.links
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes, st.data())
+def test_certificate_walks_match_oracle(c, data):
+    # the loops give the verdicts and certificates of the walks on the stack
+    certs = []
+    res = nonevasive(c)
+    if res.status == "yes":
+        certs.append(res.certificate)
+    if c.dimension <= 2 and _acyclic_betti(c):
+        planar = acyclic_cert_outcome(planar_acyclic_nonevasive, c)
+        assert planar == acyclic_cert_outcome(oracle.acyclic_cert, c)
+        if isinstance(planar, NonEvasivenessCertificate):
+            certs.append(planar)
+    labels = st.sampled_from([*c.vertices, max(c.vertices) + 1])
+    for cert in certs:
+        assert verify_certificate(c, cert) and oracle.verify_certificate(c, cert)
+        for _ in range(3):
+            index = data.draw(st.integers(0, cert.size - 1))
+            bad = mutated(cert, index, data.draw(st.sampled_from(MUTATIONS)), data.draw(labels))
+            assert verify_certificate(c, bad) == oracle.verify_certificate(c, bad)
 
 
 def leaf_text(v):
@@ -374,16 +486,65 @@ def test_nonevasive_matches_oracle(c):
     assert search_nodes(nonevasive, c) == search_nodes(oracle.nonevasive, c)
 
 
+# the dunce hat with two pendant edges runs the branches of the search that
+# the other inputs miss: a memo hit on a stored failure, a link with Euler
+# characteristic 1 that is not acyclic, and a deletion that fails after its
+# link was certified
+PENDANT_DUNCE_HAT = from_facets([*dunce_hat().facets, (8, 98), (8, 99)])
+
+
 @pytest.mark.parametrize(
     "c",
-    [dunce_hat(), barycentric_subdivision(dunce_hat()), grid_ball(2, 1, 1).complex, stacked_ball(4).complex],
-    ids=["dunce_hat", "dunce_hat_sd", "grid(2,1,1)", "stacked(4)"],
+    [
+        dunce_hat(), barycentric_subdivision(dunce_hat()), grid_ball(2, 1, 1).complex, stacked_ball(4).complex,
+        PENDANT_DUNCE_HAT,
+    ],
+    ids=["dunce_hat", "dunce_hat_sd", "grid(2,1,1)", "stacked(4)", "dunce_hat+2pendants"],
 )
 def test_nonevasive_nodes_match_oracle(c):
     # the dunce hats search many links that are not acyclic
     res, ref = nonevasive(c), oracle.nonevasive(c)
     assert (res.status, res.reason, res.certificate) == (ref.status, ref.reason, ref.certificate)
     assert search_nodes(nonevasive, c) == search_nodes(oracle.nonevasive, c)
+
+
+def test_nonevasive_search_branches_on_the_pendant_dunce_hat(monkeypatch):
+    # the three branches of the search that the other inputs miss
+    c = PENDANT_DUNCE_HAT
+    stored_failures, cyclic_links, deleted, failed = [], [], [], []
+    lookup, store, acyclic, delete = _IsoMemo.lookup, _IsoMemo.store, algorithms._acyclic_betti, algorithms.deletion
+
+    def lookup_spy(memo, k):
+        out = lookup(memo, k)
+        if out[0] is not None and out[0][0] is None:
+            stored_failures.append(k)
+            failed.append(k)
+        return out
+
+    def store_spy(memo, k, value, form):
+        if value is None:
+            failed.append(k)
+        store(memo, k, value, form)
+
+    def acyclic_spy(k):
+        out = acyclic(k)
+        if not out and k.euler_characteristic == 1:
+            cyclic_links.append(k)
+        return out
+
+    def deletion_spy(k, v):
+        deleted.append(delete(k, v))
+        return deleted[-1]
+
+    monkeypatch.setattr(_IsoMemo, "lookup", lookup_spy)
+    monkeypatch.setattr(_IsoMemo, "store", store_spy)
+    monkeypatch.setattr(algorithms, "_acyclic_betti", acyclic_spy)
+    monkeypatch.setattr(algorithms, "deletion", deletion_spy)
+    res = nonevasive(c)
+    assert (res.status, res.reason) == ("no", "exhausted")
+    assert stored_failures, "no memo hit on a stored failure"
+    assert cyclic_links, "no link with Euler characteristic 1 that is not acyclic"
+    assert {id(k) for k in deleted} & {id(k) for k in failed}, "no deletion failed"
 
 
 def counting(monkeypatch, module):
@@ -613,8 +774,9 @@ def flapped_dunce_hat(tails):
         flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]),
         flapped_dunce_hat([(1, 2, 20), (1, 3, 21)]),
         grid_ball(1, 1, 1).complex,
+        PENDANT_DUNCE_HAT,
     ],
-    ids=["dunce_hat+flap+path", "dunce_hat+2flaps", "grid(1,1,1)"],
+    ids=["dunce_hat+flap+path", "dunce_hat+2flaps", "grid(1,1,1)", "dunce_hat+2pendants"],
 )
 def test_backtracking_nodes_match_oracle(c):
     # random complexes this small are collapsible or fail a precheck; the
@@ -646,6 +808,15 @@ def test_collapsible_closes_no_face_family_again(monkeypatch, c, strategy, refer
     expected = collapsible_outcome(reference(c))
     monkeypatch.setattr(complex_core, "_close", close_raises)
     assert collapsible_outcome(collapsible(c, strategy)) == expected
+
+
+@pytest.mark.parametrize("c", [path(50), grid_ball(1, 1, 1).complex], ids=["path(50)", "grid(1,1,1)"])
+def test_backtracking_groups_no_face_set_by_dimension(monkeypatch, c):
+    # a child node is its parent's levels less the collapsed pair, and the
+    # target is the one vertex that no step removes
+    expected = collapsible_outcome(oracle.backtracking(c))
+    monkeypatch.setattr(algorithms, "_by_dimension", close_raises)
+    assert collapsible_outcome(backtracking(c)) == expected
 
 
 def test_collapse_sequences_replay(simplex3, annulus):

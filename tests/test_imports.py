@@ -118,8 +118,8 @@ def heavy_in_stdlib(tmp_path_factory) -> set[str]:
             {"homology_z2", "algorithms", "geometry", "embedding", "constructions"},
         ),
         (["morse", "sweep", "s.geom", "--pi", "1,2,4", "--out", "s2.morse"], {"embedding", "constructions"}),
-        (["check", "nonevasive", "e.facets"], {"embedding", "constructions"}),
-        (["check", "collapsible", "e.facets"], {"embedding", "constructions"}),
+        (["check", "nonevasive", "e.facets"], {"geometry", "embedding", "constructions"}),
+        (["check", "collapsible", "e.facets"], {"geometry", "embedding", "constructions"}),
         (
             ["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"],
             {"embedding", "algorithms"},

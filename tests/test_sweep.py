@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import sweep_oracle as oracle
 import tightness_oracle
-from tightmorse import algorithms, complex_core, from_facets, morse
+from tightmorse import algorithms, complex_core, from_facets, geometry, morse
 from tightmorse.algorithms import sweep_perfect_morse
 from tightmorse.complex_core import cone
 from tightmorse.constructions import (
@@ -300,7 +300,7 @@ def test_tight_sweep_runs_no_scan_and_no_betti(monkeypatch, make, direction):
     # a zero Morse differential proves both prefix-tightness and perfectness
     g = make()
     expected = oracle.sweep_perfect_morse(g, direction).pairs
-    monkeypatch.setattr(algorithms, "is_prefix_tight", raise_when_called)
+    monkeypatch.setattr(geometry, "is_prefix_tight", raise_when_called)
     monkeypatch.setattr(algorithms, "betti", raise_when_called)
     assert sweep_perfect_morse(g, direction).pairs == expected
 
