@@ -243,7 +243,16 @@ def _drive(root):
 def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
     """Replay a certificate; True iff it proves c non-evasive.  The deletions
     are a loop; a link, one dimension lower, is replayed first by a call, so
-    the calls nest at most dim c + 2 deep."""
+    the calls nest at most dim c + 2 deep.
+
+    A certificate that proves c non-evasive has one node per face of c, by
+    induction: a leaf covers its one vertex, and a node for v covers
+    1 + f(lk v) + f(del v) = f(c) faces, since the faces of c that hold v
+    are {v} and the joins of v with the faces of lk v.  So a certificate of
+    another size is rejected before any link or deletion is built.
+    """
+    if cert.size != c.num_faces:
+        return False
     while not cert.is_leaf:
         if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
             return False

@@ -7,13 +7,15 @@ exceeded, 3 assertion failure in the sweep.
 
 Each command imports the library modules its own branch runs, so a process
 that only computes Betti numbers does not load the geometry, Morse, search
-or construction code.
+or construction code.  Start-up pays only for the command it runs: the
+parsers of the other commands get no arguments, the input digest uses the
+builtin SHA-256 module rather than ``hashlib``, and ``fractions`` loads
+only for a non-integer number or for the geometry code.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
@@ -24,6 +26,16 @@ from pathlib import Path
 from . import __version__, formats
 from .errors import FormatError, PerfectnessAssertionFailedError, TightMorseError
 
+# the builtin SHA-256, as the standard random module loads it: hashlib loads
+# OpenSSL's _hashlib, ten times the import time, for the same digest
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
@@ -31,11 +43,35 @@ EXIT_ASSERTION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    """An argument parser whose ``build(parser)``, if given, adds its
+    arguments and subcommands the first time it parses or formats usage or
+    help: argparse reaches a chosen subcommand's parser only through
+    ``parse_known_args``, and prints usage and help through the two format
+    methods, so a process builds the parsers of its own command only."""
+
+    def __init__(self, *args, build=None, **kwargs):
         super().__init__(*args, **kwargs)
         # a value that starts with a minus and a digit, such as the direction
         # "-1,17,-289", is a value: no option here is spelt that way
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._build = build
+
+    def _build_once(self) -> None:
+        if self._build is not None:
+            build, self._build = self._build, None
+            build(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._build_once()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._build_once()
+        return super().format_usage()
+
+    def format_help(self):
+        self._build_once()
+        return super().format_help()
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -44,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
+    return sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
 def _parse_vector(text: str):
@@ -96,16 +132,23 @@ def _report(args, inputs: dict[str, str], result: dict) -> dict:
 
 
 def _build_parser() -> _Parser:
+    """The root parser and the five command parsers.  The command parsers
+    other than betti add their arguments and subcommands when first used."""
     parser = _Parser(prog="tightmorse")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--timings", action="store_true",
                         help="append wall time (breaks byte-identical reports)")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p = sub.add_parser("betti", help="Betti vector of a complex")
     p.add_argument("file")
+    sub.add_parser("morse", help="matching validation, vectors, sweep", build=_build_morse)
+    sub.add_parser("tight", help="tightness checks", build=_build_tight)
+    sub.add_parser("check", help="collapsibility and non-evasiveness", build=_build_check)
+    sub.add_parser("build", help="generators for the example complexes", build=_build_build)
+    return parser
 
-    pm = sub.add_parser("morse", help="matching validation, vectors, sweep")
+
+def _build_morse(pm: _Parser) -> None:
     msub = pm.add_subparsers(dest="morse_command", required=True)
     v = msub.add_parser("validate")
     v.add_argument("complex_file")
@@ -119,7 +162,8 @@ def _build_parser() -> _Parser:
     sw.add_argument("--assume-tight", action="store_true")
     sw.add_argument("--out", help="write the matching file here")
 
-    pt = sub.add_parser("tight", help="tightness checks")
+
+def _build_tight(pt: _Parser) -> None:
     tsub = pt.add_subparsers(dest="tight_command", required=True)
     tc = tsub.add_parser("check")
     tc.add_argument("geom_file")
@@ -129,7 +173,8 @@ def _build_parser() -> _Parser:
     tc.add_argument("--verify-embedding", action="store_true",
                     help="exact facet-pair intersection check first")
 
-    pc = sub.add_parser("check", help="collapsibility and non-evasiveness")
+
+def _build_check(pc: _Parser) -> None:
     csub = pc.add_subparsers(dest="check_command", required=True)
     cc = csub.add_parser("collapsible")
     cc.add_argument("file")
@@ -142,7 +187,8 @@ def _build_parser() -> _Parser:
     cn.add_argument("--budget", type=_nonnegative_int, default=10**6)
     cn.add_argument("--out", help="write the certificate as JSON here")
 
-    pb = sub.add_parser("build", help="generators for the example complexes")
+
+def _build_build(pb: _Parser) -> None:
     bsub = pb.add_subparsers(dest="build_command", required=True)
     bg = bsub.add_parser("grid")
     bg.add_argument("--n", required=True, help="nx,ny,nz cube counts")
@@ -163,7 +209,6 @@ def _build_parser() -> _Parser:
     bx = bsub.add_parser("fixture")
     bx.add_argument("name")
     bx.add_argument("--out", required=True)
-    return parser
 
 
 def _cert_json(cert) -> str:

@@ -2,12 +2,11 @@
 
 All formats are line-oriented with ``#`` comments.  Numbers written as
 fractions or decimal strings are parsed exactly into Fraction; plain
-integers stay integers.
+integers stay integers, and a file of integers loads no ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -17,11 +16,13 @@ from .errors import FormatError, InvalidEmbeddingError
 # geometry, morse and constructions are imported where they are used, so
 # that reading a complex, from a facets or a geom file, loads none of them
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .constructions import LatticePath
     from .geometry import GeometricRealization
     from .morse import MorseMatching
 
-Number = int | float | Fraction
+    Number = int | float | Fraction
 
 
 def parse_int(token: str) -> int:
@@ -49,6 +50,8 @@ def parse_number(token: str) -> Number:
         too_large = False  # not an exponent; Fraction rejects the token
     if too_large:
         raise FormatError(f"exponent of {token!r} exceeds {MAX_EXPONENT} in absolute value")
+    from fractions import Fraction
+
     try:
         return Fraction(token)  # handles "3/4" and "0.25" exactly
     except (ValueError, ZeroDivisionError) as exc:
@@ -56,11 +59,13 @@ def parse_number(token: str) -> Number:
 
 
 def format_number(x: Number) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return repr(x) if isinstance(x, float) else str(x)
+    if isinstance(x, float):
+        return repr(x)
+    if isinstance(x, int):  # bool too: True is written "True"
+        return str(x)
+    if x.denominator == 1:  # a Fraction, tested without importing fractions
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _content_lines(text: str) -> list[str]:

@@ -367,12 +367,16 @@ def test_certificate_walks_hold_one_deletion_at_a_time(monkeypatch, walk):
     assert len(alive) == 300 and max(alive) <= 1
 
 
-MUTATIONS = ["relabel", "drop_link", "drop_deletion", "swap", "grow"]
+MUTATIONS = ["relabel", "drop_link", "drop_deletion", "swap", "grow", "prune", "graft"]
 
 
 def mutated(cert, index, kind, label):
     """cert with its index-th node in pre-order relabelled, a child dropped,
-    its children swapped, or a missing child grown as the leaf ``label``."""
+    its children swapped, a missing child grown as the leaf ``label``, its
+    subtree cut back to the leaf of its vertex (prune), or the node made
+    the deletion child of a new node ``label`` whose link is the leaf
+    ``label`` (graft).  Prune and graft change the size unless the node is
+    a leaf."""
     done = []  # mutated subtrees, last on top
     nodes = cert._preorder()
     for i in reversed(range(len(nodes))):
@@ -389,11 +393,32 @@ def mutated(cert, index, kind, label):
                 deletion_cert = None
             elif kind == "swap":
                 link_cert, deletion_cert = deletion_cert, link_cert
+            elif kind == "prune":
+                link_cert = deletion_cert = None
+            elif kind == "graft":
+                node = NonEvasivenessCertificate(vertex, link_cert, deletion_cert)
+                vertex, link_cert, deletion_cert = label, NonEvasivenessCertificate(label), node
             else:
                 link_cert = link_cert or NonEvasivenessCertificate(label)
                 deletion_cert = deletion_cert or NonEvasivenessCertificate(label)
         done.append(NonEvasivenessCertificate(vertex, link_cert, deletion_cert))
     return done[0]
+
+
+def test_certificate_of_another_size_is_rejected_before_any_replay(monkeypatch):
+    # a proof has one node per face: 2,001 on a 1,000-edge path
+    c, cert = path(1000), path_certificate(1000)
+    assert verify_certificate(c, cert)
+
+    def replayed(*args):
+        raise AssertionError("a link or deletion was built")
+
+    monkeypatch.setattr(algorithms, "link", replayed)
+    monkeypatch.setattr(algorithms, "deletion", replayed)
+    for index, kind in [(0, "graft"), (2, "prune"), (1998, "drop_link")]:
+        bad = mutated(cert, index, kind, 0)
+        assert bad.size != c.num_faces
+        assert not verify_certificate(c, bad)
 
 
 def acyclic_cert_outcome(make, c):

@@ -3,6 +3,7 @@ and the package-level names resolve lazily to the objects their modules
 define; no module imports a name it never uses."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -11,8 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tightmorse
+from tightmorse import cli
 from tightmorse.constructions import checkerboard, straight_path
 from tightmorse.formats import dump_facets, dump_morse, dump_path, read_complex
 from tightmorse.morse import random_discrete_morse
@@ -91,38 +94,51 @@ HEAVY = {"dataclasses", "inspect"}
 def heavy_in_stdlib(tmp_path_factory) -> set[str]:
     """The heavy modules that the standard modules the CLI imports load by
     themselves on this Python, which the library cannot avoid."""
-    code = "import argparse, hashlib, json, pathlib"
+    code = "import argparse, json, pathlib"
     return HEAVY & loaded_modules(code, tmp_path_factory.mktemp("stdlib"))
 
 
-# argv and the tightmorse submodules it must not load
+# hashlib loads OpenSSL's _hashlib; the input digest needs neither
+NO_COMMAND_LOADS = {"hashlib", "_hashlib"}
+# fractions, which imports decimal, serves only non-integer numbers and the
+# geometry and construction code
+NUMBERS = {"fractions", "decimal"}
+
+
+# argv, the tightmorse submodules it must not load, and the standard
+# modules it must not load beyond NO_COMMAND_LOADS
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, absent, absent_stdlib",
     [
-        (["betti", "e.facets"], {"geometry", "embedding", "morse", "algorithms", "constructions"}),
-        (["betti", "s.geom"], {"geometry", "embedding", "morse", "algorithms", "constructions"}),
+        (["betti", "e.facets"], {"geometry", "embedding", "morse", "algorithms", "constructions"}, NUMBERS),
+        (["betti", "s.geom"], {"geometry", "embedding", "morse", "algorithms", "constructions"}, NUMBERS),
         (
             ["tight", "check", "s.geom", "--pi", "1,2,4"],
             {"embedding", "morse", "algorithms", "constructions"},
+            set(),
         ),
         (
             ["morse", "validate", "e.facets", "e.morse"],
             {"homology_z2", "algorithms", "geometry", "embedding", "constructions"},
+            NUMBERS,
         ),
         (
             ["morse", "validate", "s.geom", "s.morse"],
             {"homology_z2", "algorithms", "geometry", "embedding", "constructions"},
+            NUMBERS,
         ),
         (
             ["morse", "vector", "e.facets", "e.morse"],
             {"homology_z2", "algorithms", "geometry", "embedding", "constructions"},
+            NUMBERS,
         ),
-        (["morse", "sweep", "s.geom", "--pi", "1,2,4", "--out", "s2.morse"], {"embedding", "constructions"}),
-        (["check", "nonevasive", "e.facets"], {"geometry", "embedding", "constructions"}),
-        (["check", "collapsible", "e.facets"], {"geometry", "embedding", "constructions"}),
+        (["morse", "sweep", "s.geom", "--pi", "1,2,4", "--out", "s2.morse"], {"embedding", "constructions"}, set()),
+        (["check", "nonevasive", "e.facets"], {"geometry", "embedding", "constructions"}, NUMBERS),
+        (["check", "collapsible", "e.facets"], {"geometry", "embedding", "constructions"}, NUMBERS),
         (
             ["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"],
             {"embedding", "algorithms"},
+            set(),
         ),
     ],
     ids=[
@@ -130,13 +146,47 @@ def heavy_in_stdlib(tmp_path_factory) -> set[str]:
         "morse_sweep", "check_nonevasive", "check_collapsible", "build_furch",
     ],
 )
-def test_cli_command_loads_only_what_it_runs(inputs, heavy_in_stdlib, argv, absent):
+def test_cli_command_loads_only_what_it_runs(inputs, heavy_in_stdlib, argv, absent, absent_stdlib):
     modules = loaded_modules(run_main(argv), inputs)
     loaded = tightmorse_submodules(modules)
     assert "cli" in loaded
     assert not loaded & absent, sorted(loaded & absent)
     heavy = (modules & HEAVY) - heavy_in_stdlib
     assert not heavy, sorted(heavy)
+    stdlib = modules & (NO_COMMAND_LOADS | absent_stdlib)
+    assert not stdlib, sorted(stdlib)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=300))
+def test_digest_is_the_sha256_prefix(tmp_path, data):
+    # the builtin module is _sha256 up to Python 3.11 and _sha2 from 3.12
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()[:12]
+
+
+def test_non_integer_numbers_load_fractions_on_demand(tmp_path):
+    # in a fresh interpreter, formats loads fractions at the first
+    # non-integer number it reads, and writes such numbers back byte for byte
+    (tmp_path / "x.geom").write_text("geom 3\nv 1 3/4 0.25 -2.5E-4300\nv 2 0 1 0\nfacets 1\n1 2\n")
+    dumped = f"geom 3\nv 1 3/4 1/4 -1/{4 * 10**4299}\nv 2 0 1 0\nfacets 1\n1 2\n"
+    code = f"""
+import sys
+from tightmorse import formats
+assert formats.format_number(True) == "True" and formats.format_number(-7) == "-7"
+assert formats.format_number(2.5) == "2.5"
+assert "fractions" not in sys.modules
+assert formats.read_complex("x.geom").num_faces == 3
+assert "fractions" in sys.modules and "tightmorse.geometry" not in sys.modules
+from fractions import Fraction
+assert formats.format_number(Fraction(4, 2)) == "2"
+g = formats.read_geom("x.geom")
+assert g.coords[1] == (Fraction(3, 4), Fraction(1, 4), Fraction(-25, 10**4301))
+assert formats.dump_geom(g) == {dumped!r}
+assert formats.dump_geom(formats.parse_geom({dumped!r})) == {dumped!r}
+"""
+    loaded_modules(code, tmp_path)
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
