@@ -18,7 +18,6 @@ from .complex_core import (
     SimplicialComplex,
     _by_dimension,
     deletion,
-    free_faces,
     is_closed_surface,
     link,
 )
@@ -36,17 +35,10 @@ from .errors import (
     TightMorseError,
 )
 from .homology_z2 import betti, inclusion_induced_injective, is_subcomplex
-from .morse import (
-    FaceSetCollapser,
-    MorseMatching,
-    Pair,
-    is_perfect,
-    morse_vector,
-    random_pick,
-)
 
 if TYPE_CHECKING:
     from .geometry import GeometricRealization
+    from .morse import FaceSetCollapser, MorseMatching, Pair
 
 
 # -- collapse sequences ------------------------------------------------------
@@ -78,6 +70,8 @@ def planar_perfect_morse(d: SimplicialComplex) -> MorseMatching:
     the signature of a non-planar input.  The sweep runs the same two
     steps on all its lower links at once (``_sweep_pairs``).
     """
+    from .morse import FaceSetCollapser, MorseMatching
+
     _require_planar_input(d)
     tracker = FaceSetCollapser(d)
     pairs = _collapse_free_edges(tracker, [0, len(tracker.face)])
@@ -318,6 +312,8 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
     an isomorphism (as for an empty d), else StuckBeforeTargetError with the
     residual complex.
     """
+    from .morse import FaceSetCollapser
+
     if c.dimension > 2:
         raise DimensionOutOfRangeError("relative collapse limited to dimension <= 2")
     if not is_subcomplex(d, c):
@@ -385,6 +381,8 @@ def _sweep_pairs(c: SimplicialComplex, vertices: tuple[int, ...]) -> list[Pair]:
     LinkNotPlanarCollapsibleError, so the first one that fails names its
     vertex.
     """
+    from .morse import FaceSetCollapser
+
     span = max(vertices, default=0) + 1
     offset = {v: i * span for i, v in enumerate(vertices)}  # ascends along the sweep
     # per collapser, the relabelled lower link faces by dimension; the star face of each
@@ -460,6 +458,7 @@ def sweep_perfect_morse(
     vectors.
     """
     from .geometry import is_prefix_tight, sweep_order
+    from .morse import MorseMatching, is_perfect, morse_vector
 
     vertices = sweep_order(g, direction).vertices
     c = g.complex
@@ -528,8 +527,10 @@ class _IsoMemo:
     Entries are bucketed by f-vector, an isomorphism invariant every complex
     caches.  ``canonical_form`` runs on a looked-up complex only when its
     bucket is nonempty, and on a stored complex only when a later complex
-    lands in its bucket; it then keeps its key and relabel.  Equal keys imply
-    equal f-vectors, so the hits are those of a memo keyed on every lookup.
+    lands in its bucket; it then keeps its key and relabel.  A search that
+    holds no complex passes its f-vector ``f`` and a function listing its
+    faces instead.  Equal keys imply equal f-vectors, so the hits are those
+    of a memo keyed on every lookup.
     A hit is a complex isomorphic to a stored one, so it shares every
     isomorphism invariant of it: ``nonevasive`` looks a link up before its
     Betti reduction, since every complex it stores is acyclic.
@@ -539,10 +540,10 @@ class _IsoMemo:
         # f-vector -> (value and relabel by key, complexes not yet keyed)
         self._buckets: dict[tuple[int, ...], tuple[dict, list]] = {}
 
-    def lookup(self, c: SimplicialComplex):
+    def lookup(self, c, f: tuple[int, ...] | None = None):
         """(hit, form): hit is the (value, relabel) stored for a complex with
         c's key, or None; form is c's canonical form, None if not computed."""
-        bucket = self._buckets.get(c.f_vector)
+        bucket = self._buckets.get(c.f_vector if f is None else f)
         if bucket is None:
             return None, None
         keyed, pending = bucket
@@ -550,14 +551,14 @@ class _IsoMemo:
             key, relabel = canonical_form(other)
             keyed[key] = (value, relabel)
         pending.clear()
-        form = canonical_form(c)
+        form = canonical_form(c if f is None else _by_dimension(c()))
         return keyed.get(form[0]), form
 
-    def store(self, c: SimplicialComplex, value, form) -> None:
+    def store(self, c, value, form, f: tuple[int, ...] | None = None) -> None:
         """Store value for c after a missed lookup that returned form."""
-        keyed, pending = self._buckets.setdefault(c.f_vector, ({}, []))
+        keyed, pending = self._buckets.setdefault(c.f_vector if f is None else f, ({}, []))
         if form is None:
-            pending.append((c, value))
+            pending.append((c if f is None else _by_dimension(c()), value))
         else:
             keyed[form[0]] = (value, form[1])
 
@@ -703,9 +704,13 @@ def collapsible(
     backtracking: exhaustive over free-pair choices with memoized dead
     states, keyed by ``canonical_form`` only when an f-vector repeats
     (``_IsoMemo``); exact within the node budget.  It runs on ``_drive``'s
-    stack, one complex per node: a child is its parent's levels less the
-    collapsed pair.
+    stack over one ``FaceSetCollapser``: a child collapses one of the free
+    pairs, taken in lexicographic order, and ``restore_pair`` backs it out.
+    A node is its f-vector, and is built as a complex only for the memo,
+    when its f-vector repeats or it dies.
     """
+    from .morse import FaceSetCollapser, random_pick
+
     if strategy not in ("greedy", "backtracking"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "greedy" and restarts < 1:
@@ -719,11 +724,11 @@ def collapsible(
     if c.euler_characteristic != 1:
         return CollapsibleResult("no", reason="betti")
 
+    collapser = FaceSetCollapser(c)
     if strategy == "greedy":
-        first = FaceSetCollapser(c)
-        no_free_face = not first.free
+        no_free_face = not collapser.free
         for attempt in range(restarts):
-            tracker = first if attempt == 0 else FaceSetCollapser(c)
+            tracker = collapser if attempt == 0 else FaceSetCollapser(c)
             steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
             if len(tracker) == 1:
                 target = _by_dimension(tracker.remaining())
@@ -736,35 +741,41 @@ def collapsible(
 
     if not _acyclic_betti(c):
         return CollapsibleResult("no", reason="betti")
-    if not free_faces(c):
+    if not collapser.free:
         return CollapsibleResult("no", reason="no free face")
 
     tracker = _Budget(budget)
     dead = _IsoMemo()
+    face = collapser.face
 
-    def search(cur: SimplicialComplex):
-        """The steps from cur to a vertex, last step first, or None."""
-        if cur.num_faces == 1:
+    def search(f: tuple[int, ...]):
+        """The steps from the collapser's faces, of f-vector f, to a vertex,
+        last step first, or None, which leaves the collapser as it was."""
+        if len(collapser) == 1:
             return []
         tracker.tick()
-        hit, form = dead.lookup(cur)
+        hit, form = dead.lookup(collapser.remaining, f)
         if hit is not None:
             return None
-        for s, t in free_faces(cur):
-            rest = yield search(SimplicialComplex([level - {s, t} for level in cur._by_dim]))
+        for s in collapser.free[:]:  # a child that returns None restores the list
+            t = collapser.coface(s)
+            collapser.remove_pair(s, t)
+            k = len(face[s]) - 1
+            # no level of a closed family is empty below a nonempty one
+            rest = yield search(tuple(filter(None, f[:k] + (f[k] - 1, f[k + 1] - 1) + f[k + 2:])))
             if rest is not None:
-                rest.append((s, t))
+                rest.append((face[s], face[t]))
                 return rest
-        dead.store(cur, None, form)
+            collapser.restore_pair(s, t)
+        dead.store(collapser.remaining, None, form, f)
         return None
 
     try:
-        steps = _drive(search(c))
+        steps = _drive(search(c.f_vector))
     except _BudgetExhausted:
         return CollapsibleResult("budget")
     if steps is None:
         return CollapsibleResult("no", reason="exhausted")
     steps.reverse()
-    # the target is the one vertex that no step removes
-    target = SimplicialComplex([{(v,) for v in c.vertices}.difference(s for s, _ in steps)])
+    target = SimplicialComplex([frozenset(collapser.remaining())])  # the one vertex left
     return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))

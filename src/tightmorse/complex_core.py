@@ -13,9 +13,8 @@ sets closed by construction, group a downward-closed family by dimension
 with ``_by_dimension``.  ``link`` and ``deletion``, which the
 non-evasiveness search runs at every node, cut each stored level into one
 frozenset instead; a link face is a face with the vertex sliced out.
-``free_faces`` maps each face to its one immediate coface in a single pass;
-the collapse engine (``morse.FaceSetCollapser``) numbers the faces and
-keeps its own coface counts instead.
+``free_faces`` reads the free pairs off the collapse engine,
+``morse.FaceSetCollapser``, which counts the immediate cofaces of each face.
 """
 
 from __future__ import annotations
@@ -341,18 +340,15 @@ def barycentric_subdivision(c: SimplicialComplex) -> SimplicialComplex:
 # -- free faces and boundaries --------------------------------------------
 
 def free_faces(c: SimplicialComplex) -> list[tuple[Face, Face]]:
-    """All (free face, unique proper coface) pairs.
+    """All (free face, unique proper coface) pairs, read off the collapse engine.
 
     A face is free when it has exactly one immediate coface.  That coface is
     then its only proper coface, a facet one dimension higher: a larger
     coface would contain a second immediate one.
     """
-    coface: dict[Face, Face | None] = {}  # None once a second coface is seen
-    for level in c._by_dim[1:]:
-        for face in level:
-            for sub in itertools.combinations(face, len(face) - 1):
-                coface[sub] = None if sub in coface else face
-    return sorted((face, up) for face, up in coface.items() if up is not None)
+    from .morse import FaceSetCollapser  # morse imports this module
+
+    return FaceSetCollapser(c).free_pairs()
 
 
 def is_closed_surface(c: SimplicialComplex) -> bool:

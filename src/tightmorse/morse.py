@@ -90,7 +90,7 @@ def _check_structure(m: MorseMatching) -> None:
     seen: set[Face] = set()
     for s, t in sorted(m.pairs):
         for f in (s, t):
-            if f not in c:
+            if f not in c.face_set(len(f) - 1):
                 raise DanglingFaceError(f"face {f} not in complex")
         if len(t) != len(s) + 1 or not set(s) < set(t):
             raise NotCofaceError(f"{t} is not a coface of {s} one dimension up")
@@ -252,10 +252,10 @@ class FaceSetCollapser:
     order; a removal updates the counts and sums of the removed face's
     codimension-one faces and keeps ``free`` sorted by bisection.
 
-    ``remove_pair``, ``remove_facet`` and ``facets_of_max_dim`` work on ids;
-    ``free_pairs`` and ``remaining`` give faces.  ``collapse(pick)`` passes
-    ``free`` and ``face`` to the policy ``pick``, which must return one of
-    the free ids (or None to stop) and must not modify either list.
+    ``remove_pair``, its undo ``restore_pair``, ``remove_facet`` and
+    ``facets_of_max_dim`` work on ids; ``free_pairs`` and ``remaining`` give
+    faces.  ``collapse(pick)`` passes ``free`` and ``face`` to the policy
+    ``pick``, which returns a free id, or None to stop, and modifies neither.
     """
 
     def __init__(self, c: SimplicialComplex):
@@ -324,10 +324,28 @@ class FaceSetCollapser:
             elif n == 0:
                 del free[bisect_left(free, j)]
 
+    def _restore(self, i: int) -> None:
+        """Put back the face i, the last one removed: ``_remove`` undone."""
+        count, total, free = self._count, self._total, self.free
+        count[i] = 0  # i was maximal when removed, and its cofaces are still gone
+        self._left += 1
+        for j in self._subs[i]:
+            count[j] += 1
+            total[j] += i
+            if count[j] == 1:
+                insort(free, j)
+            elif count[j] == 2:
+                del free[bisect_left(free, j)]
+
     def remove_pair(self, s: int, t: int) -> None:
         """Collapse the free face s with its unique coface t."""
         self._remove(t)
         self._remove(s)
+
+    def restore_pair(self, s: int, t: int) -> None:
+        """Undo ``remove_pair(s, t)``; pairs are restored last removed first."""
+        self._restore(s)
+        self._restore(t)
 
     def remove_facet(self, f: int) -> None:
         if self._count[f]:

@@ -19,7 +19,7 @@ def validate(m: MorseMatching) -> None:
     seen: set[Face] = set()
     for s, t in pairs:
         for f in (s, t):
-            if f not in c:
+            if f not in c.face_set(len(f) - 1):
                 raise DanglingFaceError(f"face {f} not in complex")
         if len(t) != len(s) + 1 or not set(s) < set(t):
             raise NotCofaceError(f"{t} is not a coface of {s} one dimension up")

@@ -812,6 +812,26 @@ def test_backtracking_nodes_match_oracle(c):
     assert search_nodes(backtracking, c) == search_nodes(oracle.backtracking, c)
 
 
+@pytest.mark.parametrize(
+    "c",
+    [flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]), grid_ball(1, 1, 1).complex],
+    ids=["dunce_hat+flap+path", "grid(1,1,1)"],
+)
+def test_backtracking_memo_buckets_by_the_f_vector_of_the_node(monkeypatch, c):
+    # backtracking passes the memo each node's f-vector, not its complex; it
+    # must be the f-vector the complex caches, trailing zeros trimmed (the
+    # grid's nodes lose their tetrahedra), or the memo's hits would drift
+    lookup, checked = _IsoMemo.lookup, []
+
+    def lookup_spy(memo, node, f=None):
+        checked.append(f == complex_core._by_dimension(node()).f_vector)
+        return lookup(memo, node, f)
+
+    monkeypatch.setattr(_IsoMemo, "lookup", lookup_spy)
+    backtracking(c)
+    assert len(checked) > 10 and all(checked)
+
+
 def collapsible_outcome(res):
     seq = res.sequence
     return res.status, res.reason, seq and (seq.steps, seq.target)
@@ -842,6 +862,21 @@ def test_backtracking_groups_no_face_set_by_dimension(monkeypatch, c):
     expected = collapsible_outcome(oracle.backtracking(c))
     monkeypatch.setattr(algorithms, "_by_dimension", close_raises)
     assert collapsible_outcome(backtracking(c)) == expected
+
+
+def test_backtracking_builds_no_complex_per_node(monkeypatch):
+    # one collapser holds the search and a node is a complex only for the
+    # dead-state memo; no node of a path repeats an f-vector or dies, so the
+    # one complex built is the target
+    c = path(500)
+    built = []
+    init = complex_core.SimplicialComplex.__init__
+    monkeypatch.setattr(
+        complex_core.SimplicialComplex, "__init__", lambda self, levels: built.append(1) or init(self, levels)
+    )
+    res = backtracking(c)
+    assert res.status == "yes" and len(res.sequence) == 500
+    assert len(built) == 1
 
 
 def test_collapse_sequences_replay(simplex3, annulus):

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import collapse_oracle as oracle
 import complex_oracle
-from tightmorse import algorithms
+from tightmorse import algorithms, complex_core, morse
 from tightmorse.algorithms import collapsible, planar_perfect_morse, relative_collapse
 from tightmorse.complex_core import EMPTY_COMPLEX, boundary_complex, from_faces
 from tightmorse.constructions import (
@@ -130,6 +130,24 @@ def test_free_list_matches_definition_on_random_complexes(c, seed):
     assert_free_list_matches_definition(c, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_complexes, st.integers(0, 2**32 - 1))
+def test_restore_pair_undoes_remove_pair(c, seed):
+    # collapse at random, then undo the pairs last first: every undo must
+    # give back the free faces of the definition, and the last one the
+    # collapser's first state
+    tracker = FaceSetCollapser(c)
+    steps = tracker.collapse(random_pick(random.Random(seed)))
+    index = tracker.index
+    for s, t in reversed(steps):
+        tracker.restore_pair(index[s], index[t])
+        assert tracker.free_pairs() == complex_oracle.free_faces(from_faces(tracker.remaining()))
+    fresh = FaceSetCollapser(c)
+    assert tracker.free == fresh.free and len(tracker) == len(fresh)
+    assert tracker.remaining() == fresh.remaining()
+    assert [tracker.coface(i) for i in tracker.free] == [fresh.coface(i) for i in fresh.free]
+
+
 @settings(max_examples=80, deadline=None)
 @given(random_complexes, st.integers(0, 10), st.sampled_from(["outside", "not free", "coface"]), st.data())
 def test_replay_rejects_every_bad_step_as_not_free(c, seed, kind, data):
@@ -199,7 +217,7 @@ def test_relative_collapse_onto_the_empty_complex_is_no_homology_isomorphism(c, 
 )
 def test_greedy_collapsible_builds_no_second_coface_map(monkeypatch, c):
     expected = collapsible_summary(oracle.collapsible_greedy(c))
-    monkeypatch.setattr(algorithms, "free_faces", boom)
+    monkeypatch.setattr(complex_core, "free_faces", boom)
     assert collapsible_summary(collapsible(c)) == expected
     assert expected[:2] in (("yes", None), ("no", "no free face"))
 
@@ -224,6 +242,6 @@ def test_greedy_collapsible_runs_no_reduction_when_it_collapses(monkeypatch, c):
 def test_euler_characteristic_rejects_without_a_reduction(monkeypatch, c):
     assert c.euler_characteristic != 1
     monkeypatch.setattr(algorithms, "betti", boom)
-    monkeypatch.setattr(algorithms, "FaceSetCollapser", boom)
+    monkeypatch.setattr(morse, "FaceSetCollapser", boom)
     for res in (collapsible(c), collapsible(c, "backtracking"), algorithms.nonevasive(c)):
         assert (res.status, res.reason) == ("no", "betti")

@@ -133,7 +133,7 @@ NUMBERS = {"fractions", "decimal"}
             NUMBERS,
         ),
         (["morse", "sweep", "s.geom", "--pi", "1,2,4", "--out", "s2.morse"], {"embedding", "constructions"}, set()),
-        (["check", "nonevasive", "e.facets"], {"geometry", "embedding", "constructions"}, NUMBERS),
+        (["check", "nonevasive", "e.facets"], {"geometry", "embedding", "morse", "constructions"}, NUMBERS),
         (["check", "collapsible", "e.facets"], {"geometry", "embedding", "constructions"}, NUMBERS),
         (
             ["build", "furch", "--n", "3,3,3", "--path", "p.path", "--out", "f.geom"],

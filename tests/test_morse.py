@@ -135,6 +135,16 @@ def test_structural_errors(triangle):
         validate(matching(triangle, [((1,), (1, 2)), ((1,), (1, 3))]))
 
 
+def test_validate_rejects_a_face_out_of_canonical_order():
+    # (2, 1) names the edge (1, 2) out of order, so the pair matches no face
+    # of the complex: morse_vector counted (1, 2) critical, (1, 1), while
+    # is_perfect passed the matching as perfect
+    m = MorseMatching(from_facets([(1, 2)]), frozenset({((2,), (2, 1))}))
+    for check in (validate, is_perfect, morse_oracle.validate):
+        with pytest.raises(DanglingFaceError, match=r"face \(2, 1\) not in complex"):
+            check(m)
+
+
 def test_is_perfect_on_collapse(simplex3):
     m = random_discrete_morse(simplex3, seed=0)
     assert morse_vector(m) == (1, 0, 0, 0)

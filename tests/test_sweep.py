@@ -209,8 +209,8 @@ def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
 
-    count(algorithms, "FaceSetCollapser")
-    count(algorithms, "MorseMatching")
+    count(morse, "FaceSetCollapser")
+    count(morse, "MorseMatching")
     count(morse, "_check_structure")
     count(morse, "morse_differential")
     assert sweep_perfect_morse(g, direction).pairs == expected
@@ -222,8 +222,8 @@ def test_sweep_runs_one_collapser_per_64_links(monkeypatch):
     g = grid_ball(4, 4, 3)  # 100 vertices
     expected = oracle.sweep_perfect_morse(g, (1, 17, 289)).pairs
     calls = []
-    collapser = algorithms.FaceSetCollapser
-    monkeypatch.setattr(algorithms, "FaceSetCollapser", lambda c: calls.append(c) or collapser(c))
+    collapser = morse.FaceSetCollapser
+    monkeypatch.setattr(morse, "FaceSetCollapser", lambda c: calls.append(c) or collapser(c))
     assert sweep_perfect_morse(g, (1, 17, 289)).pairs == expected
     assert len(calls) == 2
 
