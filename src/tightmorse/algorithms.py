@@ -17,9 +17,7 @@ from .complex_core import (
     Record,
     SimplicialComplex,
     _by_dimension,
-    deletion,
     is_closed_surface,
-    link,
 )
 from .errors import (
     DimensionOutOfRangeError,
@@ -234,10 +232,74 @@ def _drive(root):
     return value
 
 
+class _MutableComplex:
+    """A complex to delete vertices from and put them back, last out first in.
+
+    ``levels[k]`` is the set of faces with k + 1 vertices and ``star[v]``
+    the set of faces that contain v; both are kept in step, so deleting a
+    vertex, putting it back and building its link each cost its star, not
+    the complex.  The deletion walks below run on one instance each;
+    ``frozen`` copies the faces left into a ``SimplicialComplex``, one
+    C-level copy per level.
+    """
+
+    def __init__(self, c: SimplicialComplex):
+        self.levels = [set(level) for level in c._by_dim]
+        self.star = star = {f[0]: {f} for f in c._by_dim[0]} if c._by_dim else {}
+        for level in c._by_dim[1:]:
+            for f in level:
+                for u in f:
+                    star[u].add(f)
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        # no level of a closed family is empty below a nonempty one
+        return tuple(filter(None, map(len, self.levels)))
+
+    @property
+    def num_faces(self) -> int:
+        return sum(map(len, self.levels))
+
+    def frozen(self) -> SimplicialComplex:
+        return SimplicialComplex(self.levels)
+
+    def link(self, v: int) -> SimplicialComplex:
+        """The link of v, built from its star."""
+        levels: list[set[Face]] = [set() for _ in self.levels[1:]]
+        for f in self.star[v]:
+            if len(f) > 1:
+                i = f.index(v)
+                levels[len(f) - 2].add(f[:i] + f[i + 1:])
+        return SimplicialComplex(levels)
+
+    def delete(self, v: int) -> set[Face]:
+        """Remove the star of v and return it, for ``undelete``."""
+        gone = self.star.pop(v)
+        levels, star = self.levels, self.star
+        for f in gone:
+            levels[len(f) - 1].remove(f)
+            for u in f:
+                if u != v:
+                    star[u].remove(f)
+        return gone
+
+    def undelete(self, v: int, gone: set[Face]) -> None:
+        """Put back the star that ``delete(v)`` returned; the vertices must
+        come back in the reverse order of their deletion."""
+        levels, star = self.levels, self.star
+        for f in gone:
+            levels[len(f) - 1].add(f)
+            for u in f:
+                if u != v:
+                    star[u].add(f)
+        star[v] = gone
+
+
 def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
     """Replay a certificate; True iff it proves c non-evasive.  The deletions
-    are a loop; a link, one dimension lower, is replayed first by a call, so
-    the calls nest at most dim c + 2 deep.
+    are a loop on one ``_MutableComplex``, so each costs the deleted star; a
+    link, one dimension lower, is built from the star and replayed first by
+    a call, so the calls nest at most dim c + 2 deep.
 
     A certificate that proves c non-evasive has one node per face of c, by
     induction: a leaf covers its one vertex, and a node for v covers
@@ -247,13 +309,17 @@ def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) ->
     """
     if cert.size != c.num_faces:
         return False
+    if cert.is_leaf:
+        return c.vertices == (cert.vertex,)
+    walk = _MutableComplex(c)
     while not cert.is_leaf:
-        if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
+        if cert.vertex not in walk.star or cert.link_cert is None or cert.deletion_cert is None:
             return False
-        if not verify_certificate(link(c, cert.vertex), cert.link_cert):
+        if not verify_certificate(walk.link(cert.vertex), cert.link_cert):
             return False
-        c, cert = deletion(c, cert.vertex), cert.deletion_cert
-    return c.num_faces == 1 and c.vertices == (cert.vertex,)
+        walk.delete(cert.vertex)
+        cert = cert.deletion_cert
+    return walk.num_faces == 1 and cert.vertex in walk.star
 
 
 def _is_nonempty_tree(g: SimplicialComplex) -> bool:
@@ -282,21 +348,24 @@ def planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate
 
 def _acyclic_cert(c: SimplicialComplex) -> NonEvasivenessCertificate:
     """The certificate of ``planar_acyclic_nonevasive``: the deletions are a
-    loop that pairs each vertex with its tree link's certificate (three
-    calls deep at most), and the pairs are folded into nodes at the end."""
+    loop on one ``_MutableComplex`` that pairs each vertex with its tree
+    link's certificate (three calls deep at most), and the pairs are folded
+    into nodes at the end."""
+    walk, vertices = _MutableComplex(c), list(c.vertices)
     steps: list[tuple[int, NonEvasivenessCertificate]] = []
-    while c.num_faces != 1:
+    while walk.num_faces != 1:
         blocking: dict[int, tuple[int, ...]] = {}
-        for v in c.vertices:
-            lk = link(c, v)
+        for v in vertices:
+            lk = walk.link(v)
             if _is_nonempty_tree(lk):
                 break
             blocking[v] = lk.f_vector
         else:
             raise StuckNoDeletableVertexError(blocking)
         steps.append((v, _acyclic_cert(lk)))
-        c = deletion(c, v)
-    cert = NonEvasivenessCertificate(c.vertices[0])
+        walk.delete(v)
+        vertices.remove(v)
+    cert = NonEvasivenessCertificate(vertices[0])
     for v, link_cert in reversed(steps):
         cert = NonEvasivenessCertificate(v, link_cert, cert)
     return cert
@@ -524,13 +593,13 @@ def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int
 class _IsoMemo:
     """Search results stored up to isomorphism, keyed only when needed.
 
-    Entries are bucketed by f-vector, an isomorphism invariant every complex
-    caches.  ``canonical_form`` runs on a looked-up complex only when its
-    bucket is nonempty, and on a stored complex only when a later complex
-    lands in its bucket; it then keeps its key and relabel.  A search that
-    holds no complex passes its f-vector ``f`` and a function listing its
-    faces instead.  Equal keys imply equal f-vectors, so the hits are those
-    of a memo keyed on every lookup.
+    Entries are bucketed by f-vector, an isomorphism invariant the searches
+    keep up to date, and a node is passed as its f-vector ``f`` and a
+    function ``build`` that returns it as a complex.  The complex is built
+    and ``canonical_form`` runs on it for a lookup only when its bucket is
+    nonempty, and for a store only when a later node lands in its bucket;
+    it then keeps its key and relabel.  Equal keys imply equal f-vectors,
+    so the hits are those of a memo keyed on every lookup.
     A hit is a complex isomorphic to a stored one, so it shares every
     isomorphism invariant of it: ``nonevasive`` looks a link up before its
     Betti reduction, since every complex it stores is acyclic.
@@ -540,10 +609,11 @@ class _IsoMemo:
         # f-vector -> (value and relabel by key, complexes not yet keyed)
         self._buckets: dict[tuple[int, ...], tuple[dict, list]] = {}
 
-    def lookup(self, c, f: tuple[int, ...] | None = None):
+    def lookup(self, f: tuple[int, ...], build):
         """(hit, form): hit is the (value, relabel) stored for a complex with
-        c's key, or None; form is c's canonical form, None if not computed."""
-        bucket = self._buckets.get(c.f_vector if f is None else f)
+        the node's key, or None; form is the node's canonical form, None if
+        not computed."""
+        bucket = self._buckets.get(f)
         if bucket is None:
             return None, None
         keyed, pending = bucket
@@ -551,14 +621,14 @@ class _IsoMemo:
             key, relabel = canonical_form(other)
             keyed[key] = (value, relabel)
         pending.clear()
-        form = canonical_form(c if f is None else _by_dimension(c()))
+        form = canonical_form(build())
         return keyed.get(form[0]), form
 
-    def store(self, c, value, form, f: tuple[int, ...] | None = None) -> None:
-        """Store value for c after a missed lookup that returned form."""
-        keyed, pending = self._buckets.setdefault(c.f_vector if f is None else f, ({}, []))
+    def store(self, f: tuple[int, ...], value, form, build) -> None:
+        """Store value for the node after a missed lookup that returned form."""
+        keyed, pending = self._buckets.setdefault(f, ({}, []))
         if form is None:
-            pending.append((c if f is None else _by_dimension(c()), value))
+            pending.append((build(), value))
         else:
             keyed[form[0]] = (value, form[1])
 
@@ -602,6 +672,16 @@ def _acyclic_betti(c: SimplicialComplex) -> bool:
     return b[0] == 1 and all(b[i] == 0 for i in range(1, len(b)))
 
 
+def _by_star_size(star: dict[int, set[Face]]):
+    """The vertices by ascending star size, ties by label.  The first is
+    found alone, so a search node that succeeds on it, as each node of a
+    deep deletion chain usually does, holds no list of its vertices.  The
+    star sizes must not change between the draws."""
+    yield min(zip(map(len, star.values()), star))[1]
+    for _, v in sorted(zip(map(len, star.values()), star))[1:]:
+        yield v
+
+
 def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     """Exact recursive non-evasiveness with memoization and a node budget.
 
@@ -619,6 +699,13 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     once onto the complex at hand.  Keys are computed only when an f-vector
     repeats (``_IsoMemo``).  Vertices are tried by ascending star size, ties
     by label.
+
+    The search deletes vertices from and puts them back into one
+    ``_MutableComplex`` per search root, the input and each link that
+    passed its Betti check, so a node costs the stars of the vertices it
+    tries, not the complex; a link is built from its vertex's star.  A
+    success on the input's own deletion chain is not stored: each node
+    above it then succeeds in turn, and no lookup follows.
     """
     if budget < 0:
         raise ValueError("the budget must not be negative")
@@ -627,41 +714,60 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     memo = _IsoMemo()
     tracker = _Budget(budget)
 
-    def search(cur: SimplicialComplex, acyclic: bool):
-        if cur.num_faces == 1:
-            return NonEvasivenessCertificate(cur.vertices[0])
+    def hit_cert(hit, form):
+        cert, stored = hit
+        if cert is None:
+            return None
+        back = {i: v for v, i in form[1].items()}
+        return cert.relabeled({u: back[i] for u, i in stored.items()})
+
+    def search_link(lk: SimplicialComplex):
+        if lk.num_faces == 1:
+            return NonEvasivenessCertificate(lk.vertices[0])
         tracker.tick()
-        if not acyclic and cur.euler_characteristic != 1:
+        if lk.euler_characteristic != 1:
             return None
-        hit, form = memo.lookup(cur)
+        build = lambda: lk
+        hit, form = memo.lookup(lk.f_vector, build)
         if hit is not None:
-            cert, stored = hit
-            if cert is None:
-                return None
-            back = {i: v for v, i in form[1].items()}
-            return cert.relabeled({u: back[i] for u, i in stored.items()})
-        if not acyclic and not _acyclic_betti(cur):
+            return hit_cert(hit, form)
+        if not _acyclic_betti(lk):
             return None
-        result: NonEvasivenessCertificate | None = None
-        star_size = Counter(chain.from_iterable(chain.from_iterable(cur._by_dim)))
-        # the vertices are sorted and the sort is stable, so ties go by label
-        for v in sorted(cur.vertices, key=star_size.__getitem__):
-            link_cert = yield search(link(cur, v), False)
+        result = yield from expand(_MutableComplex(lk), False)
+        memo.store(lk.f_vector, result, form, build)
+        return result
+
+    def search_deletion(walk: _MutableComplex, top: bool):
+        # acyclic, so neither checked nor reduced: Mayer–Vietoris on
+        # del(v) ∪ st(v) with intersection lk(v), both acyclic
+        if walk.num_faces == 1:
+            return NonEvasivenessCertificate(next(iter(walk.star)))
+        tracker.tick()
+        f = walk.f_vector
+        hit, form = memo.lookup(f, walk.frozen)
+        if hit is not None:
+            return hit_cert(hit, form)
+        result = yield from expand(walk, top)
+        if result is None or not top:
+            memo.store(f, result, form, walk.frozen)
+        return result
+
+    def expand(walk: _MutableComplex, top: bool):
+        for v in _by_star_size(walk.star):
+            link_cert = yield search_link(walk.link(v))
             if link_cert is None:
                 continue
-            # Mayer–Vietoris on cur = del(v) ∪ st(v) with intersection lk(v): del(v) is acyclic
-            del_cert = yield search(deletion(cur, v), True)
-            if del_cert is None:
-                continue
-            result = NonEvasivenessCertificate(v, link_cert, del_cert)
-            break
-        memo.store(cur, result, form)
-        return result
+            gone = walk.delete(v)
+            del_cert = yield search_deletion(walk, top)
+            walk.undelete(v, gone)
+            if del_cert is not None:
+                return NonEvasivenessCertificate(v, link_cert, del_cert)
+        return None
 
     if not _acyclic_betti(c):
         return NonEvasiveResult("no", reason="betti")
     try:
-        cert = _drive(search(c, True))
+        cert = _drive(search_deletion(_MutableComplex(c), True))
     except _BudgetExhausted:
         return NonEvasiveResult("budget")
     if cert is None:
@@ -747,6 +853,7 @@ def collapsible(
     tracker = _Budget(budget)
     dead = _IsoMemo()
     face = collapser.face
+    build = lambda: _by_dimension(collapser.remaining())
 
     def search(f: tuple[int, ...]):
         """The steps from the collapser's faces, of f-vector f, to a vertex,
@@ -754,7 +861,7 @@ def collapsible(
         if len(collapser) == 1:
             return []
         tracker.tick()
-        hit, form = dead.lookup(collapser.remaining, f)
+        hit, form = dead.lookup(f, build)
         if hit is not None:
             return None
         for s in collapser.free[:]:  # a child that returns None restores the list
@@ -767,7 +874,7 @@ def collapsible(
                 rest.append((face[s], face[t]))
                 return rest
             collapser.restore_pair(s, t)
-        dead.store(collapser.remaining, None, form, f)
+        dead.store(f, None, form, build)
         return None
 
     try:

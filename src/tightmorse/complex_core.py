@@ -10,9 +10,13 @@ down, the faces of each size are the given ones and the subsets of the faces
 one size up, each level one frozenset built by ``itertools`` iteration with
 no Python loop per face.  The other operators, and ``algorithms`` on face
 sets closed by construction, group a downward-closed family by dimension
-with ``_by_dimension``.  ``link`` and ``deletion``, which the
-non-evasiveness search runs at every node, cut each stored level into one
-frozenset instead; a link face is a face with the vertex sliced out.
+with ``_by_dimension``.  ``link`` and ``deletion`` cut each stored level
+into one frozenset instead; a link face is a face with the vertex sliced
+out.  The walks that delete vertex after vertex (the non-evasiveness search,
+certificate replay and ``planar_acyclic_nonevasive``) call neither: they run
+on one ``algorithms._MutableComplex``, which keeps each vertex's star, so a
+deletion, its undo and a link each cost the star of the vertex, not the
+complex.
 ``free_faces`` reads the free pairs off the collapse engine,
 ``morse.FaceSetCollapser``, which counts the immediate cofaces of each face.
 """

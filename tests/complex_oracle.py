@@ -5,7 +5,8 @@ Each function closes its output with the all-subsets closure, and
 ``free_faces`` counts every proper coface of every face.  The hypothesis
 tests in ``test_complex_core`` compare the library against these, and
 ``test_collapse_engine`` compares the collapser's free list with
-``free_faces`` after every removal.
+``free_faces`` after every removal.  ``search_oracle.backtracking`` reads
+each node's free pairs from ``free_faces``, not from the collapse engine.
 """
 
 import itertools

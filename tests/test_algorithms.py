@@ -1,6 +1,5 @@
 import random
 import sys
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +39,7 @@ from tightmorse.errors import (
     StuckBeforeTargetError,
     StuckNoDeletableVertexError,
     StuckNoFreeEdgeError,
+    TightMorseError,
 )
 from tightmorse.geometry import GeometricRealization
 from tightmorse.morse import from_collapse_sequence, is_perfect, morse_vector, validate
@@ -338,33 +338,29 @@ def test_deep_certificate_replays_and_relabels():
     assert {cert, back, shifted} == {cert, shifted}
 
 
-def deletions_alive(monkeypatch):
-    """Wrap algorithms.deletion; returns the list to which each call appends
-    the number of complexes that earlier calls returned and are still alive."""
-    made, alive = [], []
-    original = algorithms.deletion
-
-    def spy(c, v):
-        alive.append(sum(ref() is not None for ref in made))
-        out = original(c, v)
-        made.append(weakref.ref(out))
-        return out
-
-    monkeypatch.setattr(algorithms, "deletion", spy)
-    return alive
-
-
 @pytest.mark.parametrize(
     "walk",
-    [lambda: verify_certificate(path(300), path_certificate(300)), lambda: planar_acyclic_nonevasive(path(300))],
-    ids=["replay", "planar_acyclic_nonevasive"],
+    [
+        lambda c: verify_certificate(c, path_certificate(500)),
+        lambda c: planar_acyclic_nonevasive(c).size == c.num_faces,
+        lambda c: nonevasive(c).status == "yes",
+    ],
+    ids=["replay", "planar_acyclic_nonevasive", "nonevasive"],
 )
-def test_certificate_walks_hold_one_deletion_at_a_time(monkeypatch, walk):
-    # on the explicit stack every complex of the chain stayed alive until
-    # the walk returned: 299 at the last deletion of a 300-edge path
-    alive = deletions_alive(monkeypatch)
-    assert walk()
-    assert len(alive) == 300 and max(alive) <= 1
+def test_deletion_walks_build_one_complex_per_link(monkeypatch, walk):
+    # each walk deletes the vertices of a 500-edge path from one mutable
+    # complex and builds a complex only for each link, a single vertex; on
+    # copies it also built the 500 deletions, and the search stored each
+    # node of its deletion chain, though no lookup follows a success there
+    c = path(500)
+    built, stored = [], []
+    init, store = complex_core.SimplicialComplex.__init__, _IsoMemo.store
+    monkeypatch.setattr(
+        complex_core.SimplicialComplex, "__init__", lambda self, levels: built.append(1) or init(self, levels)
+    )
+    monkeypatch.setattr(_IsoMemo, "store", lambda memo, *args: stored.append(args) or store(memo, *args))
+    assert walk(c)
+    assert len(built) == 500 and stored == []
 
 
 MUTATIONS = ["relabel", "drop_link", "drop_deletion", "swap", "grow", "prune", "graft"]
@@ -413,8 +409,7 @@ def test_certificate_of_another_size_is_rejected_before_any_replay(monkeypatch):
     def replayed(*args):
         raise AssertionError("a link or deletion was built")
 
-    monkeypatch.setattr(algorithms, "link", replayed)
-    monkeypatch.setattr(algorithms, "deletion", replayed)
+    monkeypatch.setattr(algorithms, "_MutableComplex", replayed)
     for index, kind in [(0, "graft"), (2, "prune"), (1998, "drop_link")]:
         bad = mutated(cert, index, kind, 0)
         assert bad.size != c.num_faces
@@ -536,20 +531,22 @@ def test_nonevasive_nodes_match_oracle(c):
 def test_nonevasive_search_branches_on_the_pendant_dunce_hat(monkeypatch):
     # the three branches of the search that the other inputs miss
     c = PENDANT_DUNCE_HAT
-    stored_failures, cyclic_links, deleted, failed = [], [], [], []
-    lookup, store, acyclic, delete = _IsoMemo.lookup, _IsoMemo.store, algorithms._acyclic_betti, algorithms.deletion
+    stored_failures, cyclic_links, failed = [], [], []
+    lookup, store, acyclic = _IsoMemo.lookup, _IsoMemo.store, algorithms._acyclic_betti
 
-    def lookup_spy(memo, k):
-        out = lookup(memo, k)
+    # a deletion node passes the memo its mutable complex's ``frozen``, a
+    # link node a function returning the link
+    def lookup_spy(memo, f, build):
+        out = lookup(memo, f, build)
         if out[0] is not None and out[0][0] is None:
-            stored_failures.append(k)
-            failed.append(k)
+            stored_failures.append(build)
+            failed.append(build)
         return out
 
-    def store_spy(memo, k, value, form):
+    def store_spy(memo, f, value, form, build):
         if value is None:
-            failed.append(k)
-        store(memo, k, value, form)
+            failed.append(build)
+        store(memo, f, value, form, build)
 
     def acyclic_spy(k):
         out = acyclic(k)
@@ -557,19 +554,68 @@ def test_nonevasive_search_branches_on_the_pendant_dunce_hat(monkeypatch):
             cyclic_links.append(k)
         return out
 
-    def deletion_spy(k, v):
-        deleted.append(delete(k, v))
-        return deleted[-1]
-
     monkeypatch.setattr(_IsoMemo, "lookup", lookup_spy)
     monkeypatch.setattr(_IsoMemo, "store", store_spy)
     monkeypatch.setattr(algorithms, "_acyclic_betti", acyclic_spy)
-    monkeypatch.setattr(algorithms, "deletion", deletion_spy)
     res = nonevasive(c)
     assert (res.status, res.reason) == ("no", "exhausted")
     assert stored_failures, "no memo hit on a stored failure"
     assert cyclic_links, "no link with Euler characteristic 1 that is not acyclic"
-    assert {id(k) for k in deleted} & {id(k) for k in failed}, "no deletion failed"
+    deleted = [b for b in failed if isinstance(getattr(b, "__self__", None), algorithms._MutableComplex)]
+    assert deleted, "no deletion failed"
+
+
+# the deletion walks ran on a copy of the complex per node; they now delete
+# from and put back into one mutable complex, and must give the copying
+# walks' results, certificates, errors and budget behaviour
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_complexes)
+def test_nonevasive_matches_copying_oracle(c):
+    for budget in [*range(51), 10**6]:
+        assert nonevasive(c, budget) == oracle.copying_nonevasive(c, budget)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [grid_ball(2, 1, 1).complex, furch_ball(3, 3, 2, straight_path(3, 3, 2)).realization.complex, PENDANT_DUNCE_HAT],
+    ids=["grid(2,1,1)", "drilled3x3x2", "dunce_hat+2pendants"],
+)
+def test_nonevasive_nodes_match_copying_oracle(c):
+    # these search links deep enough to store and hit nodes of a link's own
+    # deletion chain, which random complexes this small seldom do
+    assert nonevasive(c) == oracle.copying_nonevasive(c)
+    assert search_nodes(nonevasive, c) == search_nodes(oracle.copying_nonevasive, c)
+
+
+def walk_outcome(walk, *args):
+    """The walk's value, or the class, text and blocking links of its error."""
+    try:
+        return walk(*args)
+    except TightMorseError as exc:
+        return type(exc), str(exc), getattr(exc, "links", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes)
+def test_planar_acyclic_nonevasive_matches_copying_oracle(c):
+    assert walk_outcome(planar_acyclic_nonevasive, c) == walk_outcome(oracle.copying_planar_acyclic_nonevasive, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes, st.data())
+def test_verify_certificate_matches_copying_oracle(c, data):
+    certs = [nonevasive(c).certificate, walk_outcome(planar_acyclic_nonevasive, c)]
+    labels = st.sampled_from([*c.vertices, max(c.vertices) + 1])
+    for cert in certs:
+        if not isinstance(cert, NonEvasivenessCertificate):
+            continue
+        assert verify_certificate(c, cert) and oracle.copying_verify_certificate(c, cert)
+        for _ in range(5):
+            index = data.draw(st.integers(0, cert.size - 1))
+            bad = mutated(cert, index, data.draw(st.sampled_from(MUTATIONS)), data.draw(labels))
+            assert verify_certificate(c, bad) == oracle.copying_verify_certificate(c, bad)
 
 
 def counting(monkeypatch, module):
@@ -619,10 +665,10 @@ def test_nonevasive_reduces_no_complex_that_hits_the_memo(monkeypatch, make):
         reduced.append(k)
         return betti(k)
 
-    def lookup_spy(memo, k):
-        out = lookup(memo, k)
+    def lookup_spy(memo, f, build):
+        out = lookup(memo, f, build)
         if out[0] is not None:
-            hits.append(k)
+            hits.append(build())
         return out
 
     monkeypatch.setattr(algorithms, "betti", betti_spy)
@@ -639,16 +685,16 @@ def test_iso_memo_keys_lazily_and_separates_equal_f_vectors(monkeypatch):
     assert path.f_vector == star.f_vector == (4, 3)
     calls = counting(monkeypatch, algorithms)
     memo = _IsoMemo()
-    assert memo.lookup(path) == (None, None)
-    memo.store(path, "path", None)
+    assert memo.lookup(path.f_vector, lambda: path) == (None, None)
+    memo.store(path.f_vector, "path", None, lambda: path)
     assert calls == []  # nothing shares its f-vector yet
-    hit, form = memo.lookup(star)
+    hit, form = memo.lookup(star.f_vector, lambda: star)
     assert hit is None and calls == [path, star]
-    memo.store(star, "star", form)
+    memo.store(star.f_vector, "star", form, lambda: star)
     for c, value in ((path, "path"), (star, "star")):
         shift = {v: 3 * v + 10 for v in c.vertices}
         moved = from_facets([[shift[u] for u in f] for f in c.facets])
-        hit, form = memo.lookup(moved)
+        hit, form = memo.lookup(moved.f_vector, lambda: moved)
         assert hit is not None and hit[0] == value
         # stored labels -> canonical labels -> labels of the moved copy
         back = {i: v for v, i in form[1].items()}
@@ -823,9 +869,9 @@ def test_backtracking_memo_buckets_by_the_f_vector_of_the_node(monkeypatch, c):
     # grid's nodes lose their tetrahedra), or the memo's hits would drift
     lookup, checked = _IsoMemo.lookup, []
 
-    def lookup_spy(memo, node, f=None):
-        checked.append(f == complex_core._by_dimension(node()).f_vector)
-        return lookup(memo, node, f)
+    def lookup_spy(memo, f, build):
+        checked.append(f == build().f_vector)
+        return lookup(memo, f, build)
 
     monkeypatch.setattr(_IsoMemo, "lookup", lookup_spy)
     backtracking(c)

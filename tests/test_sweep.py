@@ -169,7 +169,8 @@ def test_sweep_builds_no_vertex_link(monkeypatch):
     def no_link(c, v):
         raise AssertionError(f"link of vertex {v} built")
 
-    monkeypatch.setattr(algorithms, "link", no_link)
+    monkeypatch.setattr(complex_core, "link", no_link)
+    monkeypatch.setattr(algorithms._MutableComplex, "link", no_link)
     assert sweep_perfect_morse(g, (1, 17, 289)).pairs == expected
 
 
