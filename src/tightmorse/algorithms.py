@@ -309,8 +309,6 @@ def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) ->
     """
     if cert.size != c.num_faces:
         return False
-    if cert.is_leaf:
-        return c.vertices == (cert.vertex,)
     walk = _MutableComplex(c)
     while not cert.is_leaf:
         if cert.vertex not in walk.star or cert.link_cert is None or cert.deletion_cert is None:

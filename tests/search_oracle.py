@@ -16,13 +16,11 @@ generators on ``_drive``'s stack, which holds every complex of the deletion
 chain at once; the library walks the chain as a loop and must give the same
 verdicts and certificates.
 
-``copying_nonevasive``, ``copying_verify_certificate`` and
-``copying_planar_acyclic_nonevasive`` are the library's deletion walks as
-they were before they ran on one mutable complex with undo: every node
-copies the whole complex (``deletion``), scans every face for a ``link``
-and counts star sizes over every face, and the search stores every node it
-decides in the memo.  The library must give identical results,
-certificates, errors and budget behaviour.
+``copying_nonevasive`` is the library's search as it was before it ran on
+one mutable complex with undo: every node copies the whole complex
+(``deletion``), scans every face for a ``link`` and counts star sizes over
+every face, and the search stores every node it decides in the memo.  The
+library must give identical results, certificates and budget behaviour.
 
 ``backtracking`` reads each node's free pairs from ``complex_oracle``, not
 from the collapse engine that the library's search runs on.
@@ -48,13 +46,7 @@ from tightmorse.algorithms import (
     _IsoMemo,
 )
 from tightmorse.complex_core import Face, SimplicialComplex, deletion, from_faces, link
-from tightmorse.errors import (
-    DimensionOutOfRangeError,
-    EmptyComplexError,
-    NotAcyclicError,
-    StuckNoDeletableVertexError,
-)
-from tightmorse.homology_z2 import betti
+from tightmorse.errors import StuckNoDeletableVertexError
 from tightmorse.morse import Pair
 
 
@@ -273,45 +265,3 @@ def copying_nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveR
     if cert is None:
         return NonEvasiveResult("no", reason="exhausted")
     return NonEvasiveResult("yes", certificate=cert)
-
-
-def copying_verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
-    if cert.size != c.num_faces:
-        return False
-    while not cert.is_leaf:
-        if not c.has_vertex(cert.vertex) or cert.link_cert is None or cert.deletion_cert is None:
-            return False
-        if not copying_verify_certificate(link(c, cert.vertex), cert.link_cert):
-            return False
-        c, cert = deletion(c, cert.vertex), cert.deletion_cert
-    return c.num_faces == 1 and c.vertices == (cert.vertex,)
-
-
-def copying_planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate:
-    if d.is_empty:
-        raise EmptyComplexError("empty complex")
-    if d.dimension > 2:
-        raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
-    b = betti(d)
-    if b[0] != 1 or any(b[i] for i in range(1, len(b))):
-        raise NotAcyclicError(f"Betti vector {b} is not (1, 0, ...)")
-    return copying_acyclic_cert(d)
-
-
-def copying_acyclic_cert(c: SimplicialComplex) -> NonEvasivenessCertificate:
-    steps: list[tuple[int, NonEvasivenessCertificate]] = []
-    while c.num_faces != 1:
-        blocking: dict[int, tuple[int, ...]] = {}
-        for v in c.vertices:
-            lk = link(c, v)
-            if _is_nonempty_tree(lk):
-                break
-            blocking[v] = lk.f_vector
-        else:
-            raise StuckNoDeletableVertexError(blocking)
-        steps.append((v, copying_acyclic_cert(lk)))
-        c = deletion(c, v)
-    cert = NonEvasivenessCertificate(c.vertices[0])
-    for v, link_cert in reversed(steps):
-        cert = NonEvasivenessCertificate(v, link_cert, cert)
-    return cert

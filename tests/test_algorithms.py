@@ -39,7 +39,6 @@ from tightmorse.errors import (
     StuckBeforeTargetError,
     StuckNoDeletableVertexError,
     StuckNoFreeEdgeError,
-    TightMorseError,
 )
 from tightmorse.geometry import GeometricRealization
 from tightmorse.morse import from_collapse_sequence, is_perfect, morse_vector, validate
@@ -440,7 +439,7 @@ def test_certificate_walks_match_oracle(c, data):
     labels = st.sampled_from([*c.vertices, max(c.vertices) + 1])
     for cert in certs:
         assert verify_certificate(c, cert) and oracle.verify_certificate(c, cert)
-        for _ in range(3):
+        for _ in range(5):
             index = data.draw(st.integers(0, cert.size - 1))
             bad = mutated(cert, index, data.draw(st.sampled_from(MUTATIONS)), data.draw(labels))
             assert verify_certificate(c, bad) == oracle.verify_certificate(c, bad)
@@ -535,17 +534,18 @@ def test_nonevasive_search_branches_on_the_pendant_dunce_hat(monkeypatch):
     lookup, store, acyclic = _IsoMemo.lookup, _IsoMemo.store, algorithms._acyclic_betti
 
     # a deletion node passes the memo its mutable complex's ``frozen``, a
-    # link node a function returning the link
+    # link node a function returning the link; the root is searched as a
+    # deletion node too, with the input's f-vector
     def lookup_spy(memo, f, build):
         out = lookup(memo, f, build)
         if out[0] is not None and out[0][0] is None:
             stored_failures.append(build)
-            failed.append(build)
+            failed.append((f, build))
         return out
 
     def store_spy(memo, f, value, form, build):
         if value is None:
-            failed.append(build)
+            failed.append((f, build))
         store(memo, f, value, form, build)
 
     def acyclic_spy(k):
@@ -561,13 +561,17 @@ def test_nonevasive_search_branches_on_the_pendant_dunce_hat(monkeypatch):
     assert (res.status, res.reason) == ("no", "exhausted")
     assert stored_failures, "no memo hit on a stored failure"
     assert cyclic_links, "no link with Euler characteristic 1 that is not acyclic"
-    deleted = [b for b in failed if isinstance(getattr(b, "__self__", None), algorithms._MutableComplex)]
+    # every deletion, on the root's chain or a link's, is smaller than c
+    deleted = [
+        f for f, b in failed
+        if isinstance(getattr(b, "__self__", None), algorithms._MutableComplex) and f != c.f_vector
+    ]
     assert deleted, "no deletion failed"
 
 
-# the deletion walks ran on a copy of the complex per node; they now delete
-# from and put back into one mutable complex, and must give the copying
-# walks' results, certificates, errors and budget behaviour
+# the search ran on a copy of the complex per node; it now deletes from and
+# puts back into one mutable complex, and must give the copying search's
+# results, certificates and budget behaviour
 
 
 @settings(max_examples=100, deadline=None)
@@ -587,35 +591,6 @@ def test_nonevasive_nodes_match_copying_oracle(c):
     # deletion chain, which random complexes this small seldom do
     assert nonevasive(c) == oracle.copying_nonevasive(c)
     assert search_nodes(nonevasive, c) == search_nodes(oracle.copying_nonevasive, c)
-
-
-def walk_outcome(walk, *args):
-    """The walk's value, or the class, text and blocking links of its error."""
-    try:
-        return walk(*args)
-    except TightMorseError as exc:
-        return type(exc), str(exc), getattr(exc, "links", None)
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_complexes)
-def test_planar_acyclic_nonevasive_matches_copying_oracle(c):
-    assert walk_outcome(planar_acyclic_nonevasive, c) == walk_outcome(oracle.copying_planar_acyclic_nonevasive, c)
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_complexes, st.data())
-def test_verify_certificate_matches_copying_oracle(c, data):
-    certs = [nonevasive(c).certificate, walk_outcome(planar_acyclic_nonevasive, c)]
-    labels = st.sampled_from([*c.vertices, max(c.vertices) + 1])
-    for cert in certs:
-        if not isinstance(cert, NonEvasivenessCertificate):
-            continue
-        assert verify_certificate(c, cert) and oracle.copying_verify_certificate(c, cert)
-        for _ in range(5):
-            index = data.draw(st.integers(0, cert.size - 1))
-            bad = mutated(cert, index, data.draw(st.sampled_from(MUTATIONS)), data.draw(labels))
-            assert verify_certificate(c, bad) == oracle.copying_verify_certificate(c, bad)
 
 
 def counting(monkeypatch, module):
