@@ -189,17 +189,23 @@ class NonEvasivenessCertificate(Record):
     def __hash__(self):
         return hash(tuple(self._key()))
 
-    def __repr__(self) -> str:
+    def _render(self, head: str, middle: str, tail: str, missing: str) -> str:
+        """The tree as text from an explicit stack: per node ``head.format(vertex)``,
+        its link, ``middle``, its deletion, ``tail``; ``missing`` for no child."""
         parts: list[str] = []
         stack: list = [self]  # nodes, None for a missing child, and text
         while stack:
             item = stack.pop()
             if isinstance(item, NonEvasivenessCertificate):
-                parts.append(f"{type(item).__qualname__}(vertex={item.vertex!r}, link_cert=")
-                stack += [")", item.deletion_cert, ", deletion_cert=", item.link_cert]
+                parts.append(head.format(item.vertex))
+                stack += [tail, item.deletion_cert, middle, item.link_cert]
             else:
-                parts.append(item if isinstance(item, str) else "None")
+                parts.append(missing if item is None else item)
         return "".join(parts)
+
+    def __repr__(self) -> str:
+        head = f"{type(self).__qualname__}(vertex={{!r}}, link_cert="
+        return self._render(head, ", deletion_cert=", ")", "None")
 
     def relabeled(self, mapping: dict[int, int]) -> "NonEvasivenessCertificate":
         done: list[NonEvasivenessCertificate] = []  # relabeled subtrees, last on top
@@ -338,9 +344,8 @@ def planar_acyclic_nonevasive(d: SimplicialComplex) -> NonEvasivenessCertificate
         raise EmptyComplexError("empty complex")
     if d.dimension > 2:
         raise DimensionOutOfRangeError("planar routine limited to dimension <= 2")
-    b = betti(d)
-    if b[0] != 1 or any(b[i] for i in range(1, len(b))):
-        raise NotAcyclicError(f"Betti vector {b} is not (1, 0, ...)")
+    if not _acyclic_betti(d):
+        raise NotAcyclicError(f"Betti vector {betti(d)} is not (1, 0, ...)")
     return _acyclic_cert(d)
 
 
@@ -504,9 +509,9 @@ def sweep_perfect_morse(
     Processes vertices in sweep order (ascending height, ties broken as in
     ``sweep_order``), matching each lower link and lifting it over the cone
     at its vertex (``_sweep_pairs``).  A lift is valid iff its link matching
-    is, so one check of the result checks every lift: ``is_perfect``, which
-    runs the structural checks of ``validate``, then ``morse_differential``,
-    whose pass along the V-paths raises MatchingCycleError on a V-cycle.
+    is, so one check of the result checks every lift: ``is_perfect``, whose
+    ``morse_differential`` makes the checks of ``validate`` on the way (one
+    structural pass, one Kahn sort per layer) and raises what it raises.
 
     The sweep certifies itself.  Every pair lies in the lower star of one
     vertex, so the matching is a gradient that respects the filtration by

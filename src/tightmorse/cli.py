@@ -211,20 +211,6 @@ def _build_build(pb: _Parser) -> None:
     bx.add_argument("--out", required=True)
 
 
-def _cert_json(cert) -> str:
-    """The text ``json.dumps`` gives a certificate as nested objects with
-    keys vertex, link and deletion, written from an explicit stack."""
-    parts, stack = [], [cert]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        else:
-            parts.append(f'{{"vertex": {node.vertex}, "link": ')
-            stack += ["}", node.deletion_cert or "null", ', "deletion": ', node.link_cert or "null"]
-    return "".join(parts)
-
-
 def _cmd_betti(args) -> tuple[int, dict]:
     from . import homology_z2
 
@@ -322,7 +308,9 @@ def _cmd_check(args) -> tuple[int, dict]:
     if res.certificate is not None:
         result["certificate_size"] = res.certificate.size
         if args.out:
-            Path(args.out).write_text(_cert_json(res.certificate))
+            # the text json.dumps gives nested objects with keys vertex, link and deletion
+            cert = res.certificate._render('{{"vertex": {}, "link": ', ', "deletion": ', "}", "null")
+            Path(args.out).write_text(cert)
             result["out"] = args.out
     return (EXIT_BUDGET if res.status == "budget" else EXIT_OK), result
 

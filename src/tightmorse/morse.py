@@ -3,13 +3,14 @@
 A matching pairs faces with cofaces of one dimension higher; unmatched
 faces are critical.  Acyclicity is checked layer by layer with Kahn-style
 topological sorting, returning an explicit alternating V-cycle on failure.
-The same V-path order carries the mod-2 Morse differential
-(``morse_differential``), which so rejects a V-cycle as ``validate`` does,
-with the same witness.  A zero differential certifies a perfect
-matching.  For a gradient that respects a filtration, such as the height
-sweep's, whose pairs each lie in the lower star of one vertex, a zero
-differential also certifies that every sublevel set injects in homology
-(filtered discrete Morse theory, Mischaikow–Nanda 2013).
+The same checks and V-path order carry the mod-2 Morse differential
+(``morse_differential``), which so rejects an invalid matching as
+``validate`` does, with the same error and witness.  A zero differential
+certifies a perfect matching.  For a gradient that respects a filtration,
+such as the height sweep's, whose pairs each lie in the lower star of one
+vertex, a zero differential also certifies that every sublevel set
+injects in homology (filtered discrete Morse theory, Mischaikow–Nanda
+2013).
 """
 
 from __future__ import annotations
@@ -59,34 +60,37 @@ def validate(m: MorseMatching) -> None:
 
     Raises DanglingFaceError, NotCofaceError, NotAMatchingError, or
     MatchingCycleError (with a witness V-cycle); returns None when valid.
-    The structure is checked first (``_check_structure``), then the layers
-    in ascending dimension.  The error reported does not depend on the
-    order the matching was built in.
+    The structure is checked first (``_layers``), then the layers in
+    ascending dimension (``_layer_order``).  The error reported does not
+    depend on the order the matching was built in.
     """
-    _check_structure(m)
-    for layer in _up_layers(m):
-        _check_layer_acyclic(layer)
+    for layer in _layers(m):
+        _layer_order(layer)
 
 
-def _check_structure(m: MorseMatching) -> None:
-    """Raise the first structural defect of m in sorted pair order.
+def _layers(m: MorseMatching) -> list[dict[Face, Face]]:
+    """Layer i maps each up-matched i-face to its partner, i < dim; raises
+    the first structural defect of m in sorted pair order.
 
     Pairs of canonical faces of the complex, each a face and a coface one
-    dimension up, no face twice, pass in one unsorted pass.  Only when that
-    pass finds something wrong are the pairs sorted and checked one by one,
-    so the defect reported does not depend on the order the matching was
-    built in.
+    dimension up, no face twice, pass in one unsorted pass that also files
+    them into their layers.  Only when that pass finds something wrong are
+    the pairs sorted and checked one by one, so the defect reported does
+    not depend on the order the matching was built in.  V-cycles live
+    inside one layer.
     """
     c = m.complex
     levels = c._by_dim
+    up: list[dict[Face, Face]] = [{} for _ in range(c.dimension)]
     for s, t in m.pairs:
         k = len(s)
         if not (0 < k < len(levels) and len(t) == k + 1 and s in levels[k - 1]
                 and t in levels[k] and set(s).issubset(t)):
             break
+        up[k - 1][s] = t
     else:
         if len(m.matched_faces) == 2 * len(m.pairs):
-            return
+            return up
     seen: set[Face] = set()
     for s, t in sorted(m.pairs):
         for f in (s, t):
@@ -98,25 +102,19 @@ def _check_structure(m: MorseMatching) -> None:
             if f in seen:
                 raise NotAMatchingError(f"face {f} matched twice")
             seen.add(f)
+    raise MorseInvariantError("the sorted pass found no defect")
 
 
-def _up_layers(m: MorseMatching) -> list[dict[Face, Face]]:
-    """Layer i maps each up-matched i-face to its partner, i < dim; m must
-    pass ``_check_structure``.  V-cycles live inside one layer."""
-    up: list[dict[Face, Face]] = [{} for _ in range(m.complex.dimension)]
-    for s, t in m.pairs:
-        up[len(s) - 1][s] = t
-    return up
-
-
-def _layer_order(layer: dict[Face, Face]) -> tuple[list[Face], dict[Face, list[Face]]]:
+def _layer_order(layer: dict[Face, Face]) -> list[Face]:
     """Kahn sort of the V-path digraph on one layer.
 
     ``layer`` maps each up-matched face s to its partner t.  The successors
     of s are the faces of t other than s that are up-matched too.  Returns
     the faces of the layer in an order where each comes after every face
-    with an edge into it, and the successor map.  The order leaves out the
-    faces on or behind a V-cycle, so it is short iff the layer has one.
+    with an edge into it.  The sort leaves out exactly the faces on or
+    behind a V-cycle; if it leaves any out, MatchingCycleError is raised
+    with a witness V-cycle that depends only on the layer, not on its
+    order.
     """
     succ: dict[Face, list[Face]] = {}
     indeg: dict[Face, int] = {s: 0 for s in layer}
@@ -134,14 +132,6 @@ def _layer_order(layer: dict[Face, Face]) -> tuple[list[Face], dict[Face, list[F
             indeg[s2] -= 1
             if indeg[s2] == 0:
                 queue.append(s2)
-    return order, succ
-
-
-def _check_layer_acyclic(layer: dict[Face, Face]) -> list[Face]:
-    """The V-path order of the layer (``_layer_order``); raises
-    MatchingCycleError with a witness V-cycle if the layer has one.  The
-    witness depends only on the layer, not on its order."""
-    order, succ = _layer_order(layer)
     if len(order) == len(layer):
         return order
     remaining = set(layer).difference(order)
@@ -166,10 +156,11 @@ def _check_layer_acyclic(layer: dict[Face, Face]) -> list[Face]:
 def morse_differential(m: MorseMatching) -> dict[Face, set[Face]]:
     """The mod-2 Morse boundary of each critical face of positive dimension.
 
-    ``m`` must pass ``validate``'s structural checks; a V-cycle raises
-    MatchingCycleError with ``validate``'s witness, since each layer's
-    V-path order comes from ``_check_layer_acyclic``, lowest layer first.
-    So the checks and the differential take one Kahn sort per layer.
+    Raises as ``validate`` does on an invalid matching, with the same error
+    and witness: the pairs are checked and filed into layers by
+    ``_layers``, and each layer's V-path order comes from ``_layer_order``,
+    lowest layer first.  So the checks and the differential take one
+    structural pass and one Kahn sort per layer.
 
     The Morse boundary of a critical (i+1)-face counts, mod 2, the gradient
     paths from its boundary to each critical i-face: a path steps from an
@@ -185,11 +176,12 @@ def morse_differential(m: MorseMatching) -> dict[Face, set[Face]]:
     holds too.
     """
     c = m.complex
+    layers = _layers(m)
     matched = m.matched_faces
     critical = [list(c.face_set(d).difference(matched)) for d in range(c.dimension + 1)]
     differential: dict[Face, set[Face]] = {}
-    for i, layer in enumerate(_up_layers(m)):
-        order = _check_layer_acyclic(layer)
+    for i, layer in enumerate(layers):
+        order = _layer_order(layer)
         cofaces = critical[i + 1]
         boundaries: list[set[Face]] = [set() for _ in cofaces]
         differential.update(zip(cofaces, boundaries))
@@ -234,7 +226,6 @@ def is_perfect(m: MorseMatching) -> bool:
     Over a field that holds exactly when the Morse differential is zero.
     Raises as ``validate`` does on an invalid matching.
     """
-    _check_structure(m)
     return not any(morse_differential(m).values())
 
 

@@ -1,5 +1,8 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,6 +469,54 @@ def test_deep_certificate_repr():
         cert = NonEvasivenessCertificate(v, NonEvasivenessCertificate(v + 1), cert)
         text = f"NonEvasivenessCertificate(vertex={v}, link_cert={leaf_text(v + 1)}, deletion_cert={text})"
     assert repr(cert) == text
+
+
+def test_5000_deep_certificate_repr():
+    # five times the default recursion limit; the expected text is one join
+    n = 5000
+    heads = [f"NonEvasivenessCertificate(vertex={v}, link_cert={leaf_text(v + 1)}, deletion_cert=" for v in range(n)]
+    assert repr(path_certificate(n)) == "".join(heads) + leaf_text(n) + ")" * n
+
+
+# One deep walk on the 2,000-edge path in a fresh interpreter, which prints
+# its peak resident memory.  A walk that copied the complex at each node of
+# its deletion chain took 381 MB there; a walk on one mutable complex takes
+# 16 to 19 MB, most of it the interpreter.
+DEEP_WALK = """
+import sys
+from tightmorse import NonEvasivenessCertificate as N
+from tightmorse import collapsible, from_facets, nonevasive, planar_acyclic_nonevasive, verify_certificate
+
+n = 2000
+c = from_facets([(i, i + 1) for i in range(n)])
+cert = N(n)
+for v in reversed(range(n)):  # delete 0, 1, ... in turn
+    cert = N(v, N(v + 1), cert)
+walks = {
+    "nonevasive": lambda: nonevasive(c).status == "yes",
+    "backtracking": lambda: collapsible(c, "backtracking").status == "yes",
+    "planar_acyclic_nonevasive": lambda: planar_acyclic_nonevasive(c).size == 2 * n + 1,
+    "verify_certificate": lambda: verify_certificate(c, cert),
+}
+assert walks[sys.argv[1]]()
+# the high-water mark of this process's own memory; ru_maxrss would start at
+# the resident size of the test process it was forked from
+with open("/proc/self/status") as status:
+    print(int(status.read().split("VmHWM:")[1].split()[0]) / 1024)  # kB
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("walk", ["nonevasive", "backtracking", "planar_acyclic_nonevasive", "verify_certificate"])
+def test_deep_walk_peak_memory(walk):
+    src = str(Path(algorithms.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_WALK, walk],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 40
 
 
 def test_nonevasive_implies_collapsible(simplex3):

@@ -8,9 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tightmorse
-from tightmorse import __version__, from_facets
+from tightmorse import __version__, algorithms, from_facets
+from tightmorse.algorithms import NonEvasiveResult, NonEvasivenessCertificate
 from tightmorse.cli import main
 from tightmorse.geometry import GeometricRealization
 from tightmorse.constructions import checkerboard, convex_fixture, furch_ball, grid_ball, straight_path
@@ -606,6 +608,49 @@ def test_cli_check_nonevasive_long_path(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith('{"vertex": 0, "link": {"vertex": 1, "link": null, "deletion": null}')
     assert text.count('"vertex"') == 2001
+
+
+def test_cli_check_nonevasive_writes_a_5000_deep_certificate(tmp_path, capsys):
+    # five times the default recursion limit; the expected text is one join
+    n = 5000
+    f = tmp_path / "path.facets"
+    f.write_text(dump_facets(from_facets([(i, i + 1) for i in range(n)])))
+    out = tmp_path / "cert.json"
+    code, rep = run_cli(["check", "nonevasive", str(f), "--out", str(out)], capsys)
+    assert (code, rep["result"], rep["certificate_size"]) == (0, "yes", 2 * n + 1)
+    leaf = '{{"vertex": {}, "link": null, "deletion": null}}'.format
+    heads = [f'{{"vertex": {v}, "link": {leaf(v + 1)}, "deletion": ' for v in range(n)]
+    assert out.read_text() == "".join(heads) + leaf(n) + "}" * n
+
+
+certificates = st.recursive(
+    st.builds(NonEvasivenessCertificate, st.integers(0, 20)),
+    lambda children: st.builds(
+        NonEvasivenessCertificate, st.integers(0, 20), st.none() | children, st.none() | children
+    ),
+    max_leaves=12,
+)
+
+
+def nested(cert):
+    """The certificate as the objects its JSON text should parse to."""
+    if cert is None:
+        return None
+    return {"vertex": cert.vertex, "link": nested(cert.link_cert), "deletion": nested(cert.deletion_cert)}
+
+
+# the fixtures hold no state between examples: the search is patched and the
+# output overwritten and read back in each
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(certificates)
+def test_cli_certificate_json_nests_like_the_tree(tmp_path, capsys, monkeypatch, cert):
+    monkeypatch.setattr(algorithms, "nonevasive", lambda c, budget: NonEvasiveResult("yes", cert))
+    out = tmp_path / "cert.json"
+    code, rep = run_cli(["check", "nonevasive", str(FIXTURES / "simplex3.geom"), "--out", str(out)], capsys)
+    assert (code, rep["certificate_size"]) == (0, cert.size)
+    text = out.read_text()
+    assert json.loads(text) == nested(cert)
+    assert text == json.dumps(nested(cert))
 
 
 # (certificate_size, bytes and sha256 of the --out file), recorded before

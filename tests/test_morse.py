@@ -359,6 +359,60 @@ def test_morse_differential_raises_the_cycle_validate_finds(case):
         assert outcome(morse_differential, m) == expected
 
 
+DEFECTS = {
+    "dangling": DanglingFaceError,
+    "not a coface": NotCofaceError,
+    "twice": NotAMatchingError,
+    "cycle": MatchingCycleError,
+}
+
+
+@st.composite
+def one_defect_matchings(draw):
+    """Part of an acyclic matching plus pairs with exactly one defect: a face
+    with a face outside the complex, with a face of the complex that is no
+    coface one dimension up, a face matched with two of its faces, or the
+    vertices of a ring of edges matched around it, a V-cycle.  The pairs of
+    the acyclic matching that meet the defect's faces are left out."""
+    kind = draw(st.sampled_from(sorted(DEFECTS)))
+    c = draw(random_complexes)
+    if kind == "cycle":
+        ring = draw(st.lists(st.integers(0, 7), min_size=3, max_size=5, unique=True))
+        edges = [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
+        c = from_facets([*c.facets, *edges])
+        bad = {((v,), e) for v, e in zip(ring, edges)}
+    faces = c.faces()
+    if kind == "dangling":
+        s = draw(st.sampled_from(faces))
+        bad = {(s, (*s, 9))}
+    elif kind == "not a coface":
+        others = [(s, t) for s in faces for t in faces if s != t and not (len(t) == len(s) + 1 and set(s) < set(t))]
+        assume(others)
+        bad = {draw(st.sampled_from(others))}
+    elif kind == "twice":
+        tops = [t for t in faces if len(t) > 1]
+        assume(tops)
+        t = draw(st.sampled_from(tops))
+        i, j = draw(st.lists(st.integers(0, len(t) - 1), min_size=2, max_size=2, unique=True))
+        bad = {(t[:i] + t[i + 1:], t), (t[:j] + t[j + 1:], t)}
+    used = {f for pair in bad for f in pair}
+    valid = sorted(pair for pair in random_discrete_morse(c, seed=draw(st.integers(0, 10))).pairs
+                   if used.isdisjoint(pair))
+    kept = draw(st.lists(st.sampled_from(valid), unique=True)) if valid else []
+    return kind, MorseMatching(c, frozenset([*kept, *bad]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_defect_matchings())
+def test_morse_differential_raises_what_validate_raises(case):
+    # the differential and is_perfect check the matching themselves
+    kind, m = case
+    expected = outcome(morse_oracle.validate, m)
+    assert expected[0] is DEFECTS[kind]
+    for check in (validate, morse_differential, is_perfect):
+        assert outcome(check, m) == expected
+
+
 # -- random discrete morse ----------------------------------------------------------
 
 def test_rdm_on_e_all_seeds(checkerboard):

@@ -212,11 +212,11 @@ def test_sweep_validates_once_and_builds_no_cone(monkeypatch, make, direction):
 
     count(morse, "FaceSetCollapser")
     count(morse, "MorseMatching")
-    count(morse, "_check_structure")
+    count(morse, "_layers")
     count(morse, "morse_differential")
     assert sweep_perfect_morse(g, direction).pairs == expected
     assert calls.count("FaceSetCollapser") == calls.count("MorseMatching") == 1
-    assert calls.count("_check_structure") == calls.count("morse_differential") == 1
+    assert calls.count("_layers") == calls.count("morse_differential") == 1
 
 
 def test_sweep_runs_one_collapser_per_64_links(monkeypatch):
