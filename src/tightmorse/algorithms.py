@@ -190,21 +190,21 @@ class NonEvasivenessCertificate(Record):
         return hash(tuple(self._key()))
 
     def _render(self, head: str, middle: str, tail: str, missing: str) -> str:
-        """The tree as text from an explicit stack: per node ``head.format(vertex)``,
+        """The tree as text from an explicit stack: per node ``head.format(node)``,
         its link, ``middle``, its deletion, ``tail``; ``missing`` for no child."""
         parts: list[str] = []
         stack: list = [self]  # nodes, None for a missing child, and text
         while stack:
             item = stack.pop()
             if isinstance(item, NonEvasivenessCertificate):
-                parts.append(head.format(item.vertex))
+                parts.append(head.format(item))
                 stack += [tail, item.deletion_cert, middle, item.link_cert]
             else:
                 parts.append(missing if item is None else item)
         return "".join(parts)
 
     def __repr__(self) -> str:
-        head = f"{type(self).__qualname__}(vertex={{!r}}, link_cert="
+        head = "{0.__class__.__qualname__}(vertex={0.vertex!r}, link_cert="
         return self._render(head, ", deletion_cert=", ")", "None")
 
     def relabeled(self, mapping: dict[int, int]) -> "NonEvasivenessCertificate":

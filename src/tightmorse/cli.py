@@ -309,7 +309,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         result["certificate_size"] = res.certificate.size
         if args.out:
             # the text json.dumps gives nested objects with keys vertex, link and deletion
-            cert = res.certificate._render('{{"vertex": {}, "link": ', ', "deletion": ', "}", "null")
+            cert = res.certificate._render('{{"vertex": {0.vertex}, "link": ', ', "deletion": ', "}", "null")
             Path(args.out).write_text(cert)
             result["out"] = args.out
     return (EXIT_BUDGET if res.status == "budget" else EXIT_OK), result

@@ -463,19 +463,19 @@ def test_certificate_repr_is_the_dataclass_text():
 
 
 def test_deep_certificate_repr():
-    # the dataclass's repr recursed once per level and raised RecursionError
-    cert, text = NonEvasivenessCertificate(1200), leaf_text(1200)
-    for v in reversed(range(1200)):
-        cert = NonEvasivenessCertificate(v, NonEvasivenessCertificate(v + 1), cert)
-        text = f"NonEvasivenessCertificate(vertex={v}, link_cert={leaf_text(v + 1)}, deletion_cert={text})"
-    assert repr(cert) == text
-
-
-def test_5000_deep_certificate_repr():
-    # five times the default recursion limit; the expected text is one join
+    # the dataclass's repr recursed once per level and raised RecursionError;
+    # 5,000 levels is five times the default recursion limit
     n = 5000
     heads = [f"NonEvasivenessCertificate(vertex={v}, link_cert={leaf_text(v + 1)}, deletion_cert=" for v in range(n)]
     assert repr(path_certificate(n)) == "".join(heads) + leaf_text(n) + ")" * n
+
+
+def test_certificate_repr_names_each_node_class():
+    class Sub(NonEvasivenessCertificate):
+        pass
+
+    text = f"{Sub.__qualname__}(vertex=1, link_cert={leaf_text(2)}, deletion_cert=None)"
+    assert repr(Sub(1, NonEvasivenessCertificate(2))) == text
 
 
 # One deep walk on the 2,000-edge path in a fresh interpreter, which prints

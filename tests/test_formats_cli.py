@@ -598,26 +598,15 @@ def test_cli_check_nonevasive_reject(tmp_path, capsys):
 
 
 def test_cli_check_nonevasive_long_path(tmp_path, capsys):
-    # the search and the certificate writer go 1,000 levels deep
-    f = tmp_path / "path.facets"
-    f.write_text(dump_facets(from_facets([(i, i + 1) for i in range(1000)])))
-    out = tmp_path / "cert.json"
-    code, rep = run_cli(["check", "nonevasive", str(f), "--out", str(out)], capsys)
-    assert code == 0
-    assert (rep["result"], rep["certificate_size"]) == ("yes", 2001)
-    text = out.read_text()
-    assert text.startswith('{"vertex": 0, "link": {"vertex": 1, "link": null, "deletion": null}')
-    assert text.count('"vertex"') == 2001
-
-
-def test_cli_check_nonevasive_writes_a_5000_deep_certificate(tmp_path, capsys):
-    # five times the default recursion limit; the expected text is one join
+    # the search and the certificate writer go 5,000 levels deep, five times
+    # the default recursion limit; the expected text is one join
     n = 5000
     f = tmp_path / "path.facets"
     f.write_text(dump_facets(from_facets([(i, i + 1) for i in range(n)])))
     out = tmp_path / "cert.json"
     code, rep = run_cli(["check", "nonevasive", str(f), "--out", str(out)], capsys)
-    assert (code, rep["result"], rep["certificate_size"]) == (0, "yes", 2 * n + 1)
+    assert code == 0
+    assert (rep["result"], rep["certificate_size"]) == ("yes", 2 * n + 1)
     leaf = '{{"vertex": {}, "link": null, "deletion": null}}'.format
     heads = [f'{{"vertex": {v}, "link": {leaf(v + 1)}, "deletion": ' for v in range(n)]
     assert out.read_text() == "".join(heads) + leaf(n) + "}" * n
