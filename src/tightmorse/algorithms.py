@@ -10,7 +10,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, combinations, repeat
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .complex_core import (
     Face,
@@ -18,6 +18,7 @@ from .complex_core import (
     SimplicialComplex,
     _by_dimension,
     is_closed_surface,
+    restrict,
 )
 from .errors import (
     DimensionOutOfRangeError,
@@ -220,6 +221,14 @@ class NonEvasivenessCertificate(Record):
         return len(self._preorder())
 
 
+def _linked(path) -> Iterator:
+    """The items of a linked path of nested pairs (item, rest) ending in None,
+    last pushed first; a node's builder keeps the path it had, unchanged."""
+    while path is not None:
+        item, path = path
+        yield item
+
+
 def _drive(root):
     """Run a recursion written as generators on an explicit stack: each
     yields a child generator and is sent the child's return value, so depth
@@ -246,10 +255,12 @@ class _MutableComplex:
     vertex, putting it back and building its link each cost its star, not
     the complex.  The deletion walks below run on one instance each;
     ``frozen`` copies the faces left into a ``SimplicialComplex``, one
-    C-level copy per level.
+    C-level copy per level.  ``path`` links the deleted vertices (``_linked``):
+    the complex left is ``root`` restricted to the vertices off it.
     """
 
     def __init__(self, c: SimplicialComplex):
+        self.root, self.path = c, None
         self.levels = [set(level) for level in c._by_dim]
         self.star = star = {f[0]: {f} for f in c._by_dim[0]} if c._by_dim else {}
         for level in c._by_dim[1:]:
@@ -287,6 +298,7 @@ class _MutableComplex:
             for u in f:
                 if u != v:
                     star[u].remove(f)
+        self.path = (v, self.path)
         return gone
 
     def undelete(self, v: int, gone: set[Face]) -> None:
@@ -299,6 +311,7 @@ class _MutableComplex:
                 if u != v:
                     star[u].add(f)
         star[v] = gone
+        self.path = self.path[1]
 
 
 def verify_certificate(c: SimplicialComplex, cert: NonEvasivenessCertificate) -> bool:
@@ -600,9 +613,10 @@ class _IsoMemo:
     keep up to date, and a node is passed as its f-vector ``f`` and a
     function ``build`` that returns it as a complex.  The complex is built
     and ``canonical_form`` runs on it for a lookup only when its bucket is
-    nonempty, and for a store only when a later node lands in its bucket;
-    it then keeps its key and relabel.  Equal keys imply equal f-vectors,
-    so the hits are those of a memo keyed on every lookup.
+    nonempty, and for a store only when a later node lands in its bucket; it
+    then keeps its key and relabel.  A store keeps ``build``, which must
+    rebuild the node after the search moved on.  Equal keys imply equal
+    f-vectors, so the hits are those of a memo keyed on every lookup.
     A hit is a complex isomorphic to a stored one, so it shares every
     isomorphism invariant of it: ``nonevasive`` looks a link up before its
     Betti reduction, since every complex it stores is acyclic.
@@ -621,7 +635,7 @@ class _IsoMemo:
             return None, None
         keyed, pending = bucket
         for other, value in pending:
-            key, relabel = canonical_form(other)
+            key, relabel = canonical_form(other())
             keyed[key] = (value, relabel)
         pending.clear()
         form = canonical_form(build())
@@ -631,7 +645,7 @@ class _IsoMemo:
         """Store value for the node after a missed lookup that returned form."""
         keyed, pending = self._buckets.setdefault(f, ({}, []))
         if form is None:
-            pending.append((build(), value))
+            pending.append((build, value))
         else:
             keyed[form[0]] = (value, form[1])
 
@@ -707,8 +721,9 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     ``_MutableComplex`` per search root, the input and each link that
     passed its Betti check, so a node costs the stars of the vertices it
     tries, not the complex; a link is built from its vertex's star.  A
-    success on the input's own deletion chain is not stored: each node
-    above it then succeeds in turn, and no lookup follows.
+    deletion node is looked up as the walk's ``frozen`` copy and stored as
+    a builder that restricts the root to the vertices off its deletion
+    path, so a store costs O(1) and every node is stored.
     """
     if budget < 0:
         raise ValueError("the budget must not be negative")
@@ -736,11 +751,11 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
             return hit_cert(hit, form)
         if not _acyclic_betti(lk):
             return None
-        result = yield from expand(_MutableComplex(lk), False)
+        result = yield from expand(_MutableComplex(lk))
         memo.store(lk.f_vector, result, form, build)
         return result
 
-    def search_deletion(walk: _MutableComplex, top: bool):
+    def search_deletion(walk: _MutableComplex):
         # acyclic, so neither checked nor reduced: Mayer–Vietoris on
         # del(v) ∪ st(v) with intersection lk(v), both acyclic
         if walk.num_faces == 1:
@@ -750,18 +765,18 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
         hit, form = memo.lookup(f, walk.frozen)
         if hit is not None:
             return hit_cert(hit, form)
-        result = yield from expand(walk, top)
-        if result is None or not top:
-            memo.store(f, result, form, walk.frozen)
+        result = yield from expand(walk)
+        root, path = walk.root, walk.path
+        memo.store(f, result, form, lambda: restrict(root, set(root.vertices).difference(_linked(path))))
         return result
 
-    def expand(walk: _MutableComplex, top: bool):
+    def expand(walk: _MutableComplex):
         for v in _by_star_size(walk.star):
             link_cert = yield search_link(walk.link(v))
             if link_cert is None:
                 continue
             gone = walk.delete(v)
-            del_cert = yield search_deletion(walk, top)
+            del_cert = yield search_deletion(walk)
             walk.undelete(v, gone)
             if del_cert is not None:
                 return NonEvasivenessCertificate(v, link_cert, del_cert)
@@ -770,7 +785,7 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
     if not _acyclic_betti(c):
         return NonEvasiveResult("no", reason="betti")
     try:
-        cert = _drive(search_deletion(_MutableComplex(c), True))
+        cert = _drive(search_deletion(_MutableComplex(c)))
     except _BudgetExhausted:
         return NonEvasiveResult("budget")
     if cert is None:
@@ -815,8 +830,9 @@ def collapsible(
     (``_IsoMemo``); exact within the node budget.  It runs on ``_drive``'s
     stack over one ``FaceSetCollapser``: a child collapses one of the free
     pairs, taken in lexicographic order, and ``restore_pair`` backs it out.
-    A node is its f-vector, and is built as a complex only for the memo,
-    when its f-vector repeats or it dies.
+    A node is its f-vector and the linked path of the ids it removed, and is
+    built only for the memo: from the collapser when its f-vector repeats,
+    and from ``face`` minus that path when a dead one's repeats.
     """
     from .morse import FaceSetCollapser, random_pick
 
@@ -858,9 +874,9 @@ def collapsible(
     face = collapser.face
     build = lambda: _by_dimension(collapser.remaining())
 
-    def search(f: tuple[int, ...]):
-        """The steps from the collapser's faces, of f-vector f, to a vertex,
-        last step first, or None, which leaves the collapser as it was."""
+    def search(f: tuple[int, ...], path):
+        """The steps from the collapser's faces (f-vector f, removed ids path)
+        to a vertex, last first, or None, which leaves the collapser as it was."""
         if len(collapser) == 1:
             return []
         tracker.tick()
@@ -872,16 +888,18 @@ def collapsible(
             collapser.remove_pair(s, t)
             k = len(face[s]) - 1
             # no level of a closed family is empty below a nonempty one
-            rest = yield search(tuple(filter(None, f[:k] + (f[k] - 1, f[k + 1] - 1) + f[k + 2:])))
+            child = tuple(filter(None, f[:k] + (f[k] - 1, f[k + 1] - 1) + f[k + 2:]))
+            rest = yield search(child, (s, (t, path)))
             if rest is not None:
                 rest.append((face[s], face[t]))
                 return rest
             collapser.restore_pair(s, t)
-        dead.store(f, None, form, build)
+        rebuild = lambda: _by_dimension(set(face).difference(map(face.__getitem__, _linked(path))))
+        dead.store(f, None, form, rebuild)
         return None
 
     try:
-        steps = _drive(search(c.f_vector))
+        steps = _drive(search(c.f_vector, None))
     except _BudgetExhausted:
         return CollapsibleResult("budget")
     if steps is None:

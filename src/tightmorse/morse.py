@@ -177,8 +177,9 @@ def morse_differential(m: MorseMatching) -> dict[Face, set[Face]]:
     """
     c = m.complex
     layers = _layers(m)
-    matched = m.matched_faces
-    critical = [list(c.face_set(d).difference(matched)) for d in range(c.dimension + 1)]
+    # the d-faces matched up are layer d's keys, those matched down layer d - 1's values
+    up, down = layers + [{}], [{}] + layers
+    critical = [list(c.face_set(d).difference(up[d], down[d].values())) for d in range(c.dimension + 1)]
     differential: dict[Face, set[Face]] = {}
     for i, layer in enumerate(layers):
         order = _layer_order(layer)

@@ -352,17 +352,16 @@ def test_deep_certificate_replays_and_relabels():
 def test_deletion_walks_build_one_complex_per_link(monkeypatch, walk):
     # each walk deletes the vertices of a 500-edge path from one mutable
     # complex and builds a complex only for each link, a single vertex; on
-    # copies it also built the 500 deletions, and the search stored each
-    # node of its deletion chain, though no lookup follows a success there
+    # copies it also built the 500 deletions, and a search that built each
+    # node it stored built them too
     c = path(500)
-    built, stored = [], []
-    init, store = complex_core.SimplicialComplex.__init__, _IsoMemo.store
+    built = []
+    init = complex_core.SimplicialComplex.__init__
     monkeypatch.setattr(
         complex_core.SimplicialComplex, "__init__", lambda self, levels: built.append(1) or init(self, levels)
     )
-    monkeypatch.setattr(_IsoMemo, "store", lambda memo, *args: stored.append(args) or store(memo, *args))
     assert walk(c)
-    assert len(built) == 500 and stored == []
+    assert len(built) == 500
 
 
 MUTATIONS = ["relabel", "drop_link", "drop_deletion", "swap", "grow", "prune", "graft"]
@@ -478,25 +477,45 @@ def test_certificate_repr_names_each_node_class():
     assert repr(Sub(1, NonEvasivenessCertificate(2))) == text
 
 
-# One deep walk on the 2,000-edge path in a fresh interpreter, which prints
-# its peak resident memory.  A walk that copied the complex at each node of
-# its deletion chain took 381 MB there; a walk on one mutable complex takes
-# 16 to 19 MB, most of it the interpreter.
+# One deep walk in a fresh interpreter, which prints its peak resident
+# memory; a process per walk, so that no walk's peak hides another's.  A
+# walk that copied the complex at each node of its deletion chain took
+# 381 MB on the 2,000-edge path; a walk on one mutable complex takes 16 to
+# 19 MB, most of it the interpreter.  The exhaustive "no" answers on the
+# dunce hat with a long tail stored a complex per dead node, 187 MB for
+# backtracking on a 2,000-edge tail and 59 MB for nonevasive on a
+# 1,000-edge one; the grid replay builds its certificate first, in the
+# same process.
 DEEP_WALK = """
 import sys
 from tightmorse import NonEvasivenessCertificate as N
 from tightmorse import collapsible, from_facets, nonevasive, planar_acyclic_nonevasive, verify_certificate
+from tightmorse.constructions import dunce_hat, grid_ball
 
 n = 2000
 c = from_facets([(i, i + 1) for i in range(n)])
 cert = N(n)
 for v in reversed(range(n)):  # delete 0, 1, ... in turn
     cert = N(v, N(v + 1), cert)
+
+
+def tailed_dunce_hat(edges):
+    return from_facets([*dunce_hat().facets, (1, 100), *((100 + i, 101 + i) for i in range(edges - 1))])
+
+
+def replay_grid():
+    grid = grid_ball(6, 6, 6).complex
+    return verify_certificate(grid, nonevasive(grid).certificate)
+
+
 walks = {
     "nonevasive": lambda: nonevasive(c).status == "yes",
     "backtracking": lambda: collapsible(c, "backtracking").status == "yes",
     "planar_acyclic_nonevasive": lambda: planar_acyclic_nonevasive(c).size == 2 * n + 1,
     "verify_certificate": lambda: verify_certificate(c, cert),
+    "backtracking_no": lambda: collapsible(tailed_dunce_hat(2000), "backtracking").reason == "exhausted",
+    "nonevasive_no": lambda: nonevasive(tailed_dunce_hat(1000)).reason == "exhausted",
+    "verify_certificate_grid": replay_grid,
 }
 assert walks[sys.argv[1]]()
 # the high-water mark of this process's own memory; ru_maxrss would start at
@@ -507,7 +526,13 @@ with open("/proc/self/status") as status:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-@pytest.mark.parametrize("walk", ["nonevasive", "backtracking", "planar_acyclic_nonevasive", "verify_certificate"])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        "nonevasive", "backtracking", "planar_acyclic_nonevasive", "verify_certificate",
+        "backtracking_no", "nonevasive_no", "verify_certificate_grid",
+    ],
+)
 def test_deep_walk_peak_memory(walk):
     src = str(Path(algorithms.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -642,6 +667,48 @@ def test_nonevasive_nodes_match_copying_oracle(c):
     # deletion chain, which random complexes this small seldom do
     assert nonevasive(c) == oracle.copying_nonevasive(c)
     assert search_nodes(nonevasive, c) == search_nodes(oracle.copying_nonevasive, c)
+
+
+def stored_nodes(search, c):
+    """Run search on c; per node it stored, its f-vector, the complex its
+    builder gave when stored, and the one it gives after the search ended."""
+    stored = []
+    store = _IsoMemo.store
+
+    def spy(memo, f, value, form, build):
+        stored.append((f, build(), build))
+        store(memo, f, value, form, build)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_IsoMemo, "store", spy)
+        search(c)
+    return [(f, then, build()) for f, then, build in stored]
+
+
+def check_stored_builders(c):
+    # the memo keeps a builder, not a complex, and calls it only when a later
+    # node shares its f-vector, so a builder must outlive the walk's state
+    searches = {"nonevasive": nonevasive, "backtracking": lambda c: collapsible(c, "backtracking")}
+    counts = {}
+    for name, search in searches.items():
+        nodes = stored_nodes(search, c)
+        for f, then, now in nodes:
+            assert now == then and now.f_vector == f
+            assert name != "nonevasive" or _acyclic_betti(now)
+        counts[name] = len(nodes)
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_complexes)
+def test_stored_builders_rebuild_their_nodes(c):
+    check_stored_builders(c)
+
+
+def test_stored_builders_rebuild_their_nodes_on_the_pendant_dunce_hat():
+    # both searches store nodes deep in their walks here
+    counts = check_stored_builders(PENDANT_DUNCE_HAT)
+    assert counts["nonevasive"] > 1 and counts["backtracking"] > 1
 
 
 def counting(monkeypatch, module):

@@ -508,6 +508,17 @@ def test_morse_differential_of_the_circle():
     }
 
 
+def test_is_perfect_reads_the_matched_faces_once(monkeypatch):
+    # the structural pass builds the matched set for its doubly-matched
+    # check, and the critical faces come from the layers, not a second build
+    m = sweep_perfect_morse(constructions.grid_ball(3, 3, 3), (1, 17, 289))
+    reads = []
+    matched = MorseMatching.matched_faces
+    monkeypatch.setattr(MorseMatching, "matched_faces", property(lambda self: reads.append(1) or matched.fget(self)))
+    assert is_perfect(m)
+    assert len(reads) == 1
+
+
 def test_morse_differential_rejects_a_cyclic_matching():
     # the V-cycle (1) (1,2) (2) (2,3) (3) (1,3) (1); the differential used to
     # come out as {(3, 4): {(4,)}} instead of an error
