@@ -574,9 +574,16 @@ def canonical_form(c: SimplicialComplex) -> tuple[frozenset[Face], dict[int, int
     isomorphic complexes (both equal the relabeled complex), while
     isomorphic complexes may still get different keys and simply miss the
     memo.
+
+    A closed complex with n vertices and dimension n - 1 is the simplex on
+    them.  Its vertices share one profile and one neighbourhood, so every
+    round leaves them one class, ties go by label and the only maximal face
+    is all of them: that form is returned without counting faces.
     """
     verts = c.vertices
     by_dim = c._by_dim
+    if verts and len(by_dim) == len(verts):
+        return frozenset({tuple(range(len(verts)))}), dict(zip(verts, range(len(verts))))
     counts = [Counter(chain.from_iterable(level)) for level in by_dim]
     color: dict[int, object] = dict(zip(verts, zip(*(map(n.__getitem__, verts) for n in counts))))
     adjacency: dict[int, list[int]] = {v: [] for v in verts}

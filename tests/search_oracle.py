@@ -6,7 +6,8 @@ relabels every certificate it stores in the memo.  ``refined_canonical_form``
 is the library's form before it counted faces per level and skipped rounds
 that cannot reorder: it fills the profiles face by face, always refines
 twice and reads the key off the sorted ``facets``.  The library's
-``canonical_form`` must return the same key and relabel.  ``backtracking``
+``canonical_form``, which also answers a simplex from its vertices alone,
+must return the same key and relabel.  ``backtracking``
 is ``collapsible(c, "backtracking", budget)`` with its dead set keyed by the
 library's ``canonical_form`` at every node.  The library must give the same
 statuses, reasons, certificates, collapse steps and node counts.

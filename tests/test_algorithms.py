@@ -24,7 +24,7 @@ from tightmorse.algorithms import (
     sweep_perfect_morse,
     verify_certificate,
 )
-from tightmorse.complex_core import barycentric_subdivision, from_faces, link, restrict, star
+from tightmorse.complex_core import EMPTY_COMPLEX, barycentric_subdivision, from_faces, link, restrict, star
 from tightmorse.constructions import (
     checkerboard,
     convex_fixture,
@@ -1068,9 +1068,42 @@ def test_canonical_form_matches_refined_oracle(c):
         [(0, 1, 2), (2, 3), (4,)],
         [(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,)],
         [(0, 1), (1, 2), (2, 3), (3, 0)],
+        [(4, 9)],
+        [(2, 5, 7)],
+        [(1, 3, 6, 10)],
+        [(0, 1, 2), (5,)],
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+        [(0, 1, 2), (1, 2, 3)],
     ],
-    ids=["single_vertex", "edge_free", "non_pure", "non_pure_3d", "square"],
+    ids=[
+        "single_vertex",
+        "edge_free",
+        "non_pure",
+        "non_pure_3d",
+        "square",
+        "edge",
+        "triangle",
+        "tetrahedron",
+        "triangle_and_vertex",
+        "tetrahedron_boundary",
+        "two_triangles",
+    ],
 )
 def test_canonical_form_matches_refined_oracle_on_corner_cases(facets):
     c = from_facets(facets)
     assert canonical_form(c) == oracle.refined_canonical_form(c)
+
+
+def test_canonical_form_of_the_empty_complex():
+    assert canonical_form(EMPTY_COMPLEX) == oracle.refined_canonical_form(EMPTY_COMPLEX) == (frozenset(), {})
+
+
+def test_canonical_form_of_a_simplex_counts_no_faces(monkeypatch):
+    # a simplex's form follows from its vertices alone
+    def no_counting(*args):
+        raise AssertionError("canonical_form counted faces of a simplex")
+
+    monkeypatch.setattr(algorithms, "Counter", no_counting)
+    for dim in range(5):
+        c = from_facets([tuple(range(3, 3 + 3 * (dim + 1), 3))])
+        assert canonical_form(c) == oracle.refined_canonical_form(c)
