@@ -405,19 +405,18 @@ def relative_collapse(c: SimplicialComplex, d: SimplicialComplex) -> CollapseSeq
         raise NotASubcomplexError("target is not a subcomplex")
     tracker = FaceSetCollapser(c)
     forbidden = {tracker.index[f] for k in range(d.dimension + 1) for f in d.face_set(k)}
-    top = c.dimension  # the size of the largest faces that can be free
+    top = c.dimension  # the size of the largest faces that can still be free
 
     def pick(free: list[int], face: list[Face]) -> int | None:
         """Highest-dimensional free face outside d, the first (smallest) on ties."""
-        best = None
-        for i in free:
-            if i not in forbidden:
-                size = len(face[i])
-                if size == top:
+        nonlocal top
+        while top > 0:
+            for i in free:
+                if len(face[i]) == top and i not in forbidden:
                     return i
-                if best is None or size > len(face[best]):
-                    best = i
-        return best
+            # only an edge-triangle collapse frees an edge, so none comes back
+            top -= 1
+        return None
 
     steps = tracker.collapse(pick)
     # a collapse never removes a face of d, so it reached d when only d is left

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from .complex_core import Record, SimplicialComplex
 from .errors import DegenerateDirectionError, DirectionLengthError, InvalidEmbeddingError
@@ -59,7 +60,7 @@ class GeometricRealization(Record):
                 )
 
     def height(self, v: int, direction: Vector) -> Number:
-        return sum(p * d for p, d in zip(self.coords[v], direction))
+        return sum(map(mul, self.coords[v], direction))
 
 
 class SweepOrder(Record):
@@ -140,17 +141,24 @@ def _injectivity_scan(g: GeometricRealization, order: SweepOrder) -> TightnessRe
     dimension i born at b and dying at d (None: never) is a class of
     H_i(A_j) for d < j <= b, and it maps to zero in H_i(C) unless it never
     dies; a threshold fails iff a finite bar of positive length is alive.
+
+    The filtration orders the faces by birth position descending, then by
+    dimension, then lexicographically.  ``c.faces()`` already ascends by
+    (dimension, lex), so one stable sort of it keyed on the birth position
+    alone gives that order: a reverse sort keeps equal keys in their order.
     """
     c = g.complex
-    n = len(order.vertices)
-    position = {v: k for k, v in enumerate(order.vertices)}
-    keyed = sorted((-min(position[v] for v in f), len(f), f) for f in c.faces())
-    faces = [f for _, _, f in keyed]
-    born = [-key for key, _, _ in keyed]
+    dim, n = c.dimension, len(order.vertices)
+    position = {v: k for k, v in enumerate(order.vertices)}.__getitem__
+    all_faces = c.faces()
+    birth = [min(map(position, f)) for f in all_faces]
+    filtration = sorted(range(len(all_faces)), key=birth.__getitem__, reverse=True)
+    faces = list(map(all_faces.__getitem__, filtration))
+    born = list(map(birth.__getitem__, filtration))
 
     # per threshold and dimension: classes of H_i(A_j), and those surviving in C
-    alive = [[0] * (c.dimension + 1) for _ in range(n)]
-    kept = [[0] * (c.dimension + 1) for _ in range(n)]
+    alive = [[0] * (dim + 1) for _ in range(n)]
+    kept = [[0] * (dim + 1) for _ in range(n)]
     for k, destroyer in persistence_pairs(faces):
         i = len(faces[k]) - 1
         first = 1 if destroyer is None else born[destroyer] + 1
@@ -160,9 +168,11 @@ def _injectivity_scan(g: GeometricRealization, order: SweepOrder) -> TightnessRe
                 kept[j][i] += 1
 
     # one check per threshold j and dimension of the upper set A_j
-    top = [0] * n  # highest dimension of a face born at each position
-    for b, f in zip(born, faces):
-        top[b] = max(top[b], len(f) - 1)
+    # highest dimension of a face born at each position: within a position
+    # the faces ascend by dimension, so the last one's size is kept
+    top = [0] * n
+    for b, size in dict(zip(born, map(len, faces))).items():
+        top[b] = size - 1
     checks = reach = 0
     for j in range(n - 1, 0, -1):
         reach = max(reach, top[j])
@@ -171,7 +181,7 @@ def _injectivity_scan(g: GeometricRealization, order: SweepOrder) -> TightnessRe
     failures = [
         TightnessFailure(_level(order.heights[j - 1], order.heights[j]), i, alive[j][i], kept[j][i])
         for j in range(1, n)
-        for i in range(c.dimension + 1)
+        for i in range(dim + 1)
         if alive[j][i] != kept[j][i]
     ]
     return TightnessReport(not failures, order.direction, checks, tuple(failures))

@@ -133,6 +133,12 @@ def test_relative_collapse_identity(annulus):
     assert len(seq) == 0
 
 
+@pytest.mark.parametrize("c", [EMPTY_COMPLEX, from_facets([(0,), (1,)])], ids=["empty", "two-points"])
+def test_relative_collapse_with_no_free_size_stops_at_once(c):
+    # an empty or 0-dimensional complex has no face size that can be free
+    assert relative_collapse(c, c).steps == collapse_oracle.relative_collapse(c, c).steps == ()
+
+
 def test_relative_collapse_fan_onto_star():
     disc = fan_disc(5)
     target = star(disc, 1)

@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import homology_oracle
 import tightness_oracle as oracle
-from tightmorse import from_facets, inclusion_induced_injective
+from tightmorse import from_facets, geometry, inclusion_induced_injective
 from tightmorse.complex_core import from_faces, restrict
 from tightmorse.constructions import furch_ball, grid_ball, straight_path
-from tightmorse.geometry import GeometricRealization, is_pi_tight, is_prefix_tight
+from tightmorse.geometry import GeometricRealization, is_pi_tight, is_prefix_tight, sweep_order
 from tightmorse.homology_z2 import persistence_pairs
 
 from conftest import drilled_cone_sphere, random_complexes
@@ -35,13 +35,18 @@ facet_lists = st.lists(
 @st.composite
 def realizations(draw):
     """A complex on at most 9 vertices of dimension at most 3, with distinct
-    integer points in [0, 16]^k (k = 2 or 3) and a direction (±1, ±17, ±289)
-    cut to k coordinates, which separates all heights."""
+    integer points in [0, 16]^k (k = 2 or 3) and a direction: either
+    (±1, ±17, ±289) cut to k coordinates, which separates all heights, or
+    one in {-1, 0, 1}^k other than zero, so heights tie often and the
+    symbolic tie-break orders them."""
     c = from_facets(draw(facet_lists))
     k = draw(st.sampled_from([2, 3]))
     points = draw(st.lists(st.tuples(*[st.integers(0, 16)] * k), min_size=9, max_size=9, unique=True))
-    signs = draw(st.tuples(*[st.sampled_from([1, -1])] * k))
-    direction = tuple(s * 17**e for e, s in enumerate(signs))
+    if draw(st.booleans()):
+        direction = draw(st.tuples(*[st.integers(-1, 1)] * k).filter(any))
+    else:
+        signs = draw(st.tuples(*[st.sampled_from([1, -1])] * k))
+        direction = tuple(s * 17**e for e, s in enumerate(signs))
     return GeometricRealization(c, {v: points[v] for v in c.vertices}, k), direction
 
 
@@ -49,6 +54,29 @@ def realizations(draw):
 @given(realizations())
 def test_tightness_matches_oracle(case):
     assert_same_as_oracle(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(realizations())
+def test_scan_reduces_the_oracle_filtration(case):
+    """The scan's one stable sort of ``c.faces()`` equals the oracle's sort
+    of (-position, size, face) tuples, for upper sets and for prefixes."""
+    g, direction = case
+    seen = []
+
+    def spy(faces):
+        seen.append(list(faces))
+        return persistence_pairs(faces)
+
+    vertices = sweep_order(g, direction).vertices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "persistence_pairs", spy)
+        is_pi_tight(g, direction)
+        is_prefix_tight(g, direction)
+    assert seen == [
+        oracle.upper_set_filtration(g.complex, vertices),
+        oracle.upper_set_filtration(g.complex, vertices[::-1]),
+    ]
 
 
 def drilled(*dims):

@@ -6,6 +6,8 @@ are compared against.  ``inclusion_induced_injective`` compares the span of
 a's cycles with x's boundaries by elimination; ``is_pi_tight`` and
 ``is_prefix_tight`` rebuild the upper set at each of the n-1 thresholds of
 the sweep and test each dimension's inclusion the same way.
+``upper_set_filtration`` is the order in which the library's scan reduces
+the faces, built as one sort of (-position, size, face) tuples.
 """
 
 from __future__ import annotations
@@ -159,6 +161,13 @@ def _betti_single(c: SimplicialComplex, i: int) -> int:
     r_i = boundary_matrix(c, i).rank() if i >= 1 else 0
     r_up = boundary_matrix(c, i + 1).rank() if i + 1 <= c.dimension else 0
     return len(c.face_set(i)) - r_i - r_up
+
+
+def upper_set_filtration(c: SimplicialComplex, vertices: tuple[int, ...]) -> list[Face]:
+    """The faces of c by the sweep position of their lowest vertex in
+    ``vertices``, descending, then by dimension, then lexicographically."""
+    position = {v: k for k, v in enumerate(vertices)}
+    return [f for _, _, f in sorted((-min(position[v] for v in f), len(f), f) for f in c.faces())]
 
 
 def _injectivity_scan(g: GeometricRealization, order: SweepOrder) -> TightnessReport:
