@@ -825,12 +825,25 @@ def collapsible(
     """Search for a full collapse to a single vertex.
 
     A collapsible complex is mod-2 acyclic, so an Euler characteristic
-    other than 1 answers "no" (reason "betti") before anything else.
-    greedy: seeded random free-pair choices with restarts; never proves a
-    negative beyond the exact prechecks (wrong Betti vector, or no free
-    face at all, read from the first attempt's free list).  A collapse to a
-    vertex proves acyclicity, so the Betti vector is computed only after
-    the first attempt fails, and it takes precedence over "no free face".
+    other than 1 answers "no" (reason "betti") before anything else, and a
+    complex with no free face answers "betti" if it is not acyclic, else
+    "no free face".  Both strategies then rest on one lemma: every maximal
+    collapse sequence of a complex removes the same faces of its top
+    dimension d.  Proof: let A and B be maximal sequences, t the first
+    d-face that A removes and B keeps, and e the free face A removes it
+    with.  Every other coface of e is a d-face that A removed before t, so
+    B removed it too.  A face leaves only after its cofaces, and B keeps
+    t, so B keeps e, which is then free at B's end: B was not maximal.
+    So a collapse that gets stuck while a d-face remains proves "no"
+    (reason "stuck" for greedy).  In dimension at most 2 every stuck run
+    does: its residual is acyclic, and one with no triangle left is a tree
+    with a leaf unless it is a single vertex.
+
+    greedy: seeded random free-pair choices.  A collapse to a vertex proves
+    acyclicity, so the Betti vector is computed only after the first
+    attempt fails.  A failed run that removed every d-face proves nothing,
+    which needs d >= 3, and only then does the next attempt start, up to
+    ``restarts`` in all.
     backtracking: exhaustive over free-pair choices with memoized dead
     states, keyed by ``canonical_form`` only when an f-vector repeats
     (``_IsoMemo``); exact within the node budget.  It runs on ``_drive``'s
@@ -838,7 +851,13 @@ def collapsible(
     pairs, taken in lexicographic order, and ``restore_pair`` backs it out.
     A node is its f-vector and the linked path of the ids it removed, and is
     built only for the memo: from the collapser when its f-vector repeats,
-    and from ``face`` minus that path when a dead one's repeats.
+    and from ``face`` minus that path when a dead one's repeats.  A dead
+    node passes up the top dimension of a stuck node that one of its
+    maximal collapses reaches, and the memo stores it with the node; when
+    it equals the parent's top dimension, the lemma makes the parent dead
+    as well, and the parent tries no further child.  No skipped child leads
+    to a vertex, so the first collapse found is the one the full search
+    finds.
     """
     from .morse import FaceSetCollapser, random_pick
 
@@ -856,8 +875,9 @@ def collapsible(
         return CollapsibleResult("no", reason="betti")
 
     collapser = FaceSetCollapser(c)
+    if not collapser.free:
+        return CollapsibleResult("no", reason="no free face" if _acyclic_betti(c) else "betti")
     if strategy == "greedy":
-        no_free_face = not collapser.free
         for attempt in range(restarts):
             tracker = collapser if attempt == 0 else FaceSetCollapser(c)
             steps = tracker.collapse(random_pick(random.Random(seed * 1_000_003 + attempt)))
@@ -866,29 +886,31 @@ def collapsible(
                 return CollapsibleResult("yes", CollapseSequence(c, tuple(steps), target))
             if attempt == 0 and not _acyclic_betti(c):
                 return CollapsibleResult("no", reason="betti")
-            if no_free_face:
-                return CollapsibleResult("no", reason="no free face")
+            if max(map(len, tracker.remaining())) > c.dimension:
+                return CollapsibleResult("no", reason="stuck")
         return CollapsibleResult("budget", reason=f"{restarts} greedy restarts failed")
 
     if not _acyclic_betti(c):
         return CollapsibleResult("no", reason="betti")
-    if not collapser.free:
-        return CollapsibleResult("no", reason="no free face")
 
     tracker = _Budget(budget)
     dead = _IsoMemo()
     face = collapser.face
     build = lambda: _by_dimension(collapser.remaining())
+    residual = 0  # the top dimension of the stuck node the last dead one passed up
 
     def search(f: tuple[int, ...], path):
         """The steps from the collapser's faces (f-vector f, removed ids path)
         to a vertex, last first, or None, which leaves the collapser as it was."""
+        nonlocal residual
         if len(collapser) == 1:
             return []
         tracker.tick()
         hit, form = dead.lookup(f, build)
         if hit is not None:
+            residual = hit[0]
             return None
+        residual = len(f) - 1  # kept when no pair is free
         for s in collapser.free[:]:  # a child that returns None restores the list
             t = collapser.coface(s)
             collapser.remove_pair(s, t)
@@ -900,8 +922,10 @@ def collapsible(
                 rest.append((face[s], face[t]))
                 return rest
             collapser.restore_pair(s, t)
+            if residual >= len(f) - 1:
+                break  # a maximal collapse from here keeps a top face
         rebuild = lambda: _by_dimension(set(face).difference(map(face.__getitem__, _linked(path))))
-        dead.store(f, None, form, rebuild)
+        dead.store(f, residual, form, rebuild)
         return None
 
     try:

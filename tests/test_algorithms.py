@@ -520,6 +520,7 @@ walks = {
     "planar_acyclic_nonevasive": lambda: planar_acyclic_nonevasive(c).size == 2 * n + 1,
     "verify_certificate": lambda: verify_certificate(c, cert),
     "backtracking_no": lambda: collapsible(tailed_dunce_hat(2000), "backtracking").reason == "exhausted",
+    "greedy_no": lambda: collapsible(tailed_dunce_hat(2000)).reason == "stuck",
     "nonevasive_no": lambda: nonevasive(tailed_dunce_hat(1000)).reason == "exhausted",
     "verify_certificate_grid": replay_grid,
 }
@@ -536,7 +537,7 @@ with open("/proc/self/status") as status:
     "walk",
     [
         "nonevasive", "backtracking", "planar_acyclic_nonevasive", "verify_certificate",
-        "backtracking_no", "nonevasive_no", "verify_certificate_grid",
+        "backtracking_no", "greedy_no", "nonevasive_no", "verify_certificate_grid",
     ],
 )
 def test_deep_walk_peak_memory(walk):
@@ -938,29 +939,74 @@ def flapped_dunce_hat(tails):
     return from_facets([*dunce_hat().facets, *tails])
 
 
+# the dunce hat wedged with a tetrahedron: every collapse removes the
+# tetrahedron before it gets stuck on the hat's triangles, so no node that
+# keeps the tetrahedron is proved dead before its children run out
+TETRAHEDRON_DUNCE_HAT = flapped_dunce_hat([(1, 30, 31, 32)])
+
+
 @pytest.mark.parametrize(
-    "c",
+    "c, nodes",
     [
-        flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]),
-        flapped_dunce_hat([(1, 2, 20), (1, 3, 21)]),
-        grid_ball(1, 1, 1).complex,
-        PENDANT_DUNCE_HAT,
+        (flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]), 5),
+        (flapped_dunce_hat([(1, 2, 20), (1, 3, 21)]), 5),
+        (grid_ball(1, 1, 1).complex, 25),
+        (PENDANT_DUNCE_HAT, 3),
     ],
     ids=["dunce_hat+flap+path", "dunce_hat+2flaps", "grid(1,1,1)", "dunce_hat+2pendants"],
 )
-def test_backtracking_nodes_match_oracle(c):
+def test_backtracking_nodes_match_oracle(c, nodes):
     # random complexes this small are collapsible or fail a precheck; the
-    # dunce hats with tails exhaust the search and hit its dead set
+    # dunce hats with tails get stuck on a triangle of the hat, which proves
+    # the node above dead without trying its other children
     res, ref = backtracking(c), oracle.backtracking(c)
     assert (res.status, res.reason) == (ref.status, ref.reason)
     assert (res.sequence and res.sequence.steps) == (ref.sequence and ref.sequence.steps)
-    assert search_nodes(backtracking, c) == search_nodes(oracle.backtracking, c)
+    assert search_nodes(backtracking, c) == nodes <= search_nodes(oracle.backtracking, c)
+
+
+def glued_dunce_hat(gluings):
+    """The dunce hat with one simplex of s vertices glued on per gluing
+    (t, k, s): up to k vertices of its triangle t, the rest new ones."""
+    glued = []
+    for i, (t, k, s) in enumerate(gluings):
+        base = t[:min(k, s - 1)]
+        glued.append((*base, *range(20 + 4 * i, 20 + 4 * i + s - len(base))))
+    return flapped_dunce_hat(glued)
+
+
+# the dunce hat with one to four edges, triangles or tetrahedra glued on
+# along its faces: acyclic, and of dimension 3 when a tetrahedron is glued on
+glued_dunce_hats = st.builds(
+    glued_dunce_hat,
+    st.lists(
+        st.tuples(st.sampled_from(dunce_hat().facets), st.integers(1, 3), st.integers(2, 4)),
+        min_size=1, max_size=4,
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(glued_dunce_hats, st.integers(0, 10**6))
+def test_stuck_collapses_agree_with_oracle_on_glued_dunce_hats(c, seed):
+    # a stuck collapse that keeps a top face answers "no" at once: greedy
+    # decides every complex of dimension at most 2, and backtracking finds
+    # the oracle's answer in at most the oracle's nodes
+    budget = 100
+    res, ref = backtracking(c, budget), oracle.backtracking(c, budget)
+    if ref.status != "budget":
+        assert (res.status, res.reason) == (ref.status, ref.reason)
+        assert (res.sequence and res.sequence.steps) == (ref.sequence and ref.sequence.steps)
+        assert search_nodes(backtracking, c) <= search_nodes(oracle.backtracking, c)
+    greedy = collapsible(c, seed=seed)
+    assert greedy.status != "budget" or c.dimension >= 3
+    assert greedy.status in ("budget", res.status) or res.status == "budget"
 
 
 @pytest.mark.parametrize(
     "c",
-    [flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]), grid_ball(1, 1, 1).complex],
-    ids=["dunce_hat+flap+path", "grid(1,1,1)"],
+    [TETRAHEDRON_DUNCE_HAT, grid_ball(1, 1, 1).complex],
+    ids=["dunce_hat+tetrahedron", "grid(1,1,1)"],
 )
 def test_backtracking_memo_buckets_by_the_f_vector_of_the_node(monkeypatch, c):
     # backtracking passes the memo each node's f-vector, not its complex; it

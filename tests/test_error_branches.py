@@ -50,9 +50,16 @@ ALGORITHMS = {
     "nonevasive_empty": (lambda: result(nonevasive(EMPTY_COMPLEX)), ("no", "empty")),
     "greedy_empty": (lambda: result(collapsible(EMPTY_COMPLEX)), ("no", "empty")),
     "backtracking_empty": (lambda: result(collapsible(EMPTY_COMPLEX, "backtracking")), ("no", "empty")),
-    # the pendant edge collapses and every attempt sticks on the dunce hat
-    "greedy_budget": (
+    # the pendant edge collapses and the first attempt sticks on the dunce
+    # hat's triangles, which every maximal collapse keeps
+    "greedy_stuck": (
         lambda: result(collapsible(from_facets([*dunce_hat().facets, (8, 98)]), restarts=3)),
+        ("no", "stuck"),
+    ),
+    # every attempt collapses the tetrahedron away and sticks on the hat's
+    # triangles, below the top dimension, which proves nothing
+    "greedy_budget": (
+        lambda: result(collapsible(from_facets([*dunce_hat().facets, (1, 30, 31, 32)]), restarts=3)),
         ("budget", "3 greedy restarts failed"),
     ),
     "relative_not_a_subcomplex": (

@@ -680,6 +680,11 @@ def search_input(name, tmp_path):
         return str(FIXTURES / f"{name}.facets")
     if name == "simplex3":
         return str(FIXTURES / "simplex3.geom")
+    if name == "dunce_hat+pendant":
+        path = tmp_path / f"{name}.facets"
+        hat = read_complex(str(FIXTURES / "dunce_hat.facets"))
+        path.write_text(dump_facets(from_facets([*hat.facets, (8, 98)])))
+        return str(path)
     g = {
         "grid1x1x1": lambda: grid_ball(1, 1, 1),
         "grid2x2x2": lambda: grid_ball(2, 2, 2),
@@ -760,6 +765,8 @@ def test_cli_check_collapsible_backtracking_golden(tmp_path, capsys, name):
 GREEDY_GOLDEN = {
     "checkerboard": (0, {"result": "no", "reason": "betti"}, None),
     "dunce_hat": (0, {"result": "no", "reason": "no free face"}, None),
+    # the first attempt sticks on the hat's triangles, which every collapse keeps
+    "dunce_hat+pendant": (0, {"result": "no", "reason": "stuck"}, None),
     "simplex3": (0, {"result": "yes", "steps": 7}, None),
     "furch3x3x3 seed 0": (
         0, {"result": "yes", "steps": 425},
