@@ -827,12 +827,25 @@ def collapsible(
     A collapsible complex is mod-2 acyclic, so an Euler characteristic
     other than 1 answers "no" (reason "betti") before anything else, and a
     complex with no free face answers "betti" if it is not acyclic, else
-    "no free face".  Both strategies then rest on one lemma: every maximal
-    collapse sequence of a complex removes the same faces of its top
-    dimension d.  Proof: let A and B be maximal sequences, t the first
-    d-face that A removes and B keeps, and e the free face A removes it
-    with.  Every other coface of e is a d-face that A removed before t, so
-    B removed it too.  A face leaves only after its cofaces, and B keeps
+    "no free face".  Both strategies then rest on two lemmas.  A removal
+    only lowers coface counts, and removing a pair (σ, τ) with dim τ = k
+    lowers those of faces of dimension k - 1 and k - 2 only.
+
+    (a) Lower collapses never enable higher ones, so a collapse can be
+    reordered to never increase in dimension.  Proof: let a pair of
+    dimension k be followed directly by one of dimension m > k.  The second
+    pair's free face has dimension m - 1 >= k, so the first pair did not
+    change its coface count: it was free already.  Removing it first
+    leaves the first pair's free face with its one coface τ, as counts only
+    fall and τ stays.  So the two swap, and swaps sort the sequence.  A
+    complex that collapses to a vertex thus has such a collapse whose first
+    pair has the complex's top dimension.
+
+    (b) Every maximal collapse sequence of a complex removes the same faces
+    of its top dimension d.  Proof: let A and B be maximal sequences, t the
+    first d-face that A removes and B keeps, and e the free face A removes
+    it with.  Every other coface of e is a d-face that A removed before t,
+    so B removed it too.  A face leaves only after its cofaces, and B keeps
     t, so B keeps e, which is then free at B's end: B was not maximal.
     So a collapse that gets stuck while a d-face remains proves "no"
     (reason "stuck" for greedy).  In dimension at most 2 every stuck run
@@ -844,20 +857,24 @@ def collapsible(
     attempt fails.  A failed run that removed every d-face proves nothing,
     which needs d >= 3, and only then does the next attempt start, up to
     ``restarts`` in all.
-    backtracking: exhaustive over free-pair choices with memoized dead
-    states, keyed by ``canonical_form`` only when an f-vector repeats
+    backtracking: exhaustive over the pairings, with memoized dead states
+    keyed by ``canonical_form`` only when an f-vector repeats
     (``_IsoMemo``); exact within the node budget.  It runs on ``_drive``'s
     stack over one ``FaceSetCollapser``: a child collapses one of the free
-    pairs, taken in lexicographic order, and ``restore_pair`` backs it out.
-    A node is its f-vector and the linked path of the ids it removed, and is
-    built only for the memo: from the collapser when its f-vector repeats,
-    and from ``face`` minus that path when a dead one's repeats.  A dead
-    node passes up the top dimension of a stuck node that one of its
-    maximal collapses reaches, and the memo stores it with the node; when
-    it equals the parent's top dimension, the lemma makes the parent dead
-    as well, and the parent tries no further child.  No skipped child leads
-    to a vertex, so the first collapse found is the one the full search
-    finds.
+    pairs of the node's top dimension, taken in lexicographic order, and
+    ``restore_pair`` backs it out.  By (a) a collapsible node has a
+    collapsible child, and a "yes" sequence never increases in dimension.
+    A node is its f-vector and the linked path of the ids it removed, and
+    is built only for the memo: from the collapser when its f-vector
+    repeats, and from ``face`` minus that path when a dead one's repeats.
+    A dead node passes up a dimension in which one of its maximal collapses
+    keeps a face: a node with no free pair of its top dimension passes that
+    dimension, since by (a) no collapse from it frees such a pair, and any
+    other passes what its last child passed.  The memo stores it with the
+    node; when it equals the parent's top dimension, (b) makes the parent
+    dead as well, and the parent tries no further child.  No skipped child
+    leads to a vertex, so the first collapse found is the one the search
+    without that rule finds.
     """
     from .morse import FaceSetCollapser, random_pick
 
@@ -910,19 +927,18 @@ def collapsible(
         if hit is not None:
             residual = hit[0]
             return None
-        residual = len(f) - 1  # kept when no pair is free
-        for s in collapser.free[:]:  # a child that returns None restores the list
+        top = residual = len(f) - 1  # kept when no top pair is free
+        for s in [s for s in collapser.free if len(face[s]) == top]:  # lemma (a)
             t = collapser.coface(s)
             collapser.remove_pair(s, t)
-            k = len(face[s]) - 1
             # no level of a closed family is empty below a nonempty one
-            child = tuple(filter(None, f[:k] + (f[k] - 1, f[k + 1] - 1) + f[k + 2:]))
+            child = tuple(filter(None, f[:-2] + (f[-2] - 1, f[-1] - 1)))
             rest = yield search(child, (s, (t, path)))
             if rest is not None:
                 rest.append((face[s], face[t]))
                 return rest
             collapser.restore_pair(s, t)
-            if residual >= len(f) - 1:
+            if residual >= top:
                 break  # a maximal collapse from here keeps a top face
         rebuild = lambda: _by_dimension(set(face).difference(map(face.__getitem__, _linked(path))))
         dead.store(f, residual, form, rebuild)

@@ -9,8 +9,15 @@ twice and reads the key off the sorted ``facets``.  The library's
 ``canonical_form``, which also answers a simplex from its vertices alone,
 must return the same key and relabel.  ``backtracking``
 is ``collapsible(c, "backtracking", budget)`` with its dead set keyed by the
-library's ``canonical_form`` at every node.  The library must give the same
-statuses, reasons, certificates, collapse steps and node counts.
+library's ``canonical_form`` at every node and without the stuck rule: a
+node branches on its free pairs whose coface has the node's top dimension,
+in lexicographic order.  The library must give the same statuses, reasons,
+certificates and collapse steps in no more nodes, and the same node counts
+where no collapse gets stuck on a top face.  ``all_orders_backtracking``
+is the same search branching on every free pair, as the library did before
+it searched the pairing rather than the order: the library must give its
+status and reason wherever that search decides, and the same number of
+steps on "yes".
 
 ``verify_certificate`` and ``acyclic_cert`` are the certificate walks as
 generators on ``_drive``'s stack, which holds every complex of the deletion
@@ -147,6 +154,14 @@ def nonevasive(c: SimplicialComplex, budget: int = 10**6) -> NonEvasiveResult:
 
 
 def backtracking(c: SimplicialComplex, budget: int = 10**6) -> CollapsibleResult:
+    return _backtracking(c, budget, top_only=True)
+
+
+def all_orders_backtracking(c: SimplicialComplex, budget: int = 10**6) -> CollapsibleResult:
+    return _backtracking(c, budget, top_only=False)
+
+
+def _backtracking(c: SimplicialComplex, budget: int, top_only: bool) -> CollapsibleResult:
     if c.is_empty:
         return CollapsibleResult("no", reason="empty")
     if c.num_faces == 1:
@@ -169,6 +184,8 @@ def backtracking(c: SimplicialComplex, budget: int = 10**6) -> CollapsibleResult
         if key in dead:
             return None
         for s, t in free_faces(cur):
+            if top_only and len(t) != cur.dimension + 1:
+                continue
             rest = search(faces - {s, t})
             if rest is not None:
                 return [(s, t)] + rest

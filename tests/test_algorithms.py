@@ -713,9 +713,10 @@ def test_stored_builders_rebuild_their_nodes(c):
 
 
 def test_stored_builders_rebuild_their_nodes_on_the_pendant_dunce_hat():
-    # both searches store nodes deep in their walks here
-    counts = check_stored_builders(PENDANT_DUNCE_HAT)
-    assert counts["nonevasive"] > 1 and counts["backtracking"] > 1
+    # nonevasive stores nodes deep in its walk here; backtracking proves this
+    # input dead at its root, and stores deep nodes on the tetrahedron one
+    assert check_stored_builders(PENDANT_DUNCE_HAT)["nonevasive"] > 1
+    assert check_stored_builders(TETRAHEDRON_DUNCE_HAT)["backtracking"] == 8
 
 
 def counting(monkeypatch, module):
@@ -920,6 +921,14 @@ def backtracking(c, budget=10**6):
     return collapsible(c, "backtracking", budget)
 
 
+def check_top_down(c, res):
+    """A "yes" replays on c, and its coface dimensions never increase."""
+    if res.status == "yes":
+        from_collapse_sequence(c, res.sequence)
+        dims = [len(t) for _, t in res.sequence.steps]
+        assert dims == sorted(dims, reverse=True)
+
+
 @settings(max_examples=120, deadline=None)
 @given(random_complexes)
 def test_backtracking_matches_oracle(c):
@@ -928,6 +937,7 @@ def test_backtracking_matches_oracle(c):
     assert (res.sequence is None) == (ref.sequence is None)
     if res.sequence is not None:
         assert res.sequence.steps == ref.sequence.steps
+    check_top_down(c, res)
     # one budget tick per search node, as in the oracle
     for budget in range(1, 7):
         assert backtracking(c, budget).status == oracle.backtracking(c, budget).status
@@ -948,10 +958,10 @@ TETRAHEDRON_DUNCE_HAT = flapped_dunce_hat([(1, 30, 31, 32)])
 @pytest.mark.parametrize(
     "c, nodes",
     [
-        (flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]), 5),
-        (flapped_dunce_hat([(1, 2, 20), (1, 3, 21)]), 5),
+        (flapped_dunce_hat([(1, 2, 20), (5, 30), (30, 31)]), 2),
+        (flapped_dunce_hat([(1, 2, 20), (1, 3, 21)]), 3),
         (grid_ball(1, 1, 1).complex, 25),
-        (PENDANT_DUNCE_HAT, 3),
+        (PENDANT_DUNCE_HAT, 1),
     ],
     ids=["dunce_hat+flap+path", "dunce_hat+2flaps", "grid(1,1,1)", "dunce_hat+2pendants"],
 )
@@ -998,9 +1008,63 @@ def test_stuck_collapses_agree_with_oracle_on_glued_dunce_hats(c, seed):
         assert (res.status, res.reason) == (ref.status, ref.reason)
         assert (res.sequence and res.sequence.steps) == (ref.sequence and ref.sequence.steps)
         assert search_nodes(backtracking, c) <= search_nodes(oracle.backtracking, c)
+    check_top_down(c, res)
     greedy = collapsible(c, seed=seed)
     assert greedy.status != "budget" or c.dimension >= 3
     assert greedy.status in ("budget", res.status) or res.status == "budget"
+
+
+def simplices_on_8(min_size):
+    return st.lists(st.integers(0, 7), min_size=min_size, max_size=4, unique=True)
+
+
+# complexes of dimension at most 3 on at most eight vertices: families of
+# edges, triangles and tetrahedra, and random complexes with a tetrahedron
+# added, which keep the cones' acyclicity more often
+small_3_complexes = st.one_of(
+    st.builds(from_facets, st.lists(simplices_on_8(2), min_size=1, max_size=6)),
+    st.builds(lambda c, t: from_facets([*c.facets, t]), random_complexes, simplices_on_8(4)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_complexes, glued_dunce_hats, small_3_complexes))
+def test_backtracking_decides_what_the_search_over_all_orders_decides(c):
+    # a collapsible node has a collapse whose first pair has its top
+    # dimension, so branching on those pairs only loses no answer
+    budget = 300
+    res, ref = backtracking(c, budget), oracle.all_orders_backtracking(c, budget)
+    if ref.status == "budget":
+        assert (res.status, res.reason) in (("budget", None), ("no", "exhausted"), ("yes", None))
+    else:
+        assert (res.status, res.reason) == (ref.status, ref.reason)
+        assert res.status != "yes" or len(res.sequence) == len(ref.sequence)
+    check_top_down(c, res)
+
+
+def tetrahedra_dunce_hat(k):
+    """The dunce hat with k tetrahedra glued on at its vertex 1."""
+    return flapped_dunce_hat([(1, 100 + 3 * i, 101 + 3 * i, 102 + 3 * i) for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "c, nodes",
+    [
+        (flapped_dunce_hat([(4, 5, 7, 8), (3, 5, 21), (2, 3, 21), (3, 5, 6, 23)]), 102),
+        (tetrahedra_dunce_hat(2), 32),
+        (tetrahedra_dunce_hat(3), 68),
+        (tetrahedra_dunce_hat(4), 123),
+    ],
+    ids=["dunce_hat+2tetrahedra+2triangles", "dunce_hat+2tetrahedra", "dunce_hat+3tetrahedra",
+         "dunce_hat+4tetrahedra"],
+)
+def test_backtracking_branches_on_top_pairs_only(c, nodes):
+    # a search over the order of every free pair, stuck rule and memo kept,
+    # takes 1,262, 167, 1,646 and 11,298 nodes here: the triangles and edges
+    # it collapses between two tetrahedra only reorder the same pairing
+    res = backtracking(c, 200)
+    assert (res.status, res.reason) == ("no", "exhausted")
+    assert search_nodes(backtracking, c) == nodes
 
 
 @pytest.mark.parametrize(

@@ -680,10 +680,14 @@ def search_input(name, tmp_path):
         return str(FIXTURES / f"{name}.facets")
     if name == "simplex3":
         return str(FIXTURES / "simplex3.geom")
-    if name == "dunce_hat+pendant":
+    glued = {
+        "dunce_hat+pendant": [(8, 98)],
+        "dunce_hat+4tetrahedra": [(1, 100 + 3 * i, 101 + 3 * i, 102 + 3 * i) for i in range(4)],
+    }
+    if name in glued:
         path = tmp_path / f"{name}.facets"
         hat = read_complex(str(FIXTURES / "dunce_hat.facets"))
-        path.write_text(dump_facets(from_facets([*hat.facets, (8, 98)])))
+        path.write_text(dump_facets(from_facets([*hat.facets, *glued[name]])))
         return str(path)
     g = {
         "grid1x1x1": lambda: grid_ball(1, 1, 1),
@@ -748,6 +752,9 @@ BACKTRACKING_GOLDEN = {
     "checkerboard": ([], 0, {"result": "no", "reason": "betti"}),
     "grid1x1x1": ([], 0, {"result": "yes", "steps": 25}),
     "grid1x1x1 budget 1": (["--budget", "1"], 2, {"result": "budget"}),
+    # 123 search nodes; a search over the order of every free pair takes
+    # 11,298 and answers "budget" here
+    "dunce_hat+4tetrahedra budget 1000": (["--budget", "1000"], 0, {"result": "no", "reason": "exhausted"}),
 }
 
 
